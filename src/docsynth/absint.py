@@ -26,7 +26,6 @@ from .abstraction import (
     type_union,
 )
 from .errors import MalformedQueryError, UnknownCollectionError
-from .lang import _OP_TAGS, source_collection, stages
 from .sizes import Rel
 from .types import ArrayT, DocT, NUM
 
@@ -62,21 +61,6 @@ class Sketch:
         for tag in self.ops:
             out = f"{tag.capitalize() if tag != 'add_fields' else 'AddFields'}({out}, ·)"
         return out
-
-
-def skeleton(q) -> Sketch:
-    return Sketch(
-        source_collection(q),
-        tuple(_OP_TAGS[type(s).__name__] for s in stages(q)),
-    )
-
-
-def assign_ids(sk: Sketch):
-    """[(leaf-or-tag, stage id)] with the leaf at 0, counting outward."""
-    out = [(sk.collection, 0)]
-    for j, tag in enumerate(sk.ops, start=1):
-        out.append((tag, j))
-    return out
 
 
 def sketch_formula(sk: Sketch, base_formula):
@@ -167,7 +151,3 @@ def abs_eval(adb: dict, out_type: DocT, sk: Sketch, max_group_keys: int = 2):
         if not types:
             return []
     return [AbstractCollection(t, formula) for t in types]
-
-
-def render_lambda(acs) -> str:
-    return "{" + ", ".join(ac.render() for ac in acs) + "}"

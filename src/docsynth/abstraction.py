@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedQueryError, NotASubsetError
 from .sizes import SizeFormula, is_sat as _formula_sat, Ground
-from .types import ArrayT, DocT, infer_collection_type, render_type
+from .types import DocT, infer_collection_type, render_type
 
 
 class AnyType:
@@ -128,9 +128,6 @@ def _canon_value(v):
     return v
 
 
-EMPTY_AUG = AugmentedType(())
-
-
 def from_doc_type(t: DocT) -> AugmentedType:
     entries = []
     for name, vt in t.fields:
@@ -222,28 +219,6 @@ def type_subtract(a: AugmentedType, b: AugmentedType) -> AugmentedType:
         raise NotASubsetError(f"{b!r} is not a subset of {a!r}")
     drop = set(k for k, _ in b.entries)
     return AugmentedType((k, v) for k, v in a.entries if k not in drop)
-
-
-def type_member(attr: str, t: AugmentedType) -> bool:
-    if attr in t:
-        return True
-    return any(
-        isinstance(v, AugmentedType) and type_member(attr, v) for _, v in t.entries
-    )
-
-
-def type_replace(t: AugmentedType, attr: str, new_value) -> AugmentedType:
-    """Replace the type of `attr` at its leftmost-outermost occurrence."""
-    if attr in t:
-        return AugmentedType(
-            (k, new_value if k == attr else v) for k, v in t.entries
-        )
-    entries = list(t.entries)
-    for i, (k, v) in enumerate(entries):
-        if isinstance(v, AugmentedType) and type_member(attr, v):
-            entries[i] = (k, type_replace(v, attr, new_value))
-            return AugmentedType(entries)
-    return t
 
 
 def type_replace_path(t: AugmentedType, path, new_value) -> AugmentedType:
@@ -351,7 +326,7 @@ def abstract_db_of(db: dict, schema: dict) -> dict:
     return out
 
 
-def concretizes(coll, ac: AbstractCollection, solver=None, *,
+def concretizes(coll, ac: AbstractCollection, *,
                 doc_type=None, check_type=True, check_size=True) -> bool:
     """Whether the concrete collection is one of `ac`'s instances.
 
@@ -359,7 +334,7 @@ def concretizes(coll, ac: AbstractCollection, solver=None, *,
     exists to check). `doc_type` short-circuits inference when the caller
     already knows the collection's type.
     """
-    if check_size and not _formula_sat(ac.formula, probe=len(coll), solver=solver):
+    if check_size and not _formula_sat(ac.formula, probe=len(coll)):
         return False
     if check_type and coll:
         t = doc_type if doc_type is not None else infer_collection_type(coll)
@@ -368,9 +343,9 @@ def concretizes(coll, ac: AbstractCollection, solver=None, *,
 
 
 __all__ = [
-    "ANY", "AnyType", "Placeholder", "AugmentedType", "EMPTY_AUG",
+    "ANY", "AnyType", "Placeholder", "AugmentedType",
     "from_doc_type", "to_doc_type", "BOT",
     "type_union", "type_intersect", "type_subset", "type_subtract",
-    "type_member", "type_replace", "type_replace_path",
+    "type_replace_path",
     "matches", "AbstractCollection", "abstract_db_of", "concretizes",
 ]

@@ -292,23 +292,6 @@ def stages(q):
     return out
 
 
-def pipeline_length(q) -> int:
-    return len(stages(q))
-
-
-_OP_TAGS = {
-    "Project": "project", "Match": "match", "AddFields": "add_fields",
-    "Unwind": "unwind", "Group": "group", "Lookup": "lookup",
-}
-
-
-def op_counts(q) -> dict:
-    counts = {tag: 0 for tag in _OP_TAGS.values()}
-    for s in stages(q):
-        counts[_OP_TAGS[type(s).__name__]] += 1
-    return counts
-
-
 def pred_size(p) -> int:
     if isinstance(p, (TruePred, FalsePred)):
         return 1
@@ -356,167 +339,3 @@ def ast_size(q) -> int:
         return 1 + ast_size(q.source) + 4
     raise MalformedQueryError(f"not a query: {q!r}")
 
-
-# ---------------------------------------------------------------------------
-# JSON encoding of query ASTs
-# ---------------------------------------------------------------------------
-
-from .values import value_from_json, value_to_json  # noqa: E402
-
-
-def _path_j(p):
-    return ".".join(p)
-
-
-def pred_to_json(p):
-    if isinstance(p, TruePred):
-        return {"pred": "true"}
-    if isinstance(p, FalsePred):
-        return {"pred": "false"}
-    if isinstance(p, Cmp):
-        return {"pred": "cmp", "path": _path_j(p.path), "op": p.op, "value": value_to_json(p.value)}
-    if isinstance(p, SizeEq):
-        return {"pred": "size_eq", "path": _path_j(p.path), "size": p.size}
-    if isinstance(p, Exists):
-        return {"pred": "exists", "path": _path_j(p.path)}
-    if isinstance(p, And):
-        return {"pred": "and", "left": pred_to_json(p.left), "right": pred_to_json(p.right)}
-    if isinstance(p, Or):
-        return {"pred": "or", "left": pred_to_json(p.left), "right": pred_to_json(p.right)}
-    if isinstance(p, Not):
-        return {"pred": "not", "inner": pred_to_json(p.pred)}
-    raise MalformedQueryError(f"not a predicate: {p!r}")
-
-
-def expr_to_json(e):
-    if isinstance(e, PathExpr):
-        return {"expr": "path", "path": _path_j(e.path)}
-    if isinstance(e, Arith):
-        return {"expr": "arith", "left": _path_j(e.left), "op": e.op, "right": _path_j(e.right)}
-    if isinstance(e, FnCall):
-        return {"expr": "fn", "fn": e.fn, "path": _path_j(e.path)}
-    raise MalformedQueryError(f"not an expression: {e!r}")
-
-
-def agg_to_json(a):
-    if isinstance(a, Count):
-        return {"agg": "count"}
-    return {"agg": type(a).__name__.lower(), "path": _path_j(a.path)}
-
-
-def query_to_json(q):
-    if isinstance(q, CollectionRef):
-        return {"op": "collection", "name": q.name}
-    if isinstance(q, Project):
-        return {"op": "project", "source": query_to_json(q.source), "paths": [_path_j(p) for p in q.paths]}
-    if isinstance(q, Match):
-        return {"op": "match", "source": query_to_json(q.source), "pred": pred_to_json(q.pred)}
-    if isinstance(q, AddFields):
-        return {
-            "op": "add_fields",
-            "source": query_to_json(q.source),
-            "paths": [_path_j(p) for p in q.paths],
-            "exprs": [expr_to_json(e) for e in q.exprs],
-        }
-    if isinstance(q, Unwind):
-        return {"op": "unwind", "source": query_to_json(q.source), "path": _path_j(q.path)}
-    if isinstance(q, Group):
-        return {
-            "op": "group",
-            "source": query_to_json(q.source),
-            "keys": [_path_j(k) for k in q.keys],
-            "names": list(q.names),
-            "aggs": [agg_to_json(a) for a in q.aggs],
-        }
-    if isinstance(q, Lookup):
-        return {
-            "op": "lookup",
-            "source": query_to_json(q.source),
-            "local": _path_j(q.local_path),
-            "foreign": _path_j(q.foreign_path),
-            "coll": q.foreign_coll,
-            "as": q.as_attr,
-        }
-    raise MalformedQueryError(f"not a query: {q!r}")
-
-
-def _path_f(s):
-    from .values import parse_path
-
-    return parse_path(s)
-
-
-def pred_from_json(j):
-    tag = j.get("pred")
-    if tag == "true":
-        return TRUE
-    if tag == "false":
-        return FALSE
-    if tag == "cmp":
-        return Cmp(_path_f(j["path"]), j["op"], value_from_json(j["value"]))
-    if tag == "size_eq":
-        return SizeEq(_path_f(j["path"]), j["size"])
-    if tag == "exists":
-        return Exists(_path_f(j["path"]))
-    if tag == "and":
-        return And(pred_from_json(j["left"]), pred_from_json(j["right"]))
-    if tag == "or":
-        return Or(pred_from_json(j["left"]), pred_from_json(j["right"]))
-    if tag == "not":
-        return Not(pred_from_json(j["inner"]))
-    raise MalformedQueryError(f"bad predicate JSON: {j!r}")
-
-
-def expr_from_json(j):
-    tag = j.get("expr")
-    if tag == "path":
-        return PathExpr(_path_f(j["path"]))
-    if tag == "arith":
-        return Arith(_path_f(j["left"]), j["op"], _path_f(j["right"]))
-    if tag == "fn":
-        return FnCall(j["fn"], _path_f(j["path"]))
-    raise MalformedQueryError(f"bad expression JSON: {j!r}")
-
-
-def agg_from_json(j):
-    tag = j.get("agg")
-    if tag == "count":
-        return Count()
-    cls = {"sum": Sum, "avg": Avg, "min": Min, "max": Max}.get(tag)
-    if cls is None:
-        raise MalformedQueryError(f"bad aggregator JSON: {j!r}")
-    return cls(_path_f(j["path"]))
-
-
-def query_from_json(j):
-    tag = j.get("op")
-    if tag == "collection":
-        return CollectionRef(j["name"])
-    if tag == "project":
-        return Project(query_from_json(j["source"]), tuple(_path_f(p) for p in j["paths"]))
-    if tag == "match":
-        return Match(query_from_json(j["source"]), pred_from_json(j["pred"]))
-    if tag == "add_fields":
-        return AddFields(
-            query_from_json(j["source"]),
-            tuple(_path_f(p) for p in j["paths"]),
-            tuple(expr_from_json(e) for e in j["exprs"]),
-        )
-    if tag == "unwind":
-        return Unwind(query_from_json(j["source"]), _path_f(j["path"]))
-    if tag == "group":
-        return Group(
-            query_from_json(j["source"]),
-            tuple(_path_f(k) for k in j["keys"]),
-            tuple(j["names"]),
-            tuple(agg_from_json(a) for a in j["aggs"]),
-        )
-    if tag == "lookup":
-        return Lookup(
-            query_from_json(j["source"]),
-            _path_f(j["local"]),
-            _path_f(j["foreign"]),
-            j["coll"],
-            j["as"],
-        )
-    raise MalformedQueryError(f"bad query JSON: {j!r}")

@@ -25,7 +25,7 @@ from .lang import (
     Project, SizeEq, Sum, TRUE, TruePred, Unwind, stages as query_stages,
     source_collection,
 )
-from .values import path_str, parse_path, value_to_json, value_from_json
+from .values import path_str, parse_path, value_to_json
 
 _CMP_TO_MONGO = {"=": "$eq", "!=": "$ne", "<": "$lt", "<=": "$lte", ">": "$gt", ">=": "$gte"}
 _MONGO_TO_CMP = {v: k for k, v in _CMP_TO_MONGO.items()}
@@ -339,32 +339,3 @@ def render_shell(collection, pipeline) -> str:
         lines.append("  " + render_stage(stage) + tail)
     return "\n".join(lines)
 
-
-# Stage documents are not database values ($-keys would fail attribute
-# validation), so they get their own codec; only the constants inside need
-# the extended-JSON tags.
-
-def _stage_to_json(v):
-    if isinstance(v, dict):
-        return {k: _stage_to_json(x) for k, x in v.items()}
-    if isinstance(v, list):
-        return [_stage_to_json(x) for x in v]
-    return value_to_json(v)
-
-
-def _stage_from_json(v):
-    if isinstance(v, dict):
-        if len(v) == 1 and ("$date" in v or "$oid" in v):
-            return value_from_json(v)
-        return {k: _stage_from_json(x) for k, x in v.items()}
-    if isinstance(v, list):
-        return [_stage_from_json(x) for x in v]
-    return v
-
-
-def pipeline_to_json(pipeline):
-    return [_stage_to_json(stage) for stage in pipeline]
-
-
-def pipeline_from_json(data):
-    return [_stage_from_json(stage) for stage in data]

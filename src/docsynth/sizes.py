@@ -104,110 +104,43 @@ class SizeFormula:
         return hash(frozenset(self.atoms))
 
 
-def max_label(f: SizeFormula) -> int:
-    return f.max_label
+def is_sat(f: SizeFormula, probe=None) -> bool:
+    """Whether `f` has a non-negative integer model; `probe` pins l_n to that value.
 
-
-# ---------------------------------------------------------------------------
-# Solvers. `probe`, when given, pins the final variable l_n to that value.
-# ---------------------------------------------------------------------------
-
-class IntervalSolver:
-    """Forward [lo, hi] propagation along the chain; exact for this formula class.
-
-    Each variable's reachable set is an interval: every relational atom maps
-    the predecessor's interval through a monotone image ('=' copies, '<='
-    drops the lower bound, '>=' drops the upper bound, '<' shifts the upper
-    bound down one and dies when the predecessor is pinned at zero).
+    Forward [lo, hi] propagation along the chain, exact for this formula
+    class: every relational atom maps the predecessor's interval through a
+    monotone image ('=' copies, '<=' drops the lower bound, '>=' drops the
+    upper bound, '<' shifts the upper bound down one and dies when the
+    predecessor is pinned at zero).
     """
-
-    def is_sat(self, f: SizeFormula, probe=None) -> bool:
-        n = f.max_label
-        lo = [0] * (n + 1)
-        hi = [math.inf] * (n + 1)
-        rel_for = {}
-        for a in f.atoms:
-            if isinstance(a, Ground):
-                lo[0] = max(lo[0], a.value)
-                hi[0] = min(hi[0], a.value)
-            else:
-                rel_for[a.left] = a
-        for j in range(1, n + 1):
-            a = rel_for.get(j)
-            if a is None:
-                continue
-            plo, phi = lo[j - 1], hi[j - 1]
-            if plo > phi:
-                return False
-            if a.op == "=":
-                lo[j], hi[j] = max(lo[j], plo), min(hi[j], phi)
-            elif a.op == "<=":
-                hi[j] = min(hi[j], phi)
-            elif a.op == ">=":
-                lo[j] = max(lo[j], plo)
-            else:  # strict decrease needs a predecessor of at least 1
-                if phi < 1:
-                    return False
-                hi[j] = min(hi[j], phi - 1)
-        if probe is not None:
-            lo[n] = max(lo[n], probe)
-            hi[n] = min(hi[n], probe)
-        return lo[n] <= hi[n]
-
-
-class ExhaustiveSolver:
-    """Brute-force assignment search; the substitutable slow backend.
-
-    Complete for chain formulas because only '>=' atoms force values upward,
-    one step each, so max(constants) + n + 1 bounds every minimal witness.
-    """
-
-    def is_sat(self, f: SizeFormula, probe=None) -> bool:
-        n = f.max_label
-        consts = [a.value for a in f.atoms if isinstance(a, Ground)]
-        if probe is not None:
-            consts.append(probe)
-        limit = max(consts) + n + 1
-        by_var = {k: [] for k in range(n + 1)}
-        for a in f.atoms:
-            by_var[a.var if isinstance(a, Ground) else a.left].append(a)
-
-        def ok(assign, k):
-            for a in by_var[k]:
-                if isinstance(a, Ground):
-                    if assign[k] != a.value:
-                        return False
-                elif a.op == "=":
-                    if assign[a.left] != assign[a.right]:
-                        return False
-                elif a.op == "<=":
-                    if not assign[a.left] <= assign[a.right]:
-                        return False
-                elif a.op == ">=":
-                    if not assign[a.left] >= assign[a.right]:
-                        return False
-                elif not assign[a.left] < assign[a.right]:
-                    return False
-            if probe is not None and k == n and assign[n] != probe:
-                return False
-            return True
-
-        assign = [0] * (n + 1)
-
-        def go(k):
-            if k == n + 1:
-                return True
-            for v in range(limit + 1):
-                assign[k] = v
-                if ok(assign, k) and go(k + 1):
-                    return True
+    n = f.max_label
+    lo = [0] * (n + 1)
+    hi = [math.inf] * (n + 1)
+    rel_for = {}
+    for a in f.atoms:
+        if isinstance(a, Ground):
+            lo[0] = max(lo[0], a.value)
+            hi[0] = min(hi[0], a.value)
+        else:
+            rel_for[a.left] = a
+    for j in range(1, n + 1):
+        a = rel_for.get(j)
+        if a is None:
+            continue
+        plo, phi = lo[j - 1], hi[j - 1]
+        if plo > phi:
             return False
-
-        return go(0)
-
-
-DEFAULT_SOLVER = IntervalSolver()
-
-
-def is_sat(f: SizeFormula, probe=None, solver=None) -> bool:
-    return (solver or DEFAULT_SOLVER).is_sat(f, probe)
+        if a.op == "=":
+            lo[j], hi[j] = max(lo[j], plo), min(hi[j], phi)
+        elif a.op == "<=":
+            hi[j] = min(hi[j], phi)
+        elif a.op == ">=":
+            lo[j] = max(lo[j], plo)
+        else:  # strict decrease needs a predecessor of at least 1
+            if phi < 1:
+                return False
+            hi[j] = min(hi[j], phi - 1)
+    if probe is not None:
+        lo[n] = max(lo[n], probe)
+        hi[n] = min(hi[n], probe)
+    return lo[n] <= hi[n]

@@ -31,6 +31,13 @@ returned. The orders are fixed as follows.
   unwind       array-typed paths, lexicographic.
   lookup       foreign collections in schema order, output array attributes,
                then (local, foreign) path pairs of equal primitive type.
+
+The facts that stay fixed while one task is searched (abstract databases,
+output types, the constant pool, the deadline and the counters) are built
+once, in `Search`. The layer functions (`deduce`, `abs_eval`, `concretizes`,
+`complete_sketch`, `enumerate_predicates`, `lenient_doc_type`,
+`apply_stage`) are called through this module's globals, because
+perfbench/tracing.py rebinds those names to time each layer.
 """
 
 from __future__ import annotations
@@ -46,14 +53,13 @@ from .errors import EvalError, TaskError
 from .interp import apply_stage, eval_agg, eval_expr, eval_pred
 from .lang import (
     AddFields, And, Arith, Avg, Cmp, CollectionRef, Count, Exists, FALSE,
-    FnCall, Group, Lookup, Match, Max, Min, Not, Or, PathExpr, Project,
-    SizeEq, Sum, TRUE, Unwind, ast_size,
+    FnCall, Group, Lookup, MATH_FNS, Match, Max, Min, Not, Or, PathExpr,
+    Project, SizeEq, Sum, TRUE, Unwind, ast_size,
 )
 from .sizes import is_sat
 from .types import ArrayT, DocT, NUM, conforms, doc_paths, infer_value_type, type_of_path
 from .values import ABSENT, collection_eq, get_path, kind_of, value_key
 
-_PRIMITIVE_KINDS = ("null", "num", "str", "bool", "datetime", "objectid")
 _CMP_ORDER = ("=", "<", "<=", ">", ">=", "!=")
 
 
@@ -62,20 +68,15 @@ class SynthesisConfig:
     timeout_seconds: float = 300.0
     max_pipeline_depth: int = 6
     max_group_keys: int = 2
-    max_predicate_atoms: int = 2
-    math_fns: tuple = ("abs", "floor", "ceil")
     disable_size_abstraction: bool = False
     disable_type_abstraction: bool = False
 
     def __post_init__(self):
         if self.timeout_seconds <= 0:
             raise TaskError("timeout_seconds must be positive")
-        for name in ("max_pipeline_depth", "max_group_keys", "max_predicate_atoms"):
+        for name in ("max_pipeline_depth", "max_group_keys"):
             if getattr(self, name) < 1:
                 raise TaskError(f"{name} must be at least 1")
-        for fn in self.math_fns:
-            if fn not in ("abs", "floor", "ceil"):
-                raise TaskError(f"unknown math function {fn!r}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,42 @@ class SynthesisResult:
 
 class _DeadlineReached(Exception):
     pass
+
+
+class Search:
+    """What stays fixed while one task's spines are searched, plus its counters."""
+
+    def __init__(self, task: SynthesisTask, cfg: SynthesisConfig):
+        self.task = task
+        self.cfg = cfg
+        self.start = time.monotonic()
+        self.deadline = self.start + cfg.timeout_seconds
+        # per example: abstract database, lenient output type, output documents
+        self.per_example = [
+            (abstract_db_of(ex.input, task.schema), lenient_doc_type(ex.output), ex.output)
+            for ex in task.examples
+        ]
+        self.out_type = lenient_doc_type([d for ex in task.examples for d in ex.output])
+        self.pool = constant_pool(task.constants, task.examples)
+        self.output_nums = {
+            value_key(v)
+            for v in _primitive_leaves({"_": task.examples[0].output})
+            if kind_of(v) == "num"
+        }
+        self.sketches = 0
+        self.completions = 0
+
+    def check_deadline(self):
+        if time.monotonic() > self.deadline:
+            raise _DeadlineReached()
+
+    def result(self, query, status: str) -> SynthesisResult:
+        return SynthesisResult(query, status, {
+            "sketchesExplored": self.sketches,
+            "programsCompleted": self.completions,
+            "astSize": ast_size(query) if query is not None else 0,
+            "elapsedSeconds": time.monotonic() - self.start,
+        })
 
 
 def refine(sk: Sketch):
@@ -173,26 +210,22 @@ def _lenient_value_type(values):
         return None
 
 
-def output_doc_type(examples):
-    return lenient_doc_type([d for ex in examples for d in ex.output])
-
-
 # ---------------------------------------------------------------------------
 # Deduction
 # ---------------------------------------------------------------------------
 
-def deduce(schema, sk: Sketch, examples, cfg: SynthesisConfig, pre=None) -> bool:
+def deduce(search: Search, sk: Sketch) -> bool:
+    cfg = search.cfg
     if cfg.disable_size_abstraction and cfg.disable_type_abstraction:
         return True
-    pre = pre or _precompute(schema, examples)
     if cfg.disable_type_abstraction:
         # size reasoning alone: the chain formula is determined by the spine
-        for adb, out_type, out_docs, out_size in pre:
+        for adb, _, out_docs in search.per_example:
             f = sketch_formula(sk, adb[sk.collection].formula)
-            if not is_sat(f, probe=out_size):
+            if not is_sat(f, probe=len(out_docs)):
                 return False
         return True
-    for adb, out_type, out_docs, out_size in pre:
+    for adb, out_type, out_docs in search.per_example:
         lam = abs_eval(adb, out_type, sk, cfg.max_group_keys)
         if not any(
             concretizes(
@@ -204,15 +237,6 @@ def deduce(schema, sk: Sketch, examples, cfg: SynthesisConfig, pre=None) -> bool
         ):
             return False
     return True
-
-
-def _precompute(schema, examples):
-    pre = []
-    for ex in examples:
-        adb = abstract_db_of(ex.input, schema)
-        out_type = lenient_doc_type(ex.output)
-        pre.append((adb, out_type, ex.output, len(ex.output)))
-    return pre
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +279,12 @@ def _primitive_leaves(v):
         yield v
 
 
-def enumerate_predicates(docs, paths, constants, cfg, in_type=None):
-    """Lazily yield one representative per truth-equivalence class."""
+def enumerate_predicates(docs, paths, constants, in_type=None):
+    """Lazily yield one representative per truth-equivalence class.
+
+    Connectives combine two representatives, so no predicate has more than
+    two atoms.
+    """
     seen = {}
     reps = []
 
@@ -287,24 +315,14 @@ def enumerate_predicates(docs, paths, constants, cfg, in_type=None):
             seen[nv] = np
             reps.append((np, nv))
             yield np
-    # connectives over representative literals, by total atom count
-    if cfg.max_predicate_atoms >= 2:
-        by_atoms = {1: list(reps)}
-        for total in range(2, cfg.max_predicate_atoms + 1):
-            level = []
-            for left_n in range(1, total):
-                right_n = total - left_n
-                if left_n > right_n:
-                    break
-                for (lp, lv) in by_atoms.get(left_n, []):
-                    for (rp, rv) in by_atoms.get(right_n, []):
-                        for build, bv in ((And, lv & rv), (Or, lv | rv)):
-                            if bv not in seen:
-                                p = build(lp, rp)
-                                seen[bv] = p
-                                level.append((p, bv))
-                                yield p
-            by_atoms[total] = level
+    # And then Or over every ordered pair of representatives
+    for lp, lv in reps:
+        for rp, rv in reps:
+            for build, bv in ((And, lv & rv), (Or, lv | rv)):
+                if bv not in seen:
+                    p = build(lp, rp)
+                    seen[bv] = p
+                    yield p
 
 
 def _atom_order(paths, constants, in_type):
@@ -361,14 +379,14 @@ def _common_paths(tin: DocT, tout: DocT, prefix=()):
 
 
 def _gen_project(state):
-    paths = _common_paths(state.in_type, state.out_type)
+    paths = _common_paths(state.in_type, state.search.out_type)
     if paths:
         yield Project(_HOLE, tuple(paths))
 
 
 def _gen_match(state):
     paths = doc_paths(state.in_type)
-    for pred in enumerate_predicates(state.docs, paths, state.pool, state.cfg, state.in_type):
+    for pred in enumerate_predicates(state.docs, paths, state.search.pool, state.in_type):
         yield Match(_HOLE, pred)
 
 
@@ -392,7 +410,7 @@ def _absent_targets(tin: DocT, tout: DocT, prefix=()):
 
 def _expr_candidates(state, target):
     """Type-correct expressions for one new attribute, deduped by values."""
-    want = type_of_path(state.out_type, target)
+    want = type_of_path(state.search.out_type, target)
     num_paths = [p for p in doc_paths(state.in_type) if type_of_path(state.in_type, p) == NUM]
     seen = {}
 
@@ -415,7 +433,7 @@ def _expr_candidates(state, target):
                     e = emit(Arith(p1, op, p2))
                     if e is not None:
                         yield e
-        for fn in state.cfg.math_fns:
+        for fn in MATH_FNS:
             for p in num_paths:
                 e = emit(FnCall(fn, p))
                 if e is not None:
@@ -423,12 +441,17 @@ def _expr_candidates(state, target):
 
 
 def _gen_add_fields(state):
-    targets = _absent_targets(state.in_type, state.out_type)
-    if not targets:
-        return
+    targets = _absent_targets(state.in_type, state.search.out_type)
+    built = {}  # target -> its expression pool, built on first use
+
+    def pool_of(target):
+        if target not in built:
+            built[target] = list(_expr_candidates(state, target))
+        return built[target]
+
     for size in range(1, len(targets) + 1):
         for subset in combinations(targets, size):
-            pools = [list(_expr_candidates(state, t)) for t in subset]
+            pools = [pool_of(t) for t in subset]
             if any(not pool for pool in pools):
                 continue
             for combo in product(*pools):
@@ -440,15 +463,17 @@ def _gen_group(state):
     if not paths:
         return
     num_out_attrs = [
-        name for name, t in state.out_type.fields if t == NUM and name != "_id"
+        name for name, t in state.search.out_type.fields if t == NUM and name != "_id"
     ]
     # accumulator arguments range over top-level numeric attributes only,
     # matching the top-level rule Unwind already follows
     num_paths = [(name,) for name, t in state.in_type.fields if t == NUM]
+    agg_pool = [Count()]
+    agg_pool += [make(p) for make in (Sum, Avg, Min, Max) for p in num_paths]
     first_docs = state.first_docs
-    output_nums = state.output_nums
+    output_nums = state.search.output_nums
 
-    max_size = min(state.cfg.max_group_keys, len(paths))
+    max_size = min(state.search.cfg.max_group_keys, len(paths))
     for size in range(max_size, 0, -1):
         for keys in combinations(paths, size):
             if len({k[-1] for k in keys}) != size:
@@ -456,8 +481,6 @@ def _gen_group(state):
             groups = _group_members(first_docs, keys)
             if first_docs and len(groups) >= len(first_docs):
                 continue
-            agg_pool = [Count()]
-            agg_pool += [make(p) for make in (Sum, Avg, Min, Max) for p in num_paths]
             kept = [
                 a for a in agg_pool
                 if _agg_plausible(a, groups, output_nums)
@@ -494,9 +517,9 @@ def _agg_plausible(agg, groups, output_nums):
 
 def _gen_lookup(state):
     in_paths = doc_paths(state.in_type)
-    for fname, coll_type in state.schema.items():
+    for fname, coll_type in state.search.task.schema.items():
         ftype = coll_type.elem
-        for as_attr, ot in state.out_type.fields:
+        for as_attr, ot in state.search.out_type.fields:
             if not isinstance(ot, ArrayT) or ot.elem != ftype:
                 continue
             if state.in_type.get(as_attr) is not None:
@@ -525,56 +548,30 @@ _GENERATORS = {
 class _StageState:
     docs: list            # all current documents across examples, in order
     in_type: DocT
-    out_type: DocT
-    pool: list
-    cfg: SynthesisConfig
-    schema: dict
     first_docs: list      # first example's current documents
-    output_nums: set
+    search: Search
 
 
 # ---------------------------------------------------------------------------
 # Completion
 # ---------------------------------------------------------------------------
 
-def complete_sketch(schema, sk: Sketch, examples, cfg: SynthesisConfig,
-                    constants=(), deadline=None, counter=None):
-    counter = counter if counter is not None else [0]
-    out_type = output_doc_type(examples)
-    pool = constant_pool(constants, examples)
-    output_nums = {
-        value_key(v)
-        for v in _primitive_leaves({"_": examples[0].output})
-        if kind_of(v) == "num"
-    }
-    inputs = [list(ex.input.get(sk.collection, [])) for ex in examples]
-    outputs = [ex.output for ex in examples]
-    dbs = [ex.input for ex in examples]
+def complete_sketch(search: Search, sk: Sketch):
+    dbs = [ex.input for ex in search.task.examples]
+    outputs = [ex.output for ex in search.task.examples]
     n = len(sk.ops)
     chosen = [None] * n
 
-    def check_deadline():
-        if deadline is not None and time.monotonic() > deadline:
-            raise _DeadlineReached()
-
     def fill(k, colls):
         if k == n:
-            counter[0] += 1
+            search.completions += 1
             if all(collection_eq(c, o) for c, o in zip(colls, outputs)):
                 return _assemble(sk.collection, chosen)
             return None
-        state = _StageState(
-            docs=[d for c in colls for d in c],
-            in_type=lenient_doc_type([d for c in colls for d in c]),
-            out_type=out_type,
-            pool=pool,
-            cfg=cfg,
-            schema=schema,
-            first_docs=list(colls[0]),
-            output_nums=output_nums,
-        )
+        docs = [d for c in colls for d in c]
+        state = _StageState(docs, lenient_doc_type(docs), colls[0], search)
         for cand in _GENERATORS[sk.ops[k]](state):
-            check_deadline()
+            search.check_deadline()
             try:
                 nxt = [apply_stage(db, coll, cand) for db, coll in zip(dbs, colls)]
             except EvalError:
@@ -591,7 +588,7 @@ def complete_sketch(schema, sk: Sketch, examples, cfg: SynthesisConfig,
                 return got
         return None
 
-    return fill(0, inputs)
+    return fill(0, [list(db.get(sk.collection, [])) for db in dbs])
 
 
 def _assemble(collection, stage_nodes):
@@ -606,38 +603,22 @@ def _assemble(collection, stage_nodes):
 # ---------------------------------------------------------------------------
 
 def synthesize(task: SynthesisTask, cfg: SynthesisConfig = None, trace=None) -> SynthesisResult:
-    cfg = cfg or SynthesisConfig()
-    start = time.monotonic()
-    deadline = start + cfg.timeout_seconds
-    pre = _precompute(task.schema, task.examples)
+    search = Search(task, cfg or SynthesisConfig())
     worklist = deque([Sketch(task.collection, ())])
-    sketches = 0
-    counter = [0]
-
-    def result(query, status):
-        return SynthesisResult(query, status, {
-            "sketchesExplored": sketches,
-            "programsCompleted": counter[0],
-            "astSize": ast_size(query) if query is not None else 0,
-            "elapsedSeconds": time.monotonic() - start,
-        })
-
-    while worklist:
-        if time.monotonic() > deadline:
-            return result(None, "timeout")
-        sk = worklist.popleft()
-        sketches += 1
-        feasible = deduce(task.schema, sk, task.examples, cfg, pre)
-        if trace is not None:
-            trace(sk, feasible)
-        if feasible:
-            try:
-                q = complete_sketch(task.schema, sk, task.examples, cfg,
-                                    task.constants, deadline, counter)
-            except _DeadlineReached:
-                return result(None, "timeout")
-            if q is not None:
-                return result(q, "success")
-        if sk.depth < cfg.max_pipeline_depth:
-            worklist.extend(refine(sk))
-    return result(None, "exhausted")
+    try:
+        while worklist:
+            search.check_deadline()
+            sk = worklist.popleft()
+            search.sketches += 1
+            feasible = deduce(search, sk)
+            if trace is not None:
+                trace(sk, feasible)
+            if feasible:
+                q = complete_sketch(search, sk)
+                if q is not None:
+                    return search.result(q, "success")
+            if sk.depth < search.cfg.max_pipeline_depth:
+                worklist.extend(refine(sk))
+    except _DeadlineReached:
+        return search.result(None, "timeout")
+    return search.result(None, "exhausted")

@@ -412,11 +412,3 @@ def parse_query(text: str):
     if p.peek()[0] is not None:
         raise ParseError(f"trailing input after query: {p.peek()[1]!r}", p.peek()[2])
     return q
-
-
-def parse_pred(text: str):
-    p = _Parser(text)
-    out = p.pred()
-    if p.peek()[0] is not None:
-        raise ParseError(f"trailing input after predicate: {p.peek()[1]!r}", p.peek()[2])
-    return out

@@ -130,9 +130,6 @@ class DocT:
         return "{" + ", ".join(f"{n}: {t}" for n, t in self.fields) + "}"
 
 
-EMPTY_DOC_T = DocT(())
-
-
 def render_type(t) -> str:
     return str(t)
 
@@ -196,26 +193,14 @@ def _resolve(t, where):
     return t
 
 
-def infer_value_type(v, empty_array_elem=None):
+def infer_value_type(v):
     """Infer the unique type of a value.
 
     Raises HeterogeneousArrayError on conflicting element types and
     UntypableArrayError / UntypableNullError when nulls or empty arrays leave
-    a type undetermined. ``empty_array_elem`` supplies a fallback element
-    type for empty (or all-null) arrays.
+    a type undetermined.
     """
-    t = _infer(v, "$")
-    if empty_array_elem is not None:
-        t = _fill_empty(t, empty_array_elem)
-    return _resolve(t, "$")
-
-
-def _fill_empty(t, elem):
-    if isinstance(t, ArrayT):
-        return ArrayT(elem if t.elem is _UNKNOWN else _fill_empty(t.elem, elem))
-    if isinstance(t, DocT):
-        return DocT({n: _fill_empty(x, elem) for n, x in t.fields})
-    return t
+    return _resolve(_infer(v, "$"), "$")
 
 
 def infer_collection_type(docs, where="collection") -> DocT:

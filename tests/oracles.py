@@ -3,7 +3,8 @@
 Everything in here is deliberately naive and exhaustive. These functions are
 written against plain Python data (dicts, lists, None) and never import the
 package under test, so they can be used to freeze expected values and to
-cross-check the real implementations.
+cross-check the real implementations. The one exception is `skeleton`, a
+test helper that reads a query AST into the package's `Sketch`.
 """
 
 from itertools import product
@@ -34,6 +35,11 @@ def sat_by_enumeration(atoms, n_vars, probe=None, bound=20):
     headroom per variable: chains can always shrink toward 0 and only >=
     atoms force growth, one step per atom, so the bounded domain is complete
     for the chain-shaped formulas under test.
+
+    Every relational atom ties a variable to its neighbour, so whether the
+    variables from k on can be assigned depends only on k and the value of
+    variable k - 1. Pairs (k, previous value) that failed are remembered,
+    which keeps the search polynomial in the bound.
     """
     consts = [a[1] for a in atoms if a[0] == "ground"]
     if probe is not None:
@@ -42,6 +48,8 @@ def sat_by_enumeration(atoms, n_vars, probe=None, bound=20):
 
     by_var = {k: [] for k in range(n_vars)}
     for a in atoms:
+        if a[0] != "ground" and abs(a[1] - a[2]) != 1:
+            raise ValueError(f"atom {a!r} does not tie neighbouring variables")
         top = 0 if a[0] == "ground" else max(a[1], a[2])
         by_var[top].append(a)
 
@@ -59,14 +67,19 @@ def sat_by_enumeration(atoms, n_vars, probe=None, bound=20):
         return True
 
     assign = [0] * n_vars
+    failed = set()  # (k, value of variable k - 1) with no satisfying extension
 
     def go(k):
         if k == n_vars:
             return True
+        key = (k, assign[k - 1] if k else None)
+        if key in failed:
+            return False
         for v in range(limit + 1):
             assign[k] = v
             if check(assign, k) and go(k + 1):
                 return True
+        failed.add(key)
         return False
 
     return go(0)
@@ -309,3 +322,25 @@ def match_by_enumeration(doc_attrs, named, ones, manys, accepts):
         if ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Operator spine of a query AST, for tests that check deduction on the spine
+# of a known query.
+# ---------------------------------------------------------------------------
+
+_SPINE_TAGS = {
+    "Project": "project", "Match": "match", "AddFields": "add_fields",
+    "Unwind": "unwind", "Group": "group", "Lookup": "lookup",
+}
+
+
+def skeleton(q):
+    """The Sketch of a query: its leaf collection and its operator tags, innermost first."""
+    from docsynth.absint import Sketch
+
+    ops = []
+    while hasattr(q, "source"):
+        ops.append(_SPINE_TAGS[type(q).__name__])
+        q = q.source
+    return Sketch(q.name, tuple(reversed(ops)))

@@ -17,8 +17,6 @@ from docsynth.abstraction import (
     matches,
     to_doc_type,
     type_intersect,
-    type_member,
-    type_replace,
     type_replace_path,
     type_subset,
     type_subtract,
@@ -129,23 +127,10 @@ class TestAlgebra:
         with pytest.raises(NotASubsetError):
             type_subtract(aug(("a", NUM)), aug(("b", NUM)))
 
-    def test_member(self):
-        t = aug(("a", NUM), ("d", aug(("x", NUM))))
-        assert type_member("a", t)
-        assert type_member("x", t)
-        assert not type_member("z", t)
-
     def test_replace_array_with_element(self):
         t = from_doc_type(DocT({"replies": ArrayT(DocT({"depth": NUM}))}))
-        got = type_replace(t, "replies", from_doc_type(DocT({"depth": NUM})))
+        got = type_replace_path(t, ("replies",), from_doc_type(DocT({"depth": NUM})))
         assert got == aug(("replies", aug(("depth", NUM))))
-
-    def test_replace_prefers_top_then_leftmost(self):
-        t = aug(("c", NUM), ("a", aug(("c", STRING))))
-        assert type_replace(t, "c", BOOL) == aug(("c", BOOL), ("a", aug(("c", STRING))))
-        t2 = aug(("a", aug(("c", NUM))), ("b", aug(("c", STRING))))
-        assert type_replace(t2, "c", BOOL) == aug(("a", aug(("c", BOOL))), ("b", aug(("c", STRING))))
-        assert type_replace(t2, "zz", BOOL) == t2
 
     def test_replace_path(self):
         t = aug(("a", aug(("c", NUM))), ("b", aug(("c", STRING))))

@@ -15,7 +15,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from docsynth.absint import OPERATOR_TAGS, Sketch, abs_eval, skeleton
+from docsynth.absint import OPERATOR_TAGS, Sketch, abs_eval
 from docsynth.abstraction import abstract_db_of
 from docsynth.cli import main
 from docsynth.interp import eval_agg, eval_query
@@ -24,9 +24,9 @@ from docsynth.lang import (
     Project, Sum, Unwind, stages,
 )
 from docsynth.mongo import optimize, render_shell, translate
-from docsynth.sizes import Ground, IntervalSolver, Rel, SizeFormula
+from docsynth.sizes import Ground, Rel, SizeFormula, is_sat
 from docsynth.synth import (
-    Example, SynthesisConfig, SynthesisTask, complete_sketch, deduce, synthesize,
+    Example, Search, SynthesisConfig, SynthesisTask, complete_sketch, deduce, synthesize,
 )
 from docsynth.taskio import load_task
 from docsynth.text import render_query
@@ -34,7 +34,7 @@ from docsynth.types import compute_schema
 from docsynth.values import collection_eq
 
 from .generators import gen_pair
-from .oracles import sat_by_enumeration
+from .oracles import sat_by_enumeration, skeleton
 
 HERE = Path(__file__).parent
 TASKS_DIR = HERE.parent / "tasks"
@@ -72,9 +72,10 @@ def test_forum_deduction_verdicts_and_traces():
         bare = Sketch("posts", ())
         three = Sketch("posts", ("unwind", "match", "project"))
         six = Sketch("posts", ("unwind", "match", "group", "add_fields", "match", "project"))
-        assert deduce(task.schema, bare, task.examples, cfg) is False
-        assert deduce(task.schema, three, task.examples, cfg) is False
-        assert deduce(task.schema, six, task.examples, cfg) is True
+        search = Search(task, cfg)
+        assert deduce(search, bare) is False
+        assert deduce(search, three) is False
+        assert deduce(search, six) is True
 
         adb = abstract_db_of(task.examples[0].input, task.schema)
         out_type = compute_schema({"out": task.examples[0].output})["out"].elem
@@ -98,7 +99,8 @@ def test_pruning_never_rejects_a_true_spine():
         start = time.monotonic()
         for seed in range(1000):
             db, coll, query, output, _ = gen_pair(seed)
-            ok = deduce(compute_schema(db), skeleton(query), [Example(db, output)], cfg)
+            task = SynthesisTask(compute_schema(db), coll, (Example(db, output),))
+            ok = deduce(Search(task, cfg), skeleton(query))
             assert ok, f"seed {seed}: rejected the spine of {query}"
         assert time.monotonic() - start <= 120
 
@@ -109,8 +111,8 @@ def test_pruned_spines_have_no_completion():
         pruned = 0
         for seed in range(100):
             db, coll, query, output, constants = gen_pair(seed, tiny=True, max_depth=2)
-            schema = compute_schema(db)
-            examples = [Example(db, output)]
+            task = SynthesisTask(compute_schema(db), coll, (Example(db, output),), tuple(constants))
+            search = Search(task, cfg)
             worklist, frontier = [Sketch(coll, ())], [Sketch(coll, ())]
             for _ in range(2):
                 frontier = [
@@ -119,17 +121,16 @@ def test_pruned_spines_have_no_completion():
                 ]
                 worklist.extend(frontier)
             for sk in worklist:
-                if deduce(schema, sk, examples, cfg):
+                if deduce(search, sk):
                     continue
                 pruned += 1
-                got = complete_sketch(schema, sk, examples, cfg, constants=tuple(constants))
+                got = complete_sketch(search, sk)
                 assert got is None, f"seed {seed}: pruned spine {sk.ops} completes to {got}"
         assert pruned > 100
 
 
 def test_size_solver_agrees_with_bruteforce():
     with reported("size solver vs brute-force oracle on 10000 chains"):
-        solver = IntervalSolver()
         rng = random.Random(20260814)
         start = time.monotonic()
         for _ in range(10000):
@@ -141,7 +142,7 @@ def test_size_solver_agrees_with_bruteforce():
             oracle_atoms = [("ground", c)] + [(op, j, j - 1) for j, op in enumerate(ops, start=1)]
             oracle_probe = None if probe is None else (len(ops), probe)
             want = sat_by_enumeration(oracle_atoms, len(ops) + 1, oracle_probe, bound=0)
-            assert solver.is_sat(f, probe) == want, f"{f.render()} probe={probe}"
+            assert is_sat(f, probe) == want, f"{f.render()} probe={probe}"
         assert time.monotonic() - start <= 30
 
 

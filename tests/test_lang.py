@@ -1,4 +1,4 @@
-"""Query AST construction, metrics, text syntax, and JSON codec tests."""
+"""Query AST construction, metrics, and text syntax tests."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,16 +29,10 @@ from docsynth.lang import (
     TRUE,
     Unwind,
     ast_size,
-    op_counts,
-    pipeline_length,
-    pred_from_json,
-    pred_to_json,
-    query_from_json,
-    query_to_json,
     source_collection,
     stages,
 )
-from docsynth.text import parse_pred, parse_query, render_pred, render_query
+from docsynth.text import parse_query, render_pred, render_query
 from docsynth.values import Datetime, ObjectId
 
 
@@ -51,6 +45,13 @@ def forum_query():
     q = Match(q, Cmp(("reply_count",), ">", 1))
     q = Project(q, (("reply_count",), ("title",)))
     return q
+
+
+def parse_pred(text):
+    """A predicate read back by the query parser, as the body of a Match."""
+    q = parse_query(f"Match(c, {text})")
+    assert q.source == CollectionRef("c")
+    return q.pred
 
 
 FORUM_TEXT = (
@@ -109,14 +110,9 @@ class TestMetrics:
     def test_forum_shape(self):
         q = forum_query()
         assert source_collection(q) == "posts"
-        assert pipeline_length(q) == 6
         assert [type(s).__name__ for s in stages(q)] == [
             "Unwind", "Match", "Group", "AddFields", "Match", "Project",
         ]
-        assert op_counts(q) == {
-            "project": 1, "match": 2, "add_fields": 1,
-            "unwind": 1, "group": 1, "lookup": 0,
-        }
 
     def test_small_sizes(self):
         assert ast_size(CollectionRef("c")) == 1
@@ -237,24 +233,8 @@ def test_pred_text_round_trip(p):
     assert parse_pred(render_pred(p)) == p
 
 
-@given(preds)
-@settings(max_examples=150)
-def test_pred_json_round_trip(p):
-    assert pred_from_json(pred_to_json(p)) == p
-
-
 @given(queries())
 @settings(max_examples=100)
 def test_query_text_round_trip(q):
     assert parse_query(render_query(q)) == q
 
-
-@given(queries())
-@settings(max_examples=100)
-def test_query_json_round_trip(q):
-    assert query_from_json(query_to_json(q)) == q
-
-
-def test_forum_json_round_trip():
-    q = forum_query()
-    assert query_from_json(query_to_json(q)) == q

@@ -1,6 +1,5 @@
 """Pipeline translation: stage shapes, goldens, merge rules, replay."""
 
-import json
 import pathlib
 
 import pytest
@@ -14,8 +13,6 @@ from docsynth.lang import (
 )
 from docsynth.mongo import (
     optimize,
-    pipeline_from_json,
-    pipeline_to_json,
     reconstruct_query,
     render_shell,
     render_stage,
@@ -218,20 +215,6 @@ class TestReconstruction:
         assert len(merged) < len(pipe)
         replayed = reconstruct_query(coll, merged)
         assert eval_query(db, replayed) == eval_query(db, q)
-
-
-class TestJsonCodec:
-    def test_round_trip(self):
-        _, pipe = translate(forum_query())
-        data = pipeline_to_json(pipe)
-        json.dumps(data)  # must be plain JSON
-        assert pipeline_from_json(data) == pipe
-
-    def test_datetime_round_trip(self):
-        pipe = [{"$match": {"d": {"$eq": Datetime("2021-06-01T00:00:00Z")}}}]
-        data = pipeline_to_json(pipe)
-        assert data == [{"$match": {"d": {"$eq": {"$date": "2021-06-01T00:00:00Z"}}}}]
-        assert pipeline_from_json(data) == pipe
 
 
 def _render(q):

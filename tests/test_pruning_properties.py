@@ -10,15 +10,16 @@ that disabling pruning never changes the answer, only the work done.
 
 import pytest
 
-from docsynth.absint import OPERATOR_TAGS, Sketch, skeleton
+from docsynth.absint import OPERATOR_TAGS, Sketch
 from docsynth.interp import eval_query
 from docsynth.synth import (
-    Example, SynthesisConfig, SynthesisTask, complete_sketch, deduce, synthesize,
+    Example, Search, SynthesisConfig, SynthesisTask, complete_sketch, deduce, synthesize,
 )
 from docsynth.types import compute_schema
 from docsynth.values import collection_eq
 
 from .generators import gen_pair
+from .oracles import skeleton
 
 
 def task_of(seed, **kw):
@@ -34,10 +35,9 @@ class TestPruningSoundness:
         cfg = SynthesisConfig()
         for seed in range(1000):
             db, coll, query, output, _ = gen_pair(seed)
-            schema = compute_schema(db)
             sk = skeleton(query)
-            examples = [Example(db, output)]
-            assert deduce(schema, sk, examples, cfg), (
+            task = SynthesisTask(compute_schema(db), coll, (Example(db, output),))
+            assert deduce(Search(task, cfg), sk), (
                 f"seed {seed}: pruned the true spine {sk.ops} of {query}"
             )
 
@@ -47,7 +47,8 @@ class TestPruningSoundness:
             for seed in range(200):
                 db, coll, query, output, _ = gen_pair(seed)
                 sk = skeleton(query)
-                assert deduce(compute_schema(db), sk, [Example(db, output)], cfg), (
+                task = SynthesisTask(compute_schema(db), coll, (Example(db, output),))
+                assert deduce(Search(task, cfg), sk), (
                     f"seed {seed} under {flags}"
                 )
 
@@ -72,13 +73,13 @@ class TestPruningSafety:
         pruned = completed = 0
         for seed in range(100):
             db, coll, query, output, constants = gen_pair(seed, tiny=True, max_depth=2)
-            schema = compute_schema(db)
-            examples = [Example(db, output)]
+            task = SynthesisTask(compute_schema(db), coll, (Example(db, output),), tuple(constants))
+            search = Search(task, cfg)
             for sk in all_sketches(coll, 2):
-                if deduce(schema, sk, examples, cfg):
+                if deduce(search, sk):
                     continue
                 pruned += 1
-                got = complete_sketch(schema, sk, examples, cfg, constants=tuple(constants))
+                got = complete_sketch(search, sk)
                 assert got is None, (
                     f"seed {seed}: pruned spine {sk.ops} completes to {got}"
                 )

@@ -12,6 +12,7 @@ from docsynth.lang import CollectionRef, Match, TRUE, ast_size
 from docsynth.interp import eval_query
 from docsynth.synth import (
     Example,
+    Search,
     SynthesisConfig,
     SynthesisTask,
     complete_sketch,
@@ -62,33 +63,33 @@ class TestRefine:
 class TestDeduce:
     def test_bare_collection_infeasible(self):
         t = forum_task()
-        assert deduce(t.schema, Sketch("posts", ()), t.examples, SynthesisConfig()) is False
+        assert deduce(Search(t, SynthesisConfig()), Sketch("posts", ())) is False
 
     def test_three_stage_infeasible(self):
         t = forum_task()
         sk = Sketch("posts", ("unwind", "match", "project"))
-        assert deduce(t.schema, sk, t.examples, SynthesisConfig()) is False
+        assert deduce(Search(t, SynthesisConfig()), sk) is False
 
     def test_six_stage_feasible(self):
         t = forum_task()
-        assert deduce(t.schema, OMEGA_3, t.examples, SynthesisConfig()) is True
+        assert deduce(Search(t, SynthesisConfig()), OMEGA_3) is True
 
     def test_both_ablations_accept_everything(self):
         t = forum_task()
         cfg = SynthesisConfig(disable_size_abstraction=True, disable_type_abstraction=True)
-        assert deduce(t.schema, Sketch("posts", ()), t.examples, cfg) is True
+        assert deduce(Search(t, cfg), Sketch("posts", ())) is True
 
     def test_size_only_still_rejects_bare(self):
         # 3 input posts vs 2 output rows: the identity-size chain is UNSAT
         t = forum_task()
         cfg = SynthesisConfig(disable_type_abstraction=True)
-        assert deduce(t.schema, Sketch("posts", ()), t.examples, cfg) is False
+        assert deduce(Search(t, cfg), Sketch("posts", ())) is False
 
     def test_type_only_rejects_project_spine(self):
         t = forum_task()
         cfg = SynthesisConfig(disable_size_abstraction=True)
         sk = Sketch("posts", ("unwind", "match", "project"))
-        assert deduce(t.schema, sk, t.examples, cfg) is False
+        assert deduce(Search(t, cfg), sk) is False
 
 
 class TestConstantPool:
@@ -108,7 +109,7 @@ class TestConstantPool:
 class TestEnumeratePredicates:
     def test_truth_vector_collapse(self):
         docs = [{"d": 0}, {"d": 1}, {"d": 2}]
-        preds = list(enumerate_predicates(docs, [("d",)], [0, 1], SynthesisConfig()))
+        preds = list(enumerate_predicates(docs, [("d",)], [0, 1]))
         rendered = [render_pred(p) for p in preds]
         assert "d > 0" in rendered
         assert "d >= 1" not in rendered  # same class as d > 0
@@ -119,16 +120,14 @@ class TestEnumeratePredicates:
 
     def test_no_constants_leaves_exists_tiers(self):
         docs = [{"d": 1}, {}]
-        preds = list(enumerate_predicates(docs, [("d",)], [], SynthesisConfig()))
+        preds = list(enumerate_predicates(docs, [("d",)], []))
         assert [render_pred(p) for p in preds] == \
             ["true", "false", "Exists(d)", "!(Exists(d))"]
 
     def test_connectives_respect_atom_budget(self):
         docs = [{"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 0}, {"a": 1, "b": 1}]
         paths = [("a",), ("b",)]
-        small = list(enumerate_predicates(docs, paths, [1], SynthesisConfig(max_predicate_atoms=1)))
-        big = list(enumerate_predicates(docs, paths, [1], SynthesisConfig(max_predicate_atoms=2)))
-        assert not any(render_pred(p).count("&&") for p in small)
+        big = list(enumerate_predicates(docs, paths, [1]))
         assert any("&&" in render_pred(p) for p in big)
         # a = 1 && b = 1 reaches a class no single atom covers
         assert "(a = 1 && b = 1)" in [render_pred(p) for p in big]
@@ -137,31 +136,31 @@ class TestEnumeratePredicates:
 class TestCompleteSketch:
     def test_empty_sketch_is_identity(self):
         db = {"items": [{"a": 1}, {"a": 2}]}
-        q = complete_sketch(compute_schema(db), Sketch("items", ()),
-                            (Example(db, db["items"]),), SynthesisConfig())
+        task = SynthesisTask(compute_schema(db), "items", (Example(db, db["items"]),))
+        q = complete_sketch(Search(task, SynthesisConfig()), Sketch("items", ()))
         assert q == CollectionRef("items")
 
     def test_match_true_when_output_equals_input(self):
-        q = complete_sketch(compute_schema(FORUM_DB), Sketch("posts", ("match",)),
-                            (Example(FORUM_DB, FORUM_DB["posts"]),),
-                            SynthesisConfig(), constants=(0,))
+        task = SynthesisTask(compute_schema(FORUM_DB), "posts",
+                             (Example(FORUM_DB, FORUM_DB["posts"]),), constants=(0,))
+        q = complete_sketch(Search(task, SynthesisConfig()), Sketch("posts", ("match",)))
         assert q == Match(CollectionRef("posts"), TRUE)
 
     def test_unwind_completion(self):
         unwound = GOLDEN["stages"][0]
-        q = complete_sketch(compute_schema(FORUM_DB), Sketch("posts", ("unwind",)),
-                            (Example(FORUM_DB, unwound),), SynthesisConfig())
+        task = SynthesisTask(compute_schema(FORUM_DB), "posts", (Example(FORUM_DB, unwound),))
+        q = complete_sketch(Search(task, SynthesisConfig()), Sketch("posts", ("unwind",)))
         assert render_query(q) == "Unwind(posts, replies)"
 
     def test_six_stage_completion_returns_section_query(self):
         t = forum_task()
-        q = complete_sketch(t.schema, OMEGA_3, t.examples, SynthesisConfig(), t.constants)
+        q = complete_sketch(Search(t, SynthesisConfig()), OMEGA_3)
         assert q == forum_query()
 
     def test_returns_none_when_no_completion_exists(self):
         db = {"items": [{"a": 1}]}
-        q = complete_sketch(compute_schema(db), Sketch("items", ("project",)),
-                            (Example(db, [{"zzz": 1}]),), SynthesisConfig())
+        task = SynthesisTask(compute_schema(db), "items", (Example(db, [{"zzz": 1}]),))
+        q = complete_sketch(Search(task, SynthesisConfig()), Sketch("items", ("project",)))
         assert q is None
 
 
@@ -283,5 +282,3 @@ class TestValidation:
             SynthesisConfig(max_pipeline_depth=0)
         with pytest.raises(TaskError):
             SynthesisConfig(timeout_seconds=0)
-        with pytest.raises(TaskError):
-            SynthesisConfig(math_fns=("sqrt",))

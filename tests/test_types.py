@@ -59,7 +59,6 @@ def test_empty_or_all_null_array_needs_fallback():
         infer_value_type([])
     with pytest.raises(UntypableArrayError):
         infer_value_type([None, None])
-    assert infer_value_type([], empty_array_elem=NUM) == ArrayT(NUM)
 
 
 def test_bare_null_attr_is_untypable():
