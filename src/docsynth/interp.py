@@ -55,7 +55,8 @@ from .values import (
 )
 
 
-def _read(doc, path):
+def read_path(doc, path):
+    """The value at path; an absent path reads as Null."""
     v = get_path(doc, path)
     return None if v is ABSENT else v
 
@@ -64,27 +65,30 @@ def _read(doc, path):
 # Predicates
 # ---------------------------------------------------------------------------
 
+def compare(v, op: str, c) -> bool:
+    """`v op c` for a comparison atom; v is the value read at its path."""
+    if op == "=":
+        return value_eq(v, c)
+    if op == "!=":
+        return not value_eq(v, c)
+    if op == "<":
+        return value_lt(v, c)
+    if op == ">":
+        return value_lt(c, v)
+    if op == "<=":
+        return value_lt(v, c) or value_eq(v, c)
+    return value_lt(c, v) or value_eq(v, c)
+
+
 def eval_pred(doc, p) -> bool:
     if isinstance(p, TruePred):
         return True
     if isinstance(p, FalsePred):
         return False
     if isinstance(p, Cmp):
-        v = _read(doc, p.path)
-        c = p.value
-        if p.op == "=":
-            return value_eq(v, c)
-        if p.op == "!=":
-            return not value_eq(v, c)
-        if p.op == "<":
-            return value_lt(v, c)
-        if p.op == ">":
-            return value_lt(c, v)
-        if p.op == "<=":
-            return value_lt(v, c) or value_eq(v, c)
-        return value_lt(c, v) or value_eq(v, c)
+        return compare(read_path(doc, p.path), p.op, p.value)
     if isinstance(p, SizeEq):
-        v = _read(doc, p.path)
+        v = read_path(doc, p.path)
         return isinstance(v, list) and len(v) == p.size
     if isinstance(p, Exists):
         return has_path(doc, p.path)
@@ -107,10 +111,10 @@ def _num(v):
 
 def eval_expr(doc, e):
     if isinstance(e, PathExpr):
-        return _read(doc, e.path)
+        return read_path(doc, e.path)
     if isinstance(e, Arith):
-        a = _num(_read(doc, e.left))
-        b = _num(_read(doc, e.right))
+        a = _num(read_path(doc, e.left))
+        b = _num(read_path(doc, e.right))
         if a is None or b is None:
             return None
         if e.op == "+":
@@ -131,7 +135,7 @@ def eval_expr(doc, e):
         r = math.fmod(a, b)
         return int(r) if isinstance(a, int) and isinstance(b, int) else r
     if isinstance(e, FnCall):
-        v = _num(_read(doc, e.path))
+        v = _num(read_path(doc, e.path))
         if v is None:
             return None
         if e.fn == "abs":
@@ -149,7 +153,7 @@ def eval_expr(doc, e):
 def eval_agg(docs, a):
     if isinstance(a, Count):
         return len(docs)
-    values = [_read(d, a.path) for d in docs]
+    values = [read_path(d, a.path) for d in docs]
     if isinstance(a, Sum):
         return sum(v for v in values if _num(v) is not None)
     if isinstance(a, (Min, Max)):
@@ -191,7 +195,7 @@ def flatten(doc, path):
 def _group(db, src, q):
     groups = {}  # value_key tuple -> (key_doc, [members])
     for d in src:
-        vals = [_read(d, k) for k in q.keys]
+        vals = [read_path(d, k) for k in q.keys]
         gk = tuple(value_key(v) for v in vals)
         if gk not in groups:
             key_doc = {k[-1]: v for k, v in zip(q.keys, vals)}
@@ -232,8 +236,8 @@ def apply_stage(db, src, q):
         foreign = db[q.foreign_coll]
         out = []
         for d in src:
-            local = _read(d, q.local_path)
-            joined = [f for f in foreign if value_eq(_read(f, q.foreign_path), local)]
+            local = read_path(d, q.local_path)
+            joined = [f for f in foreign if value_eq(read_path(f, q.foreign_path), local)]
             out.append(add_attrs(d, [(q.as_attr,)], [joined]))
         return out
     raise TypeError(f"not an operator: {q!r}")

@@ -1,13 +1,15 @@
 """Sketch-and-complete synthesis of aggregation queries from examples.
 
-The search keeps a FIFO worklist of sketches (operator spines). Each dequeued
-sketch is first screened by abstract deduction: the observed output must be a
-possible instance of some abstract collection the sketch can produce, both in
-document type (placeholder matching) and in collection size (chain formula
-satisfiability). Feasible sketches are handed to an enumerative completer
-that instantiates arguments stage by stage, evaluating concretely on every
-example as it goes and accepting the first full query that reproduces every
-output exactly.
+The search visits sketches (operator spines) breadth first. Its FIFO
+frontier holds visited spines whose children are still to be visited: the
+six children of a dequeued spine are built and visited then, so the deepest
+spines are never queued. Each visited sketch is first screened by abstract
+deduction: the observed output must be a possible instance of some abstract
+collection the sketch can produce, both in document type (placeholder
+matching) and in collection size (chain formula satisfiability). Feasible
+sketches are handed to an enumerative completer that instantiates arguments
+stage by stage, evaluating concretely on every example as it goes and
+accepting the first full query that reproduces every output exactly.
 
 Enumeration order is load-bearing for reproducibility: candidates are tried
 in the documented tier order and the first satisfying query wins, so any
@@ -34,10 +36,17 @@ returned. The orders are fixed as follows.
 
 The facts that stay fixed while one task is searched (abstract databases,
 output types, the constant pool, the deadline and the counters) are built
-once, in `Search`. The layer functions (`deduce`, `abs_eval`, `concretizes`,
-`complete_sketch`, `enumerate_predicates`, `lenient_doc_type`,
-`apply_stage`) are called through this module's globals, because
-perfbench/tracing.py rebinds those names to time each layer.
+once, in `Search`, and so are the memos of deduction: per example, an
+`absint.AbsEvalContext` that holds the Λ of every spine evaluated so far, and
+the two halves of the `concretizes` verdict, the size check per formula and
+the type check per document type. `refine`
+prepends the new stage at the leaf, while abstract evaluation folds from the
+leaf outward, so a spine's parent for deduction is `ops[:-1]`, not the spine
+it was refined from; breadth first, both were visited earlier, and deduction
+takes one abstract step per spine. The layer functions (`deduce`,
+`abs_eval`, `concretizes`, `complete_sketch`, `enumerate_predicates`,
+`lenient_doc_type`, `apply_stage`) are called through this module's globals,
+because perfbench/tracing.py rebinds those names to time each layer.
 """
 
 from __future__ import annotations
@@ -47,10 +56,10 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 
-from .absint import OPERATOR_TAGS, Sketch, abs_eval, sketch_formula
+from .absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval, sketch_formula
 from .abstraction import abstract_db_of, concretizes
 from .errors import EvalError, TaskError
-from .interp import apply_stage, eval_agg, eval_expr, eval_pred
+from .interp import apply_stage, compare, eval_agg, eval_expr, eval_pred, read_path
 from .lang import (
     AddFields, And, Arith, Avg, Cmp, CollectionRef, Count, Exists, FALSE,
     FnCall, Group, Lookup, MATH_FNS, Match, Max, Min, Not, Or, PathExpr,
@@ -58,7 +67,7 @@ from .lang import (
 )
 from .sizes import is_sat
 from .types import ArrayT, DocT, NUM, conforms, doc_paths, infer_value_type, type_of_path
-from .values import ABSENT, collection_eq, get_path, kind_of, value_key
+from .values import collection_eq, kind_of, value_key
 
 _CMP_ORDER = ("=", "<", "<=", ">", ">=", "!=")
 
@@ -123,11 +132,16 @@ class Search:
         self.cfg = cfg
         self.start = time.monotonic()
         self.deadline = self.start + cfg.timeout_seconds
-        # per example: abstract database, lenient output type, output documents
-        self.per_example = [
-            (abstract_db_of(ex.input, task.schema), lenient_doc_type(ex.output), ex.output)
-            for ex in task.examples
-        ]
+        # per example: abstract evaluation context, lenient output type,
+        # output documents, concretizes verdicts per formula and per type
+        self.per_example = []
+        for ex in task.examples:
+            adb = abstract_db_of(ex.input, task.schema)
+            out_type = lenient_doc_type(ex.output)
+            ctx = AbsEvalContext(adb, out_type, cfg.max_group_keys)
+            self.per_example.append((ctx, out_type, ex.output, ({}, {})))
+        self.inputs = [ex.input for ex in task.examples]
+        self.outputs = [ex.output for ex in task.examples]
         self.out_type = lenient_doc_type([d for ex in task.examples for d in ex.output])
         self.pool = constant_pool(task.constants, task.examples)
         self.output_nums = {
@@ -220,21 +234,38 @@ def deduce(search: Search, sk: Sketch) -> bool:
         return True
     if cfg.disable_type_abstraction:
         # size reasoning alone: the chain formula is determined by the spine
-        for adb, _, out_docs in search.per_example:
-            f = sketch_formula(sk, adb[sk.collection].formula)
+        for ctx, _, out_docs, _ in search.per_example:
+            f = sketch_formula(sk, ctx.adb[sk.collection].formula)
             if not is_sat(f, probe=len(out_docs)):
                 return False
         return True
-    for adb, out_type, out_docs in search.per_example:
-        lam = abs_eval(adb, out_type, sk, cfg.max_group_keys)
-        if not any(
-            concretizes(
-                out_docs, ac,
-                doc_type=out_type if out_docs else None,
-                check_size=not cfg.disable_size_abstraction,
+    check_size = not cfg.disable_size_abstraction
+    for ctx, out_type, out_docs, (by_formula, by_type) in search.per_example:
+        lam = abs_eval(ctx, sk)
+        if not lam:
+            return False
+        # Every collection in Λ has the spine's formula, and concretizes is
+        # its size check and then its type check, so each half is memoized
+        # on its own: the size verdict per formula (ctx interns one per
+        # collection and atom sequence, so its id names it), the type
+        # verdict per document type.
+        key = id(lam[0].formula)
+        sized = by_formula.get(key)
+        if sized is None:
+            sized = by_formula[key] = concretizes(
+                out_docs, lam[0], check_type=False, check_size=check_size,
             )
-            for ac in lam
-        ):
+        if not sized:
+            return False
+        for ac in lam:
+            typed = by_type.get(ac.doc_type)
+            if typed is None:
+                typed = by_type[ac.doc_type] = concretizes(
+                    out_docs, ac, doc_type=out_type if out_docs else None, check_size=False,
+                )
+            if typed:
+                break
+        else:
             return False
     return True
 
@@ -287,9 +318,18 @@ def enumerate_predicates(docs, paths, constants, in_type=None):
     """
     seen = {}
     reps = []
+    columns = {}  # path -> its value in every document, read on first use
 
     def vector(p):
         bits = 0
+        if isinstance(p, Cmp):
+            col = columns.get(p.path)
+            if col is None:
+                col = columns[p.path] = [read_path(d, p.path) for d in docs]
+            op, c = p.op, p.value
+            for v in col:
+                bits = (bits << 1) | (1 if compare(v, op, c) else 0)
+            return bits
         for d in docs:
             bits = (bits << 1) | (1 if eval_pred(d, p) else 0)
         return bits
@@ -499,7 +539,7 @@ def _gen_group(state):
 def _group_members(docs, keys):
     groups = {}
     for d in docs:
-        gk = tuple(value_key(None if (v := get_path(d, k)) is ABSENT else v) for k in keys)
+        gk = tuple(value_key(read_path(d, k)) for k in keys)
         groups.setdefault(gk, []).append(d)
     return list(groups.values())
 
@@ -557,38 +597,36 @@ class _StageState:
 # ---------------------------------------------------------------------------
 
 def complete_sketch(search: Search, sk: Sketch):
-    dbs = [ex.input for ex in search.task.examples]
-    outputs = [ex.output for ex in search.task.examples]
-    n = len(sk.ops)
-    chosen = [None] * n
+    colls = [list(db.get(sk.collection, [])) for db in search.inputs]
+    return _fill(search, sk, [None] * len(sk.ops), 0, colls)
 
-    def fill(k, colls):
-        if k == n:
-            search.completions += 1
-            if all(collection_eq(c, o) for c, o in zip(colls, outputs)):
-                return _assemble(sk.collection, chosen)
-            return None
-        docs = [d for c in colls for d in c]
-        state = _StageState(docs, lenient_doc_type(docs), colls[0], search)
-        for cand in _GENERATORS[sk.ops[k]](state):
-            search.check_deadline()
-            try:
-                nxt = [apply_stage(db, coll, cand) for db, coll in zip(dbs, colls)]
-            except EvalError:
-                continue
-            if isinstance(cand, Group) and any(
-                coll and len(new) >= len(coll) for coll, new in zip(colls, nxt)
-            ):
-                # grouping must merge something; the size reasoning that
-                # admitted this spine assumed a strict decrease per stage
-                continue
-            chosen[k] = cand
-            got = fill(k + 1, nxt)
-            if got is not None:
-                return got
+
+def _fill(search: Search, sk: Sketch, chosen: list, k: int, colls: list):
+    """Choose stages k.. of sk, given every example's collection before stage k."""
+    if k == len(sk.ops):
+        search.completions += 1
+        if all(collection_eq(c, o) for c, o in zip(colls, search.outputs)):
+            return _assemble(sk.collection, chosen)
         return None
-
-    return fill(0, [list(db.get(sk.collection, [])) for db in dbs])
+    docs = [d for c in colls for d in c]
+    state = _StageState(docs, lenient_doc_type(docs), colls[0], search)
+    for cand in _GENERATORS[sk.ops[k]](state):
+        search.check_deadline()
+        try:
+            nxt = [apply_stage(db, coll, cand) for db, coll in zip(search.inputs, colls)]
+        except EvalError:
+            continue
+        if isinstance(cand, Group) and any(
+            coll and len(new) >= len(coll) for coll, new in zip(colls, nxt)
+        ):
+            # grouping must merge something; the size reasoning that
+            # admitted this spine assumed a strict decrease per stage
+            continue
+        chosen[k] = cand
+        got = _fill(search, sk, chosen, k + 1, nxt)
+        if got is not None:
+            return got
+    return None
 
 
 def _assemble(collection, stage_nodes):
@@ -604,21 +642,24 @@ def _assemble(collection, stage_nodes):
 
 def synthesize(task: SynthesisTask, cfg: SynthesisConfig = None, trace=None) -> SynthesisResult:
     search = Search(task, cfg or SynthesisConfig())
-    worklist = deque([Sketch(task.collection, ())])
+    frontier = deque()  # visited spines whose children are not yet visited
+    batch = [Sketch(task.collection, ())]
     try:
-        while worklist:
-            search.check_deadline()
-            sk = worklist.popleft()
-            search.sketches += 1
-            feasible = deduce(search, sk)
-            if trace is not None:
-                trace(sk, feasible)
-            if feasible:
-                q = complete_sketch(search, sk)
-                if q is not None:
-                    return search.result(q, "success")
-            if sk.depth < search.cfg.max_pipeline_depth:
-                worklist.extend(refine(sk))
+        while True:
+            for sk in batch:
+                search.check_deadline()
+                search.sketches += 1
+                feasible = deduce(search, sk)
+                if trace is not None:
+                    trace(sk, feasible)
+                if feasible:
+                    q = complete_sketch(search, sk)
+                    if q is not None:
+                        return search.result(q, "success")
+                if sk.depth < search.cfg.max_pipeline_depth:
+                    frontier.append(sk)
+            if not frontier:
+                return search.result(None, "exhausted")
+            batch = refine(frontier.popleft())
     except _DeadlineReached:
         return search.result(None, "timeout")
-    return search.result(None, "exhausted")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import DocsynthError, InvalidDocumentError, TaskError, TypeInferenceError
+from .errors import InvalidDocumentError, TaskError, TypeInferenceError
 from .synth import Example, SynthesisTask
 from .types import compute_schema, schema_from_json, schema_to_json
 from .values import collection_from_json, database_from_json, database_to_json, value_from_json, value_to_json

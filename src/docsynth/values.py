@@ -67,8 +67,25 @@ _KIND_RANK = {
 }
 
 
+_KIND_OF_PY_TYPE = {
+    type(None): "null",
+    bool: "bool",
+    int: "num",
+    float: "num",
+    str: "str",
+    Datetime: "datetime",
+    ObjectId: "objectid",
+    list: "array",
+    dict: "doc",
+}
+
+
 def kind_of(v):
     """Return the kind tag of a value ('null', 'num', 'str', ...)."""
+    kind = _KIND_OF_PY_TYPE.get(type(v))
+    if kind is not None:
+        return kind
+    # subclasses and unsupported values
     if v is None:
         return "null"
     if isinstance(v, bool):

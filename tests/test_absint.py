@@ -1,17 +1,21 @@
 """Sketch abstract-evaluation tests, centered on the forum worked example."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from docsynth.absint import Sketch, abs_eval, array_paths, sketch_formula
+from docsynth.absint import AbsEvalContext, Sketch, abs_eval, array_paths, sketch_formula
 from docsynth.abstraction import abstract_db_of, concretizes, from_doc_type
 from docsynth.errors import MalformedQueryError, UnknownCollectionError
 from docsynth.sizes import Ground, SizeFormula
+from docsynth.synth import lenient_doc_type
 from docsynth.types import ArrayT, DocT, NUM, STRING, compute_schema, infer_collection_type
+from .generators import gen_pair
 from .oracles import skeleton
 from .test_lang import forum_query
+from .test_pruning_properties import all_sketches
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "replay_stages.json").read_text())
 
@@ -39,19 +43,19 @@ class TestSketch:
 
 class TestAbsEval:
     def test_bare_collection(self):
-        lam = abs_eval(forum_adb(), OUT_TYPE, OMEGA_1)
+        lam = abs_eval(AbsEvalContext(forum_adb(), OUT_TYPE), OMEGA_1)
         assert len(lam) == 1
         assert lam[0].doc_type.render() == "{_id: String, title: String, replies: Arr⟨{depth: Num}⟩}"
         assert lam[0].formula.render() == "l₀=3"
 
     def test_three_stage_sketch(self):
-        lam = abs_eval(forum_adb(), OUT_TYPE, OMEGA_2)
+        lam = abs_eval(AbsEvalContext(forum_adb(), OUT_TYPE), OMEGA_2)
         assert len(lam) == 1
         assert lam[0].doc_type.render() == "{title: String}"
         assert lam[0].formula.render() == "l₀=3 ∧ l₁≥l₀ ∧ l₂≤l₁ ∧ l₃=l₂"
 
     def test_six_stage_sketch(self):
-        lam = abs_eval(forum_adb(), OUT_TYPE, OMEGA_3)
+        lam = abs_eval(AbsEvalContext(forum_adb(), OUT_TYPE), OMEGA_3)
         rendered = sorted(ac.doc_type.render() for ac in lam)
         assert rendered == ["{?⁺₀: Any, ?⁺₃: Num}", "{?⁺₀: Any}"]
         for ac in lam:
@@ -65,7 +69,7 @@ class TestAbsEval:
         out_t = infer_collection_type(FORUM_OUT)
         verdicts = []
         for sk in (OMEGA_1, OMEGA_2, OMEGA_3):
-            lam = abs_eval(adb, OUT_TYPE, sk)
+            lam = abs_eval(AbsEvalContext(adb, OUT_TYPE), sk)
             verdicts.append(
                 any(concretizes(FORUM_OUT, ac, doc_type=out_t) for ac in lam)
             )
@@ -74,7 +78,7 @@ class TestAbsEval:
     def test_unwind_requires_array(self):
         db = {"flat": [{"a": 1}]}
         adb = abstract_db_of(db, compute_schema(db))
-        assert abs_eval(adb, DocT({"a": NUM}), Sketch("flat", ("unwind",))) == []
+        assert abs_eval(AbsEvalContext(adb, DocT({"a": NUM})), Sketch("flat", ("unwind",))) == []
 
     def test_unwind_branches_per_array_path(self):
         schema = {
@@ -84,7 +88,7 @@ class TestAbsEval:
             })),
         }
         adb = abstract_db_of({"c": [{}]}, schema)
-        lam = abs_eval(adb, DocT({}), Sketch("c", ("unwind",)))
+        lam = abs_eval(AbsEvalContext(adb, DocT({})), Sketch("c", ("unwind",)))
         rendered = sorted(ac.doc_type.render() for ac in lam)
         assert rendered == [
             "{xs: Arr⟨Num⟩, meta: {ys: String}}",
@@ -97,7 +101,7 @@ class TestAbsEval:
             "b": ArrayT(DocT({"y": STRING})),
         }
         adb = abstract_db_of({"a": [], "b": []}, schema)
-        lam = abs_eval(adb, DocT({}), Sketch("a", ("lookup",)))
+        lam = abs_eval(AbsEvalContext(adb, DocT({})), Sketch("a", ("lookup",)))
         rendered = sorted(ac.doc_type.render() for ac in lam)
         assert rendered == [
             "{x: Num, ?¹₁: Arr⟨{x: Num}⟩}",
@@ -106,13 +110,13 @@ class TestAbsEval:
         # identical foreign types collapse
         schema2 = {"a": ArrayT(DocT({"x": NUM})), "a2": ArrayT(DocT({"x": NUM}))}
         adb2 = abstract_db_of({"a": [], "a2": []}, schema2)
-        assert len(abs_eval(adb2, DocT({}), Sketch("a", ("lookup",)))) == 1
+        assert len(abs_eval(AbsEvalContext(adb2, DocT({})), Sketch("a", ("lookup",)))) == 1
 
     def test_group_respects_key_bound(self):
         db = {"c": [{"a": 1, "b": "s", "d": True}]}
         adb = abstract_db_of(db, compute_schema(db))
-        lam1 = abs_eval(adb, DocT({}), Sketch("c", ("group",)), max_group_keys=1)
-        lam2 = abs_eval(adb, DocT({}), Sketch("c", ("group",)), max_group_keys=2)
+        lam1 = abs_eval(AbsEvalContext(adb, DocT({}), max_group_keys=1), Sketch("c", ("group",)))
+        lam2 = abs_eval(AbsEvalContext(adb, DocT({}), max_group_keys=2), Sketch("c", ("group",)))
         # 3 singletons (x2 for the optional aggregate) vs + 3 pairs (x2)
         assert len(lam1) == 6
         assert len(lam2) == 12
@@ -120,26 +124,60 @@ class TestAbsEval:
     def test_repeated_add_fields_collapse(self):
         db = {"c": [{"a": 1}]}
         adb = abstract_db_of(db, compute_schema(db))
-        lam = abs_eval(adb, DocT({}), Sketch("c", ("add_fields", "add_fields")))
+        lam = abs_eval(AbsEvalContext(adb, DocT({})), Sketch("c", ("add_fields", "add_fields")))
         assert len(lam) == 1
         assert lam[0].doc_type.render() == "{a: Num, ?⁺₀: Any}"
 
     def test_unknown_collection(self):
         with pytest.raises(UnknownCollectionError):
-            abs_eval(forum_adb(), OUT_TYPE, Sketch("nope", ()))
+            abs_eval(AbsEvalContext(forum_adb(), OUT_TYPE), Sketch("nope", ()))
 
     def test_formula_matches_sketch_formula(self):
         adb = forum_adb()
-        lam = abs_eval(adb, OUT_TYPE, OMEGA_3)
+        lam = abs_eval(AbsEvalContext(adb, OUT_TYPE), OMEGA_3)
         f = sketch_formula(OMEGA_3, SizeFormula([Ground(0, 3)]))
         assert all(ac.formula == f for ac in lam)
 
     def test_atom_count_invariant(self):
         adb = forum_adb()
         for sk in (OMEGA_1, OMEGA_2, OMEGA_3):
-            for ac in abs_eval(adb, OUT_TYPE, sk):
+            for ac in abs_eval(AbsEvalContext(adb, OUT_TYPE), sk):
                 assert len(ac.formula.atoms) == sk.depth + 1
                 assert ac.result_var == sk.depth
+
+
+class TestAbsEvalMemo:
+    # Λ of a spine comes from the memoized Λ of ops[:-1]; whatever order the
+    # spines are visited in, that must give what a fresh fold gives, down to
+    # placeholder labels and the order of Λ's members
+    def test_shared_memo_matches_fresh_memo_in_any_order(self):
+        with_lookup = 0
+        for seed in range(12):
+            db, coll, _, output, _ = gen_pair(seed)
+            adb = abstract_db_of(db, compute_schema(db))
+            out_type = lenient_doc_type(output)
+            spines = list(all_sketches(coll, 3))
+            random.Random(seed).shuffle(spines)
+            shared = AbsEvalContext(adb, out_type)
+            for sk in spines:
+                got = abs_eval(shared, sk)
+                want = abs_eval(AbsEvalContext(adb, out_type), sk)
+                assert got == want, f"seed {seed}, {sk.ops}"
+                assert [ac.render() for ac in got] == [ac.render() for ac in want], (
+                    f"seed {seed}, {sk.ops}"
+                )
+            with_lookup += len(adb) > 1
+        assert with_lookup > 0  # spines with two lookups, whose labels must not collide
+
+    def test_memo_entries_share_objects(self):
+        ctx = AbsEvalContext(forum_adb(), OUT_TYPE)
+        a = abs_eval(ctx, Sketch("posts", ("match", "project")))
+        b = abs_eval(ctx, Sketch("posts", ("project", "match")))
+        c = abs_eval(ctx, Sketch("posts", ("add_fields", "match")))
+        # one object per type, and one formula per sequence of size atoms
+        assert a[0].doc_type is b[0].doc_type
+        assert b[0].formula is c[0].formula
+        assert a[0].formula is not b[0].formula
 
 
 class TestHelpers:
@@ -151,7 +189,7 @@ class TestHelpers:
         assert array_paths(t) == [("xs",), ("meta", "ys")]
 
     def test_render_lambda(self):
-        lam = abs_eval(forum_adb(), OUT_TYPE, OMEGA_2)
+        lam = abs_eval(AbsEvalContext(forum_adb(), OUT_TYPE), OMEGA_2)
         assert [ac.render() for ac in lam] == ["({title: String}, l₀=3 ∧ l₁≥l₀ ∧ l₂≤l₁ ∧ l₃=l₂)"]
 
     def test_sketch_render(self):

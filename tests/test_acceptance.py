@@ -15,7 +15,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from docsynth.absint import OPERATOR_TAGS, Sketch, abs_eval
+from docsynth.absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
 from docsynth.abstraction import abstract_db_of
 from docsynth.cli import main
 from docsynth.interp import eval_agg, eval_query
@@ -33,6 +33,7 @@ from docsynth.text import render_query
 from docsynth.types import compute_schema
 from docsynth.values import collection_eq
 
+from .conftest import reddit_posts_result
 from .generators import gen_pair
 from .oracles import sat_by_enumeration, skeleton
 
@@ -54,7 +55,7 @@ def reported(label):
 def test_forum_task_end_to_end():
     with reported("end-to-end synthesis of the forum task"):
         task = load_task(str(TASKS_DIR / "reddit_posts.json"))
-        result = synthesize(task)
+        result = reddit_posts_result()
         assert result.status == "success"
         assert result.stats["elapsedSeconds"] <= 60
         for ex in task.examples:
@@ -80,11 +81,11 @@ def test_forum_deduction_verdicts_and_traces():
         adb = abstract_db_of(task.examples[0].input, task.schema)
         out_type = compute_schema({"out": task.examples[0].output})["out"].elem
 
-        lam = abs_eval(adb, out_type, three)
+        lam = abs_eval(AbsEvalContext(adb, out_type), three)
         assert [ac.doc_type.render() for ac in lam] == ["{title: String}"]
         assert lam[0].formula.render() == "l₀=3 ∧ l₁≥l₀ ∧ l₂≤l₁ ∧ l₃=l₂"
 
-        lam = abs_eval(adb, out_type, six)
+        lam = abs_eval(AbsEvalContext(adb, out_type), six)
         assert "{?⁺₀: Any, ?⁺₃: Num}" in [ac.doc_type.render() for ac in lam]
         for ac in lam:
             assert len(ac.formula.atoms) == 7
@@ -198,8 +199,8 @@ def test_bundled_tasks_all_solved_and_verified(tmp_path):
         two_key_group = False
         for path in paths:
             task = load_task(path)
-            result = synthesize(task)
             name = os.path.basename(path)
+            result = reddit_posts_result() if name == "reddit_posts.json" else synthesize(task)
             assert result.status == "success", f"{name} not solved"
             assert result.stats["elapsedSeconds"] <= 300
             seen_tags.update(skeleton(result.query).ops)

@@ -1,8 +1,10 @@
 """Synthesizer tests: worklist behavior, deduction verdicts, enumeration
 order, and end-to-end search on the forum task."""
 
+import gc
 import json
 import pathlib
+import weakref
 
 import pytest
 
@@ -22,15 +24,20 @@ from docsynth.synth import (
     refine,
     synthesize,
 )
+from docsynth import synth as synth_module
+from docsynth.taskio import load_task
 from docsynth.text import render_pred, render_query
 from docsynth.types import compute_schema
 
+from .conftest import reddit_posts_result
 from .test_lang import forum_query
+from .test_pruning_properties import all_sketches
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "replay_stages.json").read_text())
 
 FORUM_DB = GOLDEN["input"]
 FORUM_OUT = GOLDEN["stages"][-1]
+TASKS_DIR = pathlib.Path(__file__).parent.parent / "tasks"
 OMEGA_3 = Sketch("posts", ("unwind", "match", "group", "add_fields", "match", "project"))
 
 
@@ -41,7 +48,8 @@ def forum_task():
 
 @pytest.fixture(scope="module")
 def forum_result():
-    return synthesize(forum_task())
+    # tasks/reddit_posts.json is this task
+    return reddit_posts_result()
 
 
 class TestRefine:
@@ -227,6 +235,39 @@ class TestSynthesize:
         r = synthesize(task, trace=lambda sk, ok: seen.append((sk.render(), ok)))
         assert len(seen) == r.stats["sketchesExplored"]
         assert seen[0][0] == "items"
+
+    def test_trace_order_is_breadth_first(self):
+        # the frontier holds spines to refine; visiting order must still be
+        # the breadth-first order of a queue of every spine
+        db = {"items": [{"a": 1}, {"a": 2}]}
+        task = SynthesisTask(compute_schema(db), "items", (Example(db, [{"z": "x"}]),))
+        seen = []
+        r = synthesize(task, SynthesisConfig(max_pipeline_depth=2),
+                       trace=lambda sk, ok: seen.append(sk))
+        assert r.status == "exhausted"
+        assert seen == list(all_sketches("items", 2))
+
+    def test_search_is_freed_without_the_cycle_collector(self, monkeypatch):
+        # no reference cycle may keep a finished search alive; reddit_posts
+        # is left out for time
+        refs = []
+
+        class Recorded(Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(synth_module, "Search", Recorded)
+        paths = sorted(p for p in TASKS_DIR.glob("*.json") if p.stem != "reddit_posts")
+        assert len(paths) == 11
+        gc.disable()
+        try:
+            for path in paths:
+                r = synthesize(load_task(str(path)))
+                assert r.status == "success", path.stem
+                assert refs[-1]() is None, f"{path.stem}: the search outlived synthesize"
+        finally:
+            gc.enable()
 
     def test_determinism(self, forum_result):
         again = synthesize(forum_task())

@@ -1,3 +1,6 @@
+import enum
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +31,24 @@ def test_kind_of_separates_bool_from_num():
     assert kind_of(True) == "bool"
     assert kind_of(1) == "num"
     assert kind_of(1.5) == "num"
+
+
+def test_kind_of_beyond_exact_types():
+    # exact types come from a table; subclasses and unsupported values take
+    # the isinstance chain, so they keep their kinds and errors
+    class Flag(enum.IntEnum):
+        ON = 1
+
+    class Text(str):
+        pass
+
+    assert kind_of(False) == "bool"
+    assert kind_of(Flag.ON) == "num"
+    assert kind_of(Text("x")) == "str"
+    assert kind_of(OrderedDict(a=1)) == "doc"
+    for bad in ((1, 2), {1, 2}, object(), b"x"):
+        with pytest.raises(InvalidDocumentError):
+            kind_of(bad)
 
 
 def test_value_eq_is_kind_aware():
