@@ -5,6 +5,11 @@ decides which of several observationally equal queries comes back. Each
 entry of golden/answers.json pins the returned DSL text, the optimized
 MongoDB pipeline and the search counts, so a refactor of the search that
 changes any answer or any count fails here.
+
+golden/ablations.json pins the same for the four settings of the two
+pruning flags (`disable_size_abstraction`, `disable_type_abstraction`) on
+every shipped task but reddit_posts, whose search without type abstraction
+is far slower than the rest.
 """
 
 import importlib.util
@@ -16,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from docsynth.mongo import optimize, render_shell, translate
-from docsynth.synth import synthesize
+from docsynth.synth import SynthesisConfig, synthesize
 from docsynth.taskio import load_task, task_from_json
 from docsynth.text import render_query
 
@@ -25,6 +30,13 @@ from .conftest import reddit_posts_result
 HERE = Path(__file__).parent
 ROOT = HERE.parent
 ANSWERS = json.loads((HERE / "golden" / "answers.json").read_text())
+ABLATIONS = json.loads((HERE / "golden" / "ablations.json").read_text())
+SETTINGS = {
+    "default": SynthesisConfig(),
+    "no_size": SynthesisConfig(disable_size_abstraction=True),
+    "no_type": SynthesisConfig(disable_type_abstraction=True),
+    "no_size_no_type": SynthesisConfig(disable_size_abstraction=True, disable_type_abstraction=True),
+}
 WIDE_PREFIX = "wide_examples/"
 
 
@@ -64,3 +76,21 @@ def test_goldens_cover_every_task():
 @pytest.mark.parametrize("name", sorted(ANSWERS))
 def test_answer_matches_golden(name):
     assert answer(name) == ANSWERS[name]
+
+
+def test_ablation_goldens_cover_every_setting():
+    shipped = {p.stem for p in (ROOT / "tasks").glob("*.json")}
+    assert set(ABLATIONS) == shipped - {"reddit_posts"}
+    assert all(set(by_setting) == set(SETTINGS) for by_setting in ABLATIONS.values())
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+@pytest.mark.parametrize("name", sorted(ABLATIONS))
+def test_ablation_matches_golden(name, setting):
+    result = synthesize(load(name), SETTINGS[setting])
+    assert {
+        "status": result.status,
+        "query": render_query(result.query) if result.query is not None else None,
+        "sketches": result.stats["sketchesExplored"],
+        "completions": result.stats["programsCompleted"],
+    } == ABLATIONS[name][setting]
