@@ -68,19 +68,16 @@ class Sketch:
     def depth(self) -> int:
         return len(self.ops)
 
+    @property
+    def atoms(self) -> tuple:
+        """The size atom op of each stage, innermost first."""
+        return tuple(STAGE_ATOM_OP[tag] for tag in self.ops)
+
     def render(self) -> str:
         out = self.collection
         for tag in self.ops:
             out = f"{tag.capitalize() if tag != 'add_fields' else 'AddFields'}({out}, ·)"
         return out
-
-
-def sketch_formula(sk: Sketch, base_formula):
-    """The size formula the sketch induces, independent of any types."""
-    f = base_formula
-    for j, tag in enumerate(sk.ops, start=1):
-        f = f.extended(Rel(STAGE_ATOM_OP[tag], j, j - 1))
-    return f
 
 
 def array_paths(t: AugmentedType, prefix=()):
@@ -162,13 +159,18 @@ def _same(a, b) -> bool:
 
 
 class AbsEvalContext:
-    """One example's abstract database, output type and group-key bound, plus
-    the memo of every Λ computed from them."""
+    """One example's abstract database, output and group-key bound, plus the
+    memo of every Λ computed from them and deduction's verdicts on that
+    output. The synthesizer sets `out_docs`."""
 
     def __init__(self, adb: dict, out_type: DocT, max_group_keys: int = 2):
         self.adb = adb
+        self.out_type = out_type
         self.out_aug = from_doc_type(out_type)
         self.max_group_keys = max_group_keys
+        self.out_docs = []
+        self.sized = {}      # id(formula) -> whether out_docs' size satisfies it
+        self.typed = {}      # document type -> whether out_type matches it
         self._lams = {}      # collection -> ops tuple -> the types of Λ
         self._types = {}     # t -> the types _same tells apart among those == t
         self._tuples = {}    # ids of interned types -> the one tuple of them
@@ -238,5 +240,5 @@ def abs_eval(ctx: AbsEvalContext, sk: Sketch) -> list:
     types = ctx.types(sk.collection, sk.ops)
     if not types:
         return []
-    formula = ctx.formula(sk.collection, tuple(STAGE_ATOM_OP[tag] for tag in sk.ops))
+    formula = ctx.formula(sk.collection, sk.atoms)
     return [AbstractCollection(t, formula) for t in types]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedQueryError, NotASubsetError
 from .sizes import SizeFormula, is_sat as _formula_sat, Ground
-from .types import DocT, infer_collection_type, render_type
+from .types import DocT, render_type
 
 
 class AnyType:
@@ -307,10 +307,6 @@ class AbstractCollection:
     doc_type: AugmentedType
     formula: SizeFormula
 
-    @property
-    def result_var(self) -> int:
-        return self.formula.max_label
-
     def render(self) -> str:
         return f"({self.doc_type.render()}, {self.formula.render()})"
 
@@ -327,18 +323,17 @@ def abstract_db_of(db: dict, schema: dict) -> dict:
 
 
 def concretizes(coll, ac: AbstractCollection, *,
-                doc_type=None, check_type=True, check_size=True) -> bool:
-    """Whether the concrete collection is one of `ac`'s instances.
+                doc_type: DocT, check_type=True, check_size=True) -> bool:
+    """Whether the concrete collection, whose documents have type `doc_type`,
+    is one of `ac`'s instances.
 
     The type half is vacuous for an empty collection (no document type
-    exists to check). `doc_type` short-circuits inference when the caller
-    already knows the collection's type.
+    exists to check).
     """
     if check_size and not _formula_sat(ac.formula, probe=len(coll)):
         return False
     if check_type and coll:
-        t = doc_type if doc_type is not None else infer_collection_type(coll)
-        return matches(t, ac.doc_type)
+        return matches(doc_type, ac.doc_type)
     return True
 
 

@@ -36,10 +36,12 @@ returned. The orders are fixed as follows.
 
 The facts that stay fixed while one task is searched (abstract databases,
 output types, the constant pool, the deadline and the counters) are built
-once, in `Search`, and so are the memos of deduction: per example, an
-`absint.AbsEvalContext` that holds the Λ of every spine evaluated so far, and
-the two halves of the `concretizes` verdict, the size check per formula and
-the type check per document type. `refine`
+once, in `Search`. Deduction's state lives in one `absint.AbsEvalContext`
+per example: the output documents and their lenient type, the Λ of every
+spine evaluated so far, and a `concretizes` verdict per formula (the size
+half) and per abstract document type (the type half). `deduce` runs each
+half unless its ablation flag is set; the size half reads the context's
+interned formula, not Λ, so it is the same with types off. `refine`
 prepends the new stage at the leaf, while abstract evaluation folds from the
 leaf outward, so a spine's parent for deduction is `ops[:-1]`, not the spine
 it was refined from; breadth first, both were visited earlier, and deduction
@@ -56,8 +58,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 
-from .absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval, sketch_formula
-from .abstraction import abstract_db_of, concretizes
+from .absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
+from .abstraction import ANY, AbstractCollection, abstract_db_of, concretizes
 from .errors import EvalError, TaskError
 from .interp import apply_stage, compare, eval_agg, eval_expr, eval_pred, read_path
 from .lang import (
@@ -65,7 +67,6 @@ from .lang import (
     FnCall, Group, Lookup, MATH_FNS, Match, Max, Min, Not, Or, PathExpr,
     Project, SizeEq, Sum, TRUE, Unwind, ast_size,
 )
-from .sizes import is_sat
 from .types import ArrayT, DocT, NUM, conforms, doc_paths, infer_value_type, type_of_path
 from .values import collection_eq, kind_of, value_key
 
@@ -132,14 +133,12 @@ class Search:
         self.cfg = cfg
         self.start = time.monotonic()
         self.deadline = self.start + cfg.timeout_seconds
-        # per example: abstract evaluation context, lenient output type,
-        # output documents, concretizes verdicts per formula and per type
-        self.per_example = []
+        self.contexts = []  # one deduction context per example
         for ex in task.examples:
-            adb = abstract_db_of(ex.input, task.schema)
-            out_type = lenient_doc_type(ex.output)
-            ctx = AbsEvalContext(adb, out_type, cfg.max_group_keys)
-            self.per_example.append((ctx, out_type, ex.output, ({}, {})))
+            ctx = AbsEvalContext(abstract_db_of(ex.input, task.schema),
+                                 lenient_doc_type(ex.output), cfg.max_group_keys)
+            ctx.out_docs = ex.output
+            self.contexts.append(ctx)
         self.inputs = [ex.input for ex in task.examples]
         self.outputs = [ex.output for ex in task.examples]
         self.out_type = lenient_doc_type([d for ex in task.examples for d in ex.output])
@@ -229,44 +228,37 @@ def _lenient_value_type(values):
 # ---------------------------------------------------------------------------
 
 def deduce(search: Search, sk: Sketch) -> bool:
-    cfg = search.cfg
-    if cfg.disable_size_abstraction and cfg.disable_type_abstraction:
-        return True
-    if cfg.disable_type_abstraction:
-        # size reasoning alone: the chain formula is determined by the spine
-        for ctx, _, out_docs, _ in search.per_example:
-            f = sketch_formula(sk, ctx.adb[sk.collection].formula)
-            if not is_sat(f, probe=len(out_docs)):
+    """Whether every example's output can be an instance of some abstract
+    collection the spine produces, by the halves the config leaves on."""
+    check_size = not search.cfg.disable_size_abstraction
+    check_type = not search.cfg.disable_type_abstraction
+    for ctx in search.contexts:
+        if check_type:
+            lam = abs_eval(ctx, sk)
+            if not lam:
                 return False
-        return True
-    check_size = not cfg.disable_size_abstraction
-    for ctx, out_type, out_docs, (by_formula, by_type) in search.per_example:
-        lam = abs_eval(ctx, sk)
-        if not lam:
-            return False
-        # Every collection in Λ has the spine's formula, and concretizes is
-        # its size check and then its type check, so each half is memoized
-        # on its own: the size verdict per formula (ctx interns one per
-        # collection and atom sequence, so its id names it), the type
-        # verdict per document type.
-        key = id(lam[0].formula)
-        sized = by_formula.get(key)
-        if sized is None:
-            sized = by_formula[key] = concretizes(
-                out_docs, lam[0], check_type=False, check_size=check_size,
-            )
-        if not sized:
-            return False
-        for ac in lam:
-            typed = by_type.get(ac.doc_type)
-            if typed is None:
-                typed = by_type[ac.doc_type] = concretizes(
-                    out_docs, ac, doc_type=out_type if out_docs else None, check_size=False,
+        if check_size:
+            # formulas are interned per context, so an id names one
+            f = ctx.formula(sk.collection, sk.atoms)
+            sized = ctx.sized.get(id(f))
+            if sized is None:
+                # the size half reads the formula only, so the type is left open
+                sized = ctx.sized[id(f)] = concretizes(
+                    ctx.out_docs, AbstractCollection(ANY, f), doc_type=ctx.out_type, check_type=False,
                 )
-            if typed:
-                break
-        else:
-            return False
+            if not sized:
+                return False
+        if check_type:
+            for ac in lam:
+                typed = ctx.typed.get(ac.doc_type)
+                if typed is None:
+                    typed = ctx.typed[ac.doc_type] = concretizes(
+                        ctx.out_docs, ac, doc_type=ctx.out_type, check_size=False,
+                    )
+                if typed:
+                    break
+            else:
+                return False
     return True
 
 

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from docsynth.absint import AbsEvalContext, Sketch, abs_eval, array_paths, sketch_formula
+from docsynth.absint import AbsEvalContext, Sketch, abs_eval, array_paths
 from docsynth.abstraction import abstract_db_of, concretizes, from_doc_type
 from docsynth.errors import MalformedQueryError, UnknownCollectionError
-from docsynth.sizes import Ground, SizeFormula
+from docsynth.sizes import Ground, Rel, SizeFormula
 from docsynth.synth import lenient_doc_type
 from docsynth.types import ArrayT, DocT, NUM, STRING, compute_schema, infer_collection_type
 from .generators import gen_pair
@@ -62,7 +62,7 @@ class TestAbsEval:
             assert ac.formula.render() == (
                 "l₀=3 ∧ l₁≥l₀ ∧ l₂≤l₁ ∧ l₃<l₂ ∧ l₄=l₃ ∧ l₅≤l₄ ∧ l₆=l₅"
             )
-            assert ac.result_var == 6
+            assert ac.formula.max_label == 6
 
     def test_feasibility_of_the_three_sketches(self):
         adb = forum_adb()
@@ -133,17 +133,22 @@ class TestAbsEval:
             abs_eval(AbsEvalContext(forum_adb(), OUT_TYPE), Sketch("nope", ()))
 
     def test_formula_matches_sketch_formula(self):
-        adb = forum_adb()
-        lam = abs_eval(AbsEvalContext(adb, OUT_TYPE), OMEGA_3)
-        f = sketch_formula(OMEGA_3, SizeFormula([Ground(0, 3)]))
+        ctx = AbsEvalContext(forum_adb(), OUT_TYPE)
+        lam = abs_eval(ctx, OMEGA_3)
+        f = SizeFormula([Ground(0, 3)] + [
+            Rel(op, j, j - 1) for j, op in enumerate((">=", "<=", "<", "=", "<=", "="), start=1)
+        ])
+        assert OMEGA_3.atoms == (">=", "<=", "<", "=", "<=", "=")
         assert all(ac.formula == f for ac in lam)
+        # deduction's size half reads the same interned formula without Λ
+        assert all(ac.formula is ctx.formula("posts", OMEGA_3.atoms) for ac in lam)
 
     def test_atom_count_invariant(self):
         adb = forum_adb()
         for sk in (OMEGA_1, OMEGA_2, OMEGA_3):
             for ac in abs_eval(AbsEvalContext(adb, OUT_TYPE), sk):
                 assert len(ac.formula.atoms) == sk.depth + 1
-                assert ac.result_var == sk.depth
+                assert ac.formula.max_label == sk.depth
 
 
 class TestAbsEvalMemo:

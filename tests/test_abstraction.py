@@ -24,7 +24,7 @@ from docsynth.abstraction import (
 )
 from docsynth.errors import MalformedQueryError, NotASubsetError
 from docsynth.sizes import Ground, Rel, SizeFormula
-from docsynth.types import ArrayT, BOOL, DocT, NUM, STRING, compute_schema
+from docsynth.types import ArrayT, BOOL, DocT, NUM, STRING, compute_schema, infer_collection_type
 from .oracles import match_by_enumeration
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "replay_stages.json").read_text())
@@ -264,6 +264,7 @@ def phi(c, ops):
 class TestConcretizes:
     def setup_method(self):
         self.output = GOLDEN["stages"][5]  # two rows: reply_count, title
+        self.out_t = infer_collection_type(self.output)
         self.c3 = AbstractCollection(
             aug(many(0, ANY), many(3, NUM)),
             phi(3, [">=", "<=", "<", "=", "<=", "="]),
@@ -274,24 +275,24 @@ class TestConcretizes:
         )
 
     def test_forum_output_concretizes_c3(self):
-        assert concretizes(self.output, self.c3)
+        assert concretizes(self.output, self.c3, doc_type=self.out_t)
 
     def test_forum_output_rejects_raw_abstraction(self):
-        assert not concretizes(self.output, self.c1)
+        assert not concretizes(self.output, self.c1, doc_type=self.out_t)
         # both halves fail independently
-        assert not concretizes(self.output, self.c1, check_type=False)
-        assert not concretizes(self.output, self.c1, check_size=False)
-        assert concretizes(self.output, self.c1, check_type=False, check_size=False)
+        assert not concretizes(self.output, self.c1, doc_type=self.out_t, check_type=False)
+        assert not concretizes(self.output, self.c1, doc_type=self.out_t, check_size=False)
+        assert concretizes(self.output, self.c1, doc_type=self.out_t, check_type=False, check_size=False)
 
     def test_empty_collection_checks_size_only(self):
         ac = AbstractCollection(aug(("zzz", NUM)), phi(3, ["<="]))
-        assert concretizes([], ac)
+        assert concretizes([], ac, doc_type=DocT({}))
         ac2 = AbstractCollection(aug(("zzz", NUM)), phi(3, ["="]))
-        assert not concretizes([], ac2)
+        assert not concretizes([], ac2, doc_type=DocT({}))
 
     def test_result_var(self):
-        assert self.c3.result_var == 6
-        assert self.c1.result_var == 0
+        assert self.c3.formula.max_label == 6
+        assert self.c1.formula.max_label == 0
 
     def test_render(self):
         assert self.c3.render() == (
