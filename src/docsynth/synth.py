@@ -67,7 +67,7 @@ from .lang import (
     FnCall, Group, Lookup, MATH_FNS, Match, Max, Min, Not, Or, PathExpr,
     Project, SizeEq, Sum, TRUE, Unwind, ast_size,
 )
-from .types import ArrayT, DocT, NUM, conforms, doc_paths, infer_value_type, type_of_path
+from .types import KIND_OF_TYPE, ArrayT, DocT, NUM, conforms, doc_paths, infer_value_type, type_of_path
 from .values import collection_eq, kind_of, value_key
 
 _CMP_ORDER = ("=", "<", "<=", ">", ">=", "!=")
@@ -375,17 +375,11 @@ def _atom_order(paths, constants, in_type):
         for h in paths:
             if in_type is not None:
                 t = type_of_path(in_type, h)
-                if c_kind != "null" and _KIND_OF_TYPE.get(type(t).__name__) != c_kind:
+                if c_kind != "null" and KIND_OF_TYPE.get(type(t)) != c_kind:
                     continue
             ops = ("=", "!=") if c_kind == "null" else _CMP_ORDER
             for op in ops:
                 yield Cmp(h, op, c)
-
-
-_KIND_OF_TYPE = {
-    "NumT": "num", "StringT": "str", "BoolT": "bool",
-    "DatetimeT": "datetime", "ObjectIdT": "objectid",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +553,7 @@ def _gen_lookup(state):
             fpaths = doc_paths(ftype)
             for local in in_paths:
                 lt = type_of_path(state.in_type, local)
-                if type(lt).__name__ not in _KIND_OF_TYPE:
+                if type(lt) not in KIND_OF_TYPE:
                     continue
                 for foreign in fpaths:
                     if type_of_path(ftype, foreign) == lt:

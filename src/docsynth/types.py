@@ -58,6 +58,11 @@ BOOL = BoolT()
 DATETIME = DatetimeT()
 OBJECTID = ObjectIdT()
 
+# Each primitive type and the kind of its values (values.kind_of), both ways.
+# The inverse is keyed by the type's class, which hashes cheaply.
+TYPE_OF_KIND = {"num": NUM, "str": STRING, "bool": BOOL, "datetime": DATETIME, "objectid": OBJECTID}
+KIND_OF_TYPE = {type(t): k for k, t in TYPE_OF_KIND.items()}
+
 
 class ArrayT:
     """Array type with a single element type."""
@@ -141,15 +146,12 @@ def render_type(t) -> str:
 
 _UNKNOWN = ("unknown",)
 
-_PRIM = {"num": NUM, "str": STRING, "bool": BOOL, "datetime": DATETIME, "objectid": OBJECTID}
-
-
 def _infer(v, where):
     k = kind_of(v)
     if k == "null":
         return _UNKNOWN
-    if k in _PRIM:
-        return _PRIM[k]
+    if k in TYPE_OF_KIND:
+        return TYPE_OF_KIND[k]
     if k == "array":
         elem = _UNKNOWN
         for i, x in enumerate(v):
@@ -243,7 +245,7 @@ def conforms(v, t) -> bool:
             return False
         attrs = t.attrs
         return all(n in attrs and conforms(x, attrs[n]) for n, x in v.items())
-    return k == {NUM: "num", STRING: "str", BOOL: "bool", DATETIME: "datetime", OBJECTID: "objectid"}[t]
+    return k == KIND_OF_TYPE[type(t)]
 
 
 def type_of_path(doct: DocT, path) -> object:
@@ -281,16 +283,20 @@ def doc_paths(doct: DocT):
 # JSON codec for types and schemas
 # ---------------------------------------------------------------------------
 
-_KIND_TO_TYPE = {"num": NUM, "string": STRING, "bool": BOOL, "datetime": DATETIME, "objectid": OBJECTID}
-_TYPE_TO_KIND = {NUM: "num", STRING: "string", BOOL: "bool", DATETIME: "datetime", OBJECTID: "objectid"}
+def _json_kind(kind: str) -> str:
+    """The codec's name for a primitive kind, which spells "str" as "string"."""
+    return "string" if kind == "str" else kind
+
+
+_TYPE_OF_JSON_KIND = {_json_kind(k): t for k, t in TYPE_OF_KIND.items()}
 
 
 def type_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidDocumentError(f"invalid type JSON: {obj!r}")
     kind = obj["kind"]
-    if kind in _KIND_TO_TYPE:
-        return _KIND_TO_TYPE[kind]
+    if kind in _TYPE_OF_JSON_KIND:
+        return _TYPE_OF_JSON_KIND[kind]
     if kind == "array":
         return ArrayT(type_from_json(obj["elem"]))
     if kind == "doc":
@@ -306,7 +312,7 @@ def type_to_json(t):
         return {"kind": "array", "elem": type_to_json(t.elem)}
     if isinstance(t, DocT):
         return {"kind": "doc", "fields": {n: type_to_json(x) for n, x in t.fields}}
-    return {"kind": _TYPE_TO_KIND[t]}
+    return {"kind": _json_kind(KIND_OF_TYPE[type(t)])}
 
 
 def schema_from_json(obj):

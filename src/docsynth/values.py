@@ -66,7 +66,8 @@ _KIND_RANK = {
     "doc": 7,
 }
 
-
+# bool precedes int: kind_of's isinstance fallback tries the entries in
+# order, and bool is a subclass of int
 _KIND_OF_PY_TYPE = {
     type(None): "null",
     bool: "bool",
@@ -86,22 +87,9 @@ def kind_of(v):
     if kind is not None:
         return kind
     # subclasses and unsupported values
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "bool"
-    if isinstance(v, (int, float)):
-        return "num"
-    if isinstance(v, str):
-        return "str"
-    if isinstance(v, Datetime):
-        return "datetime"
-    if isinstance(v, ObjectId):
-        return "objectid"
-    if isinstance(v, list):
-        return "array"
-    if isinstance(v, dict):
-        return "doc"
+    for py_type, kind in _KIND_OF_PY_TYPE.items():
+        if isinstance(v, py_type):
+            return kind
     raise InvalidDocumentError(f"unsupported value of type {type(v).__name__}: {v!r}")
 
 

@@ -2,14 +2,17 @@ import pytest
 
 from docsynth.errors import (
     HeterogeneousArrayError,
+    InvalidDocumentError,
     UntypableArrayError,
     UntypableNullError,
 )
 from docsynth.types import (
     ArrayT,
     BOOL,
+    DATETIME,
     DocT,
     NUM,
+    OBJECTID,
     STRING,
     compute_schema,
     conforms,
@@ -115,3 +118,9 @@ def test_type_json_round_trip():
     assert schema_from_json(schema_to_json(schema)) == schema
     j = type_to_json(DocT({"a": NUM}))
     assert j == {"kind": "doc", "fields": {"a": {"kind": "num"}}}
+    for t in (NUM, STRING, BOOL, DATETIME, OBJECTID):
+        assert type_from_json(type_to_json(t)) == t
+    # the codec spells the value kind "str" as "string", and only so
+    assert type_to_json(STRING) == {"kind": "string"}
+    with pytest.raises(InvalidDocumentError):
+        type_from_json({"kind": "str"})
