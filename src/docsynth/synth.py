@@ -60,14 +60,14 @@ from itertools import combinations, product
 
 from .absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
 from .abstraction import ANY, AbstractCollection, abstract_db_of, concretizes
-from .errors import EvalError, TaskError
+from .errors import EvalError, TaskError, TypeInferenceError
 from .interp import apply_stage, compare, eval_agg, eval_expr, eval_pred, read_path
 from .lang import (
     AddFields, And, Arith, Avg, Cmp, CollectionRef, Count, Exists, FALSE,
     FnCall, Group, Lookup, MATH_FNS, Match, Max, Min, Not, Or, PathExpr,
     Project, SizeEq, Sum, TRUE, Unwind, ast_size,
 )
-from .types import KIND_OF_TYPE, ArrayT, DocT, NUM, conforms, doc_paths, infer_value_type, type_of_path
+from .types import KIND_OF_TYPE, TYPE_OF_KIND, ArrayT, DocT, NUM, conforms, doc_paths, infer_value_type, type_of_path
 from .values import collection_eq, kind_of, value_key
 
 _CMP_ORDER = ("=", "<", "<=", ">", ">=", "!=")
@@ -208,19 +208,12 @@ def _lenient_value_type(values):
             return None
         try:
             inner = infer_value_type(elems[0])
-        except Exception:
-            inner = None
-        for e in elems:
-            try:
-                if infer_value_type(e) != inner:
-                    return None
-            except Exception:
+            if any(infer_value_type(e) != inner for e in elems[1:]):
                 return None
-        return ArrayT(inner) if inner is not None else None
-    try:
-        return infer_value_type(values[0])
-    except Exception:
-        return None
+        except TypeInferenceError:
+            return None
+        return ArrayT(inner)
+    return TYPE_OF_KIND[kind]
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,14 @@ from docsynth.synth import (
     constant_pool,
     deduce,
     enumerate_predicates,
+    lenient_doc_type,
     refine,
     synthesize,
 )
 from docsynth import synth as synth_module
 from docsynth.taskio import load_task
 from docsynth.text import render_pred, render_query
-from docsynth.types import compute_schema
+from docsynth.types import DocT, NUM, STRING, compute_schema
 
 from .conftest import reddit_posts_result
 from .test_lang import forum_query
@@ -188,6 +189,18 @@ class TestSynthesize:
         assert r.status == "success"
         assert render_query(r.query) == "Match(items, a > 5)"
         assert r.stats["sketchesExplored"] <= 7
+
+    def test_lenient_typing_ignores_document_order(self):
+        # an attribute whose first value is null keeps its type
+        docs = [{"a": None, "s": "x"}, {"a": 5, "s": "y"}, {"a": 7, "s": "z"}]
+        for order in (docs, [docs[1], docs[0], docs[2]]):
+            assert lenient_doc_type(order) == DocT({"a": NUM, "s": STRING})
+            db = {"c": order}
+            task = SynthesisTask(compute_schema(db), "c",
+                                 (Example(db, [{"a": 7, "s": "z"}]),), constants=(6,))
+            r = synthesize(task, SynthesisConfig(max_pipeline_depth=2))
+            assert r.status == "success"
+            assert render_query(r.query) == "Match(c, a > 6)"
 
     def test_forum_task_returns_section_query(self, forum_result):
         r = forum_result
