@@ -82,7 +82,7 @@ class SynthesisConfig:
     disable_type_abstraction: bool = False
 
     def __post_init__(self):
-        if self.timeout_seconds <= 0:
+        if not (self.timeout_seconds > 0):  # also rejects NaN
             raise TaskError("timeout_seconds must be positive")
         for name in ("max_pipeline_depth", "max_group_keys"):
             if getattr(self, name) < 1:

@@ -205,6 +205,11 @@ class TestSynthCommand:
         assert main(["synth", path, "--timeout", "-1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_timeout_is_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "t.json", simple_task())
+        assert main(["synth", path, "--timeout", "nan"]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_matching_query_exits_zero(self, tmp_path, capsys):

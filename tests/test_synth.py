@@ -336,3 +336,5 @@ class TestValidation:
             SynthesisConfig(max_pipeline_depth=0)
         with pytest.raises(TaskError):
             SynthesisConfig(timeout_seconds=0)
+        with pytest.raises(TaskError):
+            SynthesisConfig(timeout_seconds=float("nan"))
