@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
 from docsynth.errors import (
     HeterogeneousArrayError,
@@ -88,6 +89,44 @@ def test_conforms():
     assert not conforms({"a": 1, "z": 2}, t)  # extra attribute
     assert conforms(Datetime("2020-01-01"), type_from_json({"kind": "datetime"}))
     assert not conforms(ObjectId("a" * 24), BOOL)
+
+
+_LEAF = {
+    "n": st.integers(-2, 2) | st.floats(allow_nan=False),
+    "s": st.sampled_from(["x", "y"]),
+    "b": st.booleans(),
+    "t": st.builds(Datetime, st.sampled_from(["2024-01-01", "2024-06-30"])),
+    "o": st.builds(ObjectId, st.sampled_from(["ab", "cd"])),
+}
+
+
+def _docs(full):
+    """Documents in which each attribute name has one shape. A full document
+    holds a non-null, non-empty value of every attribute; the others may omit
+    attributes, hold null or hold empty arrays."""
+    def value(s):
+        return s if full else st.one_of(s, st.none())
+
+    def doc(attrs):
+        return st.fixed_dictionaries(attrs) if full else st.fixed_dictionaries({}, optional=attrs)
+
+    inner = doc({k: value(_LEAF[k]) for k in ("n", "b", "o")})
+    attrs = {k: value(_LEAF[k]) for k in ("n", "s", "t")}
+    attrs["ns"] = value(st.lists(value(_LEAF["n"]), min_size=int(full), max_size=3))
+    attrs["d"] = value(inner)
+    attrs["ds"] = value(st.lists(value(inner), min_size=int(full), max_size=3))
+    return doc(attrs)
+
+
+# one full document among partial ones, in any order, so inference succeeds
+# and every attribute's type must be found wherever its witness is
+@given(st.tuples(_docs(True), st.lists(_docs(False), max_size=3)).flatmap(
+    lambda t: st.permutations([t[0], *t[1]])))
+@example([{"n": None, "ds": []}, {"n": 1, "s": "x", "t": Datetime("2024-01-01"), "ns": [None, 2],
+                                   "d": {"n": 1, "b": True, "o": ObjectId("ab")},
+                                   "ds": [{"n": 2, "b": False, "o": ObjectId("cd")}]}])
+def test_collection_conforms_to_its_inferred_type(docs):
+    assert conforms(docs, ArrayT(infer_collection_type(docs)))
 
 
 def test_type_of_path_and_doc_paths():
