@@ -67,7 +67,10 @@ from .lang import (
     FnCall, Group, Lookup, MATH_FNS, Match, Max, Min, Not, Or, PathExpr,
     Project, SizeEq, Sum, TRUE, Unwind, ast_size,
 )
-from .types import KIND_OF_TYPE, TYPE_OF_KIND, ArrayT, DocT, NUM, conforms, doc_paths, infer_value_type, type_of_path
+from .types import (
+    KIND_OF_TYPE, NUM, TYPE_OF_KIND, ArrayT, DocT, conforms, doc_paths, infer_value_type,
+    type_of_path,
+)
 from .values import collection_eq, kind_of, value_key
 
 _CMP_ORDER = ("=", "<", "<=", ">", ">=", "!=")
@@ -226,6 +229,8 @@ def deduce(search: Search, sk: Sketch) -> bool:
     check_size = not search.cfg.disable_size_abstraction
     check_type = not search.cfg.disable_type_abstraction
     for ctx in search.contexts:
+        # the type half's empty-Λ prune comes first, so a spine that no
+        # document type fits never costs a size verdict
         if check_type:
             lam = abs_eval(ctx, sk)
             if not lam:
@@ -237,7 +242,8 @@ def deduce(search: Search, sk: Sketch) -> bool:
             if sized is None:
                 # the size half reads the formula only, so the type is left open
                 sized = ctx.sized[id(f)] = concretizes(
-                    ctx.out_docs, AbstractCollection(ANY, f), doc_type=ctx.out_type, check_type=False,
+                    ctx.out_docs, AbstractCollection(ANY, f), doc_type=ctx.out_type,
+                    check_type=False,
                 )
             if not sized:
                 return False

@@ -146,6 +146,7 @@ def render_type(t) -> str:
 
 _UNKNOWN = ("unknown",)
 
+
 def _infer(v, where):
     k = kind_of(v)
     if k == "null":
