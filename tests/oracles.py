@@ -3,8 +3,11 @@
 Everything in here is deliberately naive and exhaustive. These functions are
 written against plain Python data (dicts, lists, None) and never import the
 package under test, so they can be used to freeze expected values and to
-cross-check the real implementations. The one exception is `skeleton`, a
-test helper that reads a query AST into the package's `Sketch`.
+cross-check the real implementations. The exceptions are `skeleton`, a
+test helper that reads a query AST into the package's `Sketch`, and
+`predicates_by_enumeration`, which evaluates with the package's `eval_pred`
+because it checks the order and deduplication of predicate enumeration, not
+the predicate semantics.
 """
 
 from itertools import product
@@ -344,3 +347,72 @@ def skeleton(q):
         ops.append(_SPINE_TAGS[type(q).__name__])
         q = q.source
     return Sketch(q.name, tuple(reversed(ops)))
+
+
+# ---------------------------------------------------------------------------
+# Predicate enumeration oracle: build every atom, then deduplicate.
+# ---------------------------------------------------------------------------
+
+def predicates_by_enumeration(docs, in_type, constants):
+    """The predicates the synthesizer enumerates over `docs`, the slow way.
+
+    Every atom of the documented tier order is built, subject to the type
+    filter: True, False; Exists per path; SizeEq constant-major over array
+    paths; comparisons constant-major, then path, then operator, where a
+    non-null constant is compared only with paths of its own kind and null
+    only by = and !=. Each atom is evaluated with `eval_pred` on every
+    document and the first atom per truth vector is kept. Then come the
+    negations of those atoms, then And and Or over every ordered pair of
+    kept atoms and negations.
+    """
+    from docsynth.interp import eval_pred
+    from docsynth.lang import FALSE, TRUE, And, Cmp, Exists, Not, Or, SizeEq
+    from docsynth.types import KIND_OF_TYPE, ArrayT, DocT
+    from docsynth.values import kind_of
+
+    typed = []  # (path, type) for every path that does not enter an array
+
+    def walk(prefix, t):
+        for name, vt in t.fields:
+            typed.append((prefix + (name,), vt))
+            if isinstance(vt, DocT):
+                walk(prefix + (name,), vt)
+
+    walk((), in_type)
+    typed.sort(key=lambda e: e[0])
+
+    atoms = [TRUE, FALSE] + [Exists(h) for h, _ in typed]
+    for c in constants:
+        if isinstance(c, int) and not isinstance(c, bool) and c >= 0:
+            atoms += [SizeEq(h, c) for h, t in typed if isinstance(t, ArrayT)]
+    for c in constants:
+        for h, t in typed:
+            if c is None:
+                ops = ("=", "!=")
+            elif KIND_OF_TYPE.get(type(t)) == kind_of(c):
+                ops = ("=", "<", "<=", ">", ">=", "!=")
+            else:
+                continue
+            atoms += [Cmp(h, op, c) for op in ops]
+
+    seen, out, reps = set(), [], []
+
+    def keep(p):
+        vector = tuple(eval_pred(d, p) for d in docs)
+        if vector in seen:
+            return False
+        seen.add(vector)
+        out.append(p)
+        return True
+
+    for a in atoms:
+        if keep(a):
+            reps.append(a)
+    for a in list(reps):
+        if keep(Not(a)):
+            reps.append(Not(a))
+    for left in reps:
+        for right in reps:
+            keep(And(left, right))
+            keep(Or(left, right))
+    return out

@@ -7,6 +7,7 @@ import pathlib
 import weakref
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from docsynth.absint import Sketch
 from docsynth.errors import TaskError
@@ -28,9 +29,13 @@ from docsynth.synth import (
 from docsynth import synth as synth_module
 from docsynth.taskio import load_task
 from docsynth.text import render_pred, render_query
-from docsynth.types import DocT, NUM, STRING, compute_schema
+from docsynth.types import (
+    ArrayT, BOOL, DATETIME, DocT, NUM, STRING, compute_schema, doc_paths,
+)
+from docsynth.values import Datetime
 
 from .conftest import reddit_posts_result
+from .oracles import predicates_by_enumeration
 from .test_lang import forum_query
 from .test_pruning_properties import all_sketches
 
@@ -140,6 +145,54 @@ class TestEnumeratePredicates:
         assert any("&&" in render_pred(p) for p in big)
         # a = 1 && b = 1 reaches a class no single atom covers
         assert "(a = 1 && b = 1)" in [render_pred(p) for p in big]
+
+
+_NUMS = st.sampled_from([0, 1, 2, 1.5, float("nan")])
+_NUM_OR_NULL = _NUMS | st.none()
+_STRS = st.sampled_from(["x", "y"])
+_INNER = st.fixed_dictionaries({}, optional={"n": _NUM_OR_NULL, "s": _STRS | _NUMS})
+# every attribute may be absent; most hold one kind, beside nulls, bools,
+# strings or nested documents
+_DOCS = st.lists(st.fixed_dictionaries({}, optional={
+    "n": _NUM_OR_NULL | st.booleans(),
+    "s": _STRS | _NUMS | st.sampled_from([Datetime("2020-01-01"), Datetime("2021-01-01")]),
+    "arr": st.lists(st.integers(0, 2), max_size=3) | st.none() | _NUMS,
+    "doc": _INNER | _STRS,
+}), min_size=2, max_size=6)
+# the type given for each attribute may disagree with some of its values
+_DECLARED = st.fixed_dictionaries({}, optional={
+    "n": st.sampled_from([NUM, BOOL]),
+    "s": st.sampled_from([STRING, NUM, DATETIME]),
+    "arr": st.sampled_from([ArrayT(NUM), ArrayT(NUM), NUM]),
+    "doc": st.sampled_from([DocT({"n": NUM, "s": STRING}), DocT({"s": NUM}), STRING]),
+}).map(DocT)
+_CONSTANTS = st.lists(st.sampled_from(
+    [None, 0, 1, 2, 1.5, float("nan"), True, False, "x", Datetime("2020-06-01")]),
+    min_size=1, max_size=4)
+
+
+@st.composite
+def _enumeration_cases(draw):
+    docs = draw(_DOCS)
+    in_type = draw(st.just(lenient_doc_type(docs)) | _DECLARED)
+    return docs, in_type, draw(_CONSTANTS)
+
+
+class TestEnumeratePredicatesOracle:
+    @settings(deadline=None, max_examples=300)
+    @given(_enumeration_cases())
+    @example(([{"arr": [1, 2], "n": 1, "doc": {"n": 1, "s": "x"}},
+                {"arr": [], "n": True, "doc": {"n": None}},
+                {"arr": [0], "s": "x", "doc": "y"},
+                {"n": None, "arr": None}],
+               DocT({"arr": ArrayT(NUM), "n": NUM, "doc": DocT({"n": NUM, "s": STRING}),
+                     "s": STRING}),
+               [1, 0, None, True, "x"]))
+    def test_matches_build_then_deduplicate(self, case):
+        docs, in_type, constants = case
+        got = enumerate_predicates(docs, doc_paths(in_type), constants, in_type)
+        want = predicates_by_enumeration(docs, in_type, constants)
+        assert [render_pred(p) for p in got] == [render_pred(p) for p in want]
 
 
 class TestCompleteSketch:
