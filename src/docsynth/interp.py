@@ -2,9 +2,10 @@
 
 Null discipline, in one place:
   * an absent path reads as Null everywhere except Exists and Unwind
-  * = and != compare directly, so null = null holds
-  * < and > are false whenever either side is Null or the kinds differ
-  * <= and >= are the disjunction with equality, so null <= null holds
+  * every comparison is one lookup of the three-way outcome
+    `values.value_cmp(v, c)` in the table HOLDS_ON, so null = null and
+    null <= null hold, while < and > are false whenever either side is Null
+    or the kinds differ
   * arithmetic propagates Null; division or modulo by zero yields Null
   * Sum counts Null as 0; Min/Max/Avg ignore Nulls and yield Null when
     nothing remains; Count just counts documents
@@ -49,9 +50,9 @@ from .values import (
     kind_of,
     order_key,
     path_str,
+    value_cmp,
     value_eq,
     value_key,
-    value_lt,
 )
 
 
@@ -65,19 +66,13 @@ def read_path(doc, path):
 # Predicates
 # ---------------------------------------------------------------------------
 
+# The value_cmp outcomes under which each operator holds (None: unequal and unordered)
+HOLDS_ON = {"=": (0,), "<": (-1,), "<=": (-1, 0), ">": (1,), ">=": (1, 0), "!=": (-1, 1, None)}
+
+
 def compare(v, op: str, c) -> bool:
     """`v op c` for a comparison atom; v is the value read at its path."""
-    if op == "=":
-        return value_eq(v, c)
-    if op == "!=":
-        return not value_eq(v, c)
-    if op == "<":
-        return value_lt(v, c)
-    if op == ">":
-        return value_lt(c, v)
-    if op == "<=":
-        return value_lt(v, c) or value_eq(v, c)
-    return value_lt(c, v) or value_eq(v, c)
+    return value_cmp(v, c) in HOLDS_ON[op]
 
 
 def eval_pred(doc, p) -> bool:

@@ -17,10 +17,14 @@ reordering changes which of several observationally equal queries is
 returned. The orders are fixed as follows.
 
   predicates   True, False; Exists per path; SizeEq (constant-major, then
-               path); comparisons constant-major, then path, then op in
-               (=, <, <=, >, >=, !=); negations of discovered class
-               representatives; And then Or over representative pairs.
-               Classes are truth vectors over all stage documents.
+               array path); comparisons constant-major, then path of the
+               constant's kind (every path for null, with = and != only),
+               then op in (=, <, <=, >, >=, !=); negations of discovered
+               class representatives; And then Or over representative
+               pairs. Classes are truth vectors over all stage documents.
+               Vectors come first: each path is read once into a column,
+               one value_cmp per document serves all six operators, and a
+               node is built only when its vector is a new class.
   constants    user-supplied, then numeric values in output-encounter
                order, then null, 0, 1; first occurrence kept.
   add fields   target sets ascending by size; per target equal-typed paths,
@@ -61,17 +65,17 @@ from itertools import combinations, product
 from .absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
 from .abstraction import ANY, AbstractCollection, abstract_db_of, concretizes
 from .errors import EvalError, TaskError, TypeInferenceError
-from .interp import apply_stage, compare, eval_agg, eval_expr, eval_pred, read_path
+from .interp import HOLDS_ON, apply_stage, eval_agg, eval_expr, read_path
 from .lang import (
-    AddFields, And, Arith, Avg, Cmp, CollectionRef, Count, Exists, FALSE,
+    AddFields, And, Arith, Avg, Cmp, CollectionRef, Count, Exists, FalsePred,
     FnCall, Group, Lookup, MATH_FNS, Match, Max, Min, Not, Or, PathExpr,
-    Project, SizeEq, Sum, TRUE, Unwind, ast_size,
+    Project, SizeEq, Sum, TruePred, Unwind, ast_size,
 )
 from .types import (
-    KIND_OF_TYPE, NUM, TYPE_OF_KIND, ArrayT, DocT, conforms, doc_paths, infer_value_type,
-    type_of_path,
+    KIND_OF_TYPE, NUM, TYPE_OF_KIND, ArrayT, DocT, conforms, infer_value_type, type_of_path,
+    typed_paths,
 )
-from .values import collection_eq, kind_of, value_key
+from .values import ABSENT, collection_eq, get_path, kind_of, value_cmp, value_key
 
 _CMP_ORDER = ("=", "<", "<=", ">", ">=", "!=")
 
@@ -301,41 +305,21 @@ def _primitive_leaves(v):
         yield v
 
 
-def enumerate_predicates(docs, paths, constants, in_type=None):
+def enumerate_predicates(docs, paths, constants):
     """Lazily yield one representative per truth-equivalence class.
 
+    `paths` pairs each path with its type. Every atom's truth vector is
+    computed before its node, which is built only for a new class.
     Connectives combine two representatives, so no predicate has more than
     two atoms.
     """
-    seen = {}
+    seen = set()
     reps = []
-    columns = {}  # path -> its value in every document, read on first use
-
-    def vector(p):
-        bits = 0
-        if isinstance(p, Cmp):
-            col = columns.get(p.path)
-            if col is None:
-                col = columns[p.path] = [read_path(d, p.path) for d in docs]
-            op, c = p.op, p.value
-            for v in col:
-                bits = (bits << 1) | (1 if compare(v, op, c) else 0)
-            return bits
-        for d in docs:
-            bits = (bits << 1) | (1 if eval_pred(d, p) else 0)
-        return bits
-
-    def emit(p):
-        v = vector(p)
-        if v in seen:
-            return None
-        seen[v] = p
-        reps.append((p, v))
-        return p
-
-    for atom in _atom_order(paths, constants, in_type):
-        p = emit(atom)
-        if p is not None:
+    for bits, node, args in _atom_vectors(docs, paths, constants):
+        if bits not in seen:
+            seen.add(bits)
+            p = node(*args)
+            reps.append((p, bits))
             yield p
     # negations of the representatives discovered so far
     full = (1 << len(docs)) - 1
@@ -343,7 +327,7 @@ def enumerate_predicates(docs, paths, constants, in_type=None):
         nv = full & ~v
         if nv not in seen:
             np = Not(p)
-            seen[nv] = np
+            seen.add(nv)
             reps.append((np, nv))
             yield np
     # And then Or over every ordered pair of representatives
@@ -351,34 +335,45 @@ def enumerate_predicates(docs, paths, constants, in_type=None):
         for rp, rv in reps:
             for build, bv in ((And, lv & rv), (Or, lv | rv)):
                 if bv not in seen:
-                    p = build(lp, rp)
-                    seen[bv] = p
-                    yield p
+                    seen.add(bv)
+                    yield build(lp, rp)
 
 
-def _atom_order(paths, constants, in_type):
-    yield TRUE
-    yield FALSE
-    for h in paths:
-        yield Exists(h)
-    array_paths = [
-        h for h in paths
-        if in_type is None or isinstance(type_of_path(in_type, h), ArrayT)
-    ]
+def _atom_vectors(docs, paths, constants):
+    """Every atom in tier order as (truth vector, node class, node arguments).
+
+    Bit i of a vector is the atom's truth on document i. Each path is read
+    once into a column that keeps ABSENT for Exists.
+    """
+    yield (1 << len(docs)) - 1, TruePred, ()
+    yield 0, FalsePred, ()
+    columns = [(h, t, [get_path(d, h) for d in docs]) for h, t in paths]
+    for h, _, col in columns:
+        yield sum(1 << i for i, v in enumerate(col) if v is not ABSENT), Exists, (h,)
     for c in constants:
         if isinstance(c, int) and not isinstance(c, bool) and c >= 0:
-            for h in array_paths:
-                yield SizeEq(h, c)
+            for h, t, col in columns:
+                if isinstance(t, ArrayT):
+                    sized = (isinstance(v, list) and len(v) == c for v in col)
+                    yield sum(1 << i for i, f in enumerate(sized) if f), SizeEq, (h, c)
+    # comparisons read an absent path as Null and skip paths of another kind
+    columns = [
+        (h, KIND_OF_TYPE.get(type(t)), [None if v is ABSENT else v for v in col])
+        for h, t, col in columns
+    ]
     for c in constants:
         c_kind = kind_of(c)
-        for h in paths:
-            if in_type is not None:
-                t = type_of_path(in_type, h)
-                if c_kind != "null" and KIND_OF_TYPE.get(type(t)) != c_kind:
-                    continue
-            ops = ("=", "!=") if c_kind == "null" else _CMP_ORDER
+        ops = ("=", "!=") if c_kind == "null" else _CMP_ORDER
+        for h, kind, col in columns:
+            if c_kind != "null" and kind != c_kind:
+                continue
+            # one three-way comparison per document serves every operator
+            by_outcome = dict.fromkeys((-1, 0, 1, None), 0)
+            for i, v in enumerate(col):
+                by_outcome[value_cmp(v, c)] |= 1 << i
             for op in ops:
-                yield Cmp(h, op, c)
+                # the outcome masks are disjoint, so their sum is their union
+                yield sum(by_outcome[o] for o in HOLDS_ON[op]), Cmp, (h, op, c)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +405,14 @@ def _gen_project(state):
 
 
 def _gen_match(state):
-    paths = doc_paths(state.in_type)
-    for pred in enumerate_predicates(state.docs, paths, state.search.pool, state.in_type):
+    paths = typed_paths(state.in_type)
+    for pred in enumerate_predicates(state.docs, paths, state.search.pool):
         yield Match(_HOLE, pred)
 
 
 def _gen_unwind(state):
-    for path in doc_paths(state.in_type):
-        if isinstance(type_of_path(state.in_type, path), ArrayT):
+    for path, t in typed_paths(state.in_type):
+        if isinstance(t, ArrayT):
             yield Unwind(_HOLE, path)
 
 
@@ -433,10 +428,10 @@ def _absent_targets(tin: DocT, tout: DocT, prefix=()):
     return sorted(out)
 
 
-def _expr_candidates(state, target):
+def _expr_candidates(state, paths, target):
     """Type-correct expressions for one new attribute, deduped by values."""
     want = type_of_path(state.search.out_type, target)
-    num_paths = [p for p in doc_paths(state.in_type) if type_of_path(state.in_type, p) == NUM]
+    num_paths = [p for p, t in paths if t == NUM]
     seen = {}
 
     def emit(e):
@@ -446,8 +441,8 @@ def _expr_candidates(state, target):
         seen[vec] = e
         return e
 
-    for p in doc_paths(state.in_type):
-        if type_of_path(state.in_type, p) == want:
+    for p, t in paths:
+        if t == want:
             e = emit(PathExpr(p))
             if e is not None:
                 yield e
@@ -467,11 +462,12 @@ def _expr_candidates(state, target):
 
 def _gen_add_fields(state):
     targets = _absent_targets(state.in_type, state.search.out_type)
+    paths = typed_paths(state.in_type)
     built = {}  # target -> its expression pool, built on first use
 
     def pool_of(target):
         if target not in built:
-            built[target] = list(_expr_candidates(state, target))
+            built[target] = list(_expr_candidates(state, paths, target))
         return built[target]
 
     for size in range(1, len(targets) + 1):
@@ -484,7 +480,7 @@ def _gen_add_fields(state):
 
 
 def _gen_group(state):
-    paths = doc_paths(state.in_type)
+    paths = [p for p, _ in typed_paths(state.in_type)]
     if not paths:
         return
     num_out_attrs = [
@@ -541,7 +537,7 @@ def _agg_plausible(agg, groups, output_nums):
 
 
 def _gen_lookup(state):
-    in_paths = doc_paths(state.in_type)
+    in_paths = typed_paths(state.in_type)
     for fname, coll_type in state.search.task.schema.items():
         ftype = coll_type.elem
         for as_attr, ot in state.search.out_type.fields:
@@ -549,13 +545,12 @@ def _gen_lookup(state):
                 continue
             if state.in_type.get(as_attr) is not None:
                 continue
-            fpaths = doc_paths(ftype)
-            for local in in_paths:
-                lt = type_of_path(state.in_type, local)
+            fpaths = typed_paths(ftype)
+            for local, lt in in_paths:
                 if type(lt) not in KIND_OF_TYPE:
                     continue
-                for foreign in fpaths:
-                    if type_of_path(ftype, foreign) == lt:
+                for foreign, ft in fpaths:
+                    if ft == lt:
                         yield Lookup(_HOLE, local, foreign, fname, as_attr)
 
 

@@ -262,21 +262,21 @@ def type_of_path(doct: DocT, path) -> object:
     return cur
 
 
-def doc_paths(doct: DocT):
+def typed_paths(doct: DocT):
     """Every path reachable without crossing an array, in lexicographic
-    order. Array-valued attributes appear as paths themselves but are not
-    entered."""
+    order, each paired with its type. Array-valued attributes appear as
+    paths themselves but are not entered."""
     out = []
 
     def walk(prefix, t):
         for name, vt in t.fields:
             path = prefix + (name,)
-            out.append(path)
+            out.append((path, vt))
             if isinstance(vt, DocT):
                 walk(path, vt)
 
     walk((), doct)
-    out.sort()
+    out.sort(key=lambda entry: entry[0])
     return out
 
 

@@ -119,18 +119,19 @@ def value_key(v):
     return (k, v)
 
 
-def value_lt(a, b) -> bool:
-    """Strict order used by the ``<``/``>`` predicates.
-
-    False whenever either side is Null or the kinds differ; documents and
-    arrays are never ordered.
+def value_cmp(a, b):
+    """Three-way comparison used by the comparison predicates: -1, 0 or 1,
+    or None when the values are unequal and unordered (the kinds differ,
+    unequal documents or arrays, NaN). It is 0 exactly when value_eq holds.
     """
-    ka, kb = kind_of(a), kind_of(b)
-    if ka != kb or ka in ("null", "array", "doc"):
-        return False
-    if ka == "bool":
-        return (not a) and b
-    return a < b
+    ka = kind_of(a)
+    if ka != kind_of(b):
+        return None
+    if ka in ("doc", "array"):
+        return 0 if value_eq(a, b) else None
+    if ka == "null" or a == b:
+        return 0
+    return -1 if a < b else 1 if b < a else None
 
 
 def order_key(v):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from docsynth.errors import UnknownCollectionError, UnwindNonArrayError
-from docsynth.interp import eval_agg, eval_expr, eval_pred, eval_query, flatten
+from docsynth.interp import compare, eval_agg, eval_expr, eval_pred, eval_query, flatten
 from docsynth.lang import (
     AddFields, Arith, Avg, CollectionRef, Cmp, Count, Exists, FALSE, FnCall,
     Group, Lookup, Match, Max, Min, Not, PathExpr, Project, SizeEq, Sum, TRUE,
@@ -54,6 +54,14 @@ class TestPredicates:
         assert eval_pred({"a": "x"}, Cmp(("a",), "<", 3)) is False  # kind mismatch
         assert eval_pred({"a": 1}, Cmp(("a",), "<", 3)) is True
         assert eval_pred({"a": 1}, Cmp(("a",), ">=", 1)) is True
+
+    def test_unequal_unordered_values_satisfy_only_not_equal(self):
+        # kinds differ, arrays or documents differ, or NaN
+        pairs = ((None, 0), ("a", 1), (True, 1), ([1], [2]), ({"b": 1}, {"b": 2}),
+                 (float("nan"), float("nan")))
+        for v, c in pairs:
+            held = [op for op in ("=", "<", "<=", ">", ">=", "!=") if compare(v, op, c)]
+            assert held == ["!="], (v, c)
 
     def test_bool_is_not_num(self):
         assert eval_pred({"a": True}, Cmp(("a",), "=", 1)) is False

@@ -30,7 +30,7 @@ from docsynth import synth as synth_module
 from docsynth.taskio import load_task
 from docsynth.text import render_pred, render_query
 from docsynth.types import (
-    ArrayT, BOOL, DATETIME, DocT, NUM, STRING, compute_schema, doc_paths,
+    ArrayT, BOOL, DATETIME, DocT, NUM, STRING, compute_schema, typed_paths,
 )
 from docsynth.values import Datetime
 
@@ -123,7 +123,7 @@ class TestConstantPool:
 class TestEnumeratePredicates:
     def test_truth_vector_collapse(self):
         docs = [{"d": 0}, {"d": 1}, {"d": 2}]
-        preds = list(enumerate_predicates(docs, [("d",)], [0, 1]))
+        preds = list(enumerate_predicates(docs, [(("d",), NUM)], [0, 1]))
         rendered = [render_pred(p) for p in preds]
         assert "d > 0" in rendered
         assert "d >= 1" not in rendered  # same class as d > 0
@@ -134,13 +134,13 @@ class TestEnumeratePredicates:
 
     def test_no_constants_leaves_exists_tiers(self):
         docs = [{"d": 1}, {}]
-        preds = list(enumerate_predicates(docs, [("d",)], []))
+        preds = list(enumerate_predicates(docs, [(("d",), NUM)], []))
         assert [render_pred(p) for p in preds] == \
             ["true", "false", "Exists(d)", "!(Exists(d))"]
 
     def test_connectives_respect_atom_budget(self):
         docs = [{"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 0}, {"a": 1, "b": 1}]
-        paths = [("a",), ("b",)]
+        paths = [(("a",), NUM), (("b",), NUM)]
         big = list(enumerate_predicates(docs, paths, [1]))
         assert any("&&" in render_pred(p) for p in big)
         # a = 1 && b = 1 reaches a class no single atom covers
@@ -190,7 +190,7 @@ class TestEnumeratePredicatesOracle:
                [1, 0, None, True, "x"]))
     def test_matches_build_then_deduplicate(self, case):
         docs, in_type, constants = case
-        got = enumerate_predicates(docs, doc_paths(in_type), constants, in_type)
+        got = enumerate_predicates(docs, typed_paths(in_type), constants)
         want = predicates_by_enumeration(docs, in_type, constants)
         assert [render_pred(p) for p in got] == [render_pred(p) for p in want]
 

@@ -17,7 +17,6 @@ from docsynth.types import (
     STRING,
     compute_schema,
     conforms,
-    doc_paths,
     infer_collection_type,
     infer_value_type,
     render_type,
@@ -25,6 +24,7 @@ from docsynth.types import (
     schema_to_json,
     type_from_json,
     type_of_path,
+    typed_paths,
     type_to_json,
 )
 from docsynth.values import Datetime, ObjectId
@@ -129,16 +129,16 @@ def test_collection_conforms_to_its_inferred_type(docs):
     assert conforms(docs, ArrayT(infer_collection_type(docs)))
 
 
-def test_type_of_path_and_doc_paths():
+def test_type_of_path_and_typed_paths():
     t = DocT({"info": DocT({"score": NUM, "tags": ArrayT(STRING)}), "name": STRING})
     assert type_of_path(t, ("info", "score")) == NUM
     assert type_of_path(t, ("info", "tags")) == ArrayT(STRING)
     assert type_of_path(t, ("info", "tags", "x")) is None  # no array crossing
-    assert doc_paths(t) == [
-        ("info",),
-        ("info", "score"),
-        ("info", "tags"),
-        ("name",),
+    assert typed_paths(t) == [
+        (("info",), DocT({"score": NUM, "tags": ArrayT(STRING)})),
+        (("info", "score"), NUM),
+        (("info", "tags"), ArrayT(STRING)),
+        (("name",), STRING),
     ]
 
 

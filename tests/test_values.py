@@ -21,8 +21,8 @@ from docsynth.values import (
     path_str,
     value_eq,
     value_from_json,
+    value_cmp,
     value_key,
-    value_lt,
     value_to_json,
 )
 
@@ -71,14 +71,40 @@ def test_value_key_agrees_with_value_eq():
     assert value_key({"a": 1, "b": 2}) == value_key({"b": 2, "a": 1})
 
 
-def test_value_lt_null_and_mixed_kinds_are_unordered():
-    assert not value_lt(None, 5)
-    assert not value_lt(5, None)
-    assert not value_lt("a", 5)
-    assert value_lt(2, 3)
-    assert value_lt("Title-1", "Title-2")
-    assert value_lt(False, True)
-    assert value_lt(Datetime("2020-01-01T00:00:00Z"), Datetime("2021-01-01T00:00:00Z"))
+def test_value_cmp_null_and_mixed_kinds_are_unordered():
+    assert value_cmp(None, 5) is None
+    assert value_cmp(5, None) is None
+    assert value_cmp("a", 5) is None
+    assert value_cmp(2, 3) == -1
+    assert value_cmp("Title-1", "Title-2") == -1
+    assert value_cmp(False, True) == -1
+    assert value_cmp(Datetime("2020-01-01T00:00:00Z"), Datetime("2021-01-01T00:00:00Z")) == -1
+
+
+def test_value_cmp_equal_but_unordered_values():
+    assert value_cmp(None, None) == 0
+    assert value_cmp(1, 1.0) == 0
+    assert value_cmp({"a": [1]}, {"a": [1.0]}) == 0
+    assert value_cmp([1], [2]) is None
+    assert value_cmp({"a": 1}, {"a": 2}) is None
+    assert value_cmp(float("nan"), float("nan")) is None
+
+
+comparable_values = st.recursive(
+    st.sampled_from([None, 0, 1, 1.0, 2.5, float("nan"), True, False, "a", "b",
+                     Datetime("2020-01-01"), Datetime("2021-01-01"), ObjectId("ab"), ObjectId("cd")]),
+    lambda children: st.lists(children, max_size=2)
+    | st.dictionaries(st.sampled_from(["x", "y"]), children, max_size=2),
+    max_leaves=4,
+)
+
+
+@given(comparable_values, comparable_values)
+def test_value_cmp_is_zero_exactly_on_value_eq_and_antisymmetric(a, b):
+    c = value_cmp(a, b)
+    assert c in (-1, 0, 1, None)
+    assert (c == 0) == value_eq(a, b)
+    assert value_cmp(b, a) == (None if c is None else -c)
 
 
 def test_paths():
