@@ -286,7 +286,7 @@ class _Parser:
                 path = self.path()
                 self.expect(",")
                 k2, v2, p2 = self.next()
-                if k2 != "num" or "." in v2 or v2.startswith("-"):
+                if k2 != "num" or not v2.isdigit():
                     raise ParseError("SizeEq expects a nonnegative integer", p2)
                 self.expect(")")
                 return SizeEq(path, int(v2))

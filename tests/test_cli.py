@@ -236,6 +236,13 @@ class TestEvalCommand:
         assert main(["eval", path, str(qp)]) == 1
         assert "offset" in capsys.readouterr().err
 
+    def test_exponent_size_is_parse_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "t.json", simple_task())
+        qp = tmp_path / "q.txt"
+        qp.write_text("Match(items, SizeEq(a, 1e3))")
+        assert main(["eval", path, str(qp)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_eval_error_is_reported_per_example(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", simple_task())
         qp = tmp_path / "q.txt"

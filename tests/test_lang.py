@@ -102,6 +102,12 @@ class TestRender:
         with pytest.raises(ParseError):
             parse_query("Project(posts, [a]) extra")
 
+    def test_sizeeq_needs_a_plain_nonnegative_integer(self):
+        assert parse_query("Match(c, SizeEq(a, 10))").pred == SizeEq(("a",), 10)
+        for size in ("1e3", "1.5", "-1", "1E2"):
+            with pytest.raises(ParseError):
+                parse_query(f"Match(c, SizeEq(a, {size}))")
+
 
 class TestMetrics:
     def test_forum_ast_size(self):
