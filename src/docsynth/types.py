@@ -299,6 +299,8 @@ def type_from_json(obj):
     if kind in _TYPE_OF_JSON_KIND:
         return _TYPE_OF_JSON_KIND[kind]
     if kind == "array":
+        if "elem" not in obj:
+            raise InvalidDocumentError("array type JSON needs an 'elem' type")
         return ArrayT(type_from_json(obj["elem"]))
     if kind == "doc":
         fields = obj.get("fields")

@@ -189,6 +189,13 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert "examples[0].input" in err
 
+    def test_array_type_without_elem_is_schema_error(self, tmp_path, capsys):
+        t = simple_task()
+        t["schema"] = {"items": {"kind": "array"}}
+        path = write_json(tmp_path / "t.json", t)
+        assert main(["synth", path]) == 1
+        assert "error: schema:" in capsys.readouterr().err
+
     def test_trace_logs_one_line_per_sketch(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", simple_task())
         assert main(["synth", path, "--trace", "--emit", "dsl"]) == 0

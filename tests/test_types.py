@@ -163,3 +163,5 @@ def test_type_json_round_trip():
     assert type_to_json(STRING) == {"kind": "string"}
     with pytest.raises(InvalidDocumentError):
         type_from_json({"kind": "str"})
+    with pytest.raises(InvalidDocumentError):
+        type_from_json({"kind": "array"})
