@@ -89,11 +89,13 @@ class SynthesisConfig:
     disable_type_abstraction: bool = False
 
     def __post_init__(self):
-        if not (self.timeout_seconds > 0):  # also rejects NaN
-            raise TaskError("timeout_seconds must be positive")
+        t = self.timeout_seconds
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not t > 0:  # also NaN
+            raise TaskError("timeout_seconds must be a positive number")
         for name in ("max_pipeline_depth", "max_group_keys"):
-            if getattr(self, name) < 1:
-                raise TaskError(f"{name} must be at least 1")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise TaskError(f"{name} must be an integer of at least 1")
 
 
 @dataclass(frozen=True)

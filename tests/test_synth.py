@@ -389,5 +389,15 @@ class TestValidation:
             SynthesisConfig(max_pipeline_depth=0)
         with pytest.raises(TaskError):
             SynthesisConfig(timeout_seconds=0)
-        with pytest.raises(TaskError):
-            SynthesisConfig(timeout_seconds=float("nan"))
+        for bad in (
+            {"timeout_seconds": float("nan")},
+            {"timeout_seconds": "5"},
+            {"timeout_seconds": True},
+            {"max_group_keys": 1.5},
+            {"max_group_keys": "2"},
+            {"max_group_keys": True},
+            {"max_pipeline_depth": 2.0},
+        ):
+            with pytest.raises(TaskError):
+                SynthesisConfig(**bad)
+        assert SynthesisConfig(timeout_seconds=5, max_group_keys=3).max_group_keys == 3
