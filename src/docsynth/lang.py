@@ -269,9 +269,6 @@ class Lookup:
             raise MalformedQueryError(f"invalid lookup attribute: {self.as_attr!r}")
 
 
-OPERATORS = (Project, Match, AddFields, Unwind, Group, Lookup)
-
-
 # ---------------------------------------------------------------------------
 # Structure helpers and metrics
 # ---------------------------------------------------------------------------

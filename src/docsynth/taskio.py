@@ -92,10 +92,7 @@ def task_from_json(obj) -> SynthesisTask:
         except TypeInferenceError as e:
             _fail("examples[0].input", f"cannot infer schema: {e}")
 
-    try:
-        return SynthesisTask(schema, collection, tuple(examples), tuple(constants))
-    except TaskError as e:
-        raise TaskError(str(e)) from None
+    return SynthesisTask(schema, collection, tuple(examples), tuple(constants))
 
 
 def load_task(path) -> SynthesisTask:
