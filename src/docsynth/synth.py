@@ -359,14 +359,14 @@ def _atom_vectors(docs, paths, constants):
                     sized = (isinstance(v, list) and len(v) == c for v in col)
                     yield sum(1 << i for i, f in enumerate(sized) if f), SizeEq, (h, c)
     # comparisons read an absent path as Null and skip paths of another kind
-    columns = [
+    compared = [
         (h, KIND_OF_TYPE.get(type(t)), [None if v is ABSENT else v for v in col])
         for h, t, col in columns
     ]
     for c in constants:
         c_kind = kind_of(c)
         ops = ("=", "!=") if c_kind == "null" else _CMP_ORDER
-        for h, kind, col in columns:
+        for h, kind, col in compared:
             if c_kind != "null" and kind != c_kind:
                 continue
             # one three-way comparison per document serves every operator
