@@ -8,17 +8,16 @@ a sketch when the observed output concretizes none of them.
 Stage ids count outward from the leaf (leaf = 0), and stage j contributes
 both its size atom (tying l_j to l_{j-1}) and its type successors.
 
-Evaluation is a left fold from the leaf outward, so the Λ of a spine is one
-successor step from the Λ of `ops[:-1]`, the spine without its outermost
-stage. `AbsEvalContext` holds one example's abstract database and a memo of
-the types of every Λ it has computed, keyed by the ops tuple; a miss
-computes the missing prefixes first. The synthesizer refines a spine by
-prepending a stage at the leaf, so `ops[:-1]` of a depth-d+1 spine is a
-depth-d spine, and breadth-first search has evaluated it already: each spine
-costs one step. Types and tuples of types are interned per context, each
-(operator, parent tuple, stage) step is computed once, and formulas are
-built once per sequence of size atoms, so memo entries share their objects;
-`abs_eval` pairs a spine's types with its formula.
+Evaluation is a left fold from the leaf outward: the types of Λ start from
+one interned root tuple per collection, and each stage takes one successor
+step. `AbsEvalContext` holds one example's abstract database, interns types
+and tuples of types, and computes each (operator, parent tuple, stage) step
+once, so Λ of a spine costs one table lookup per stage and memo entries
+share their objects. The synthesizer refines a spine by prepending a stage
+at the leaf, so `ops[:-1]` of a depth-d+1 spine is a depth-d spine, and
+breadth-first search has taken every step but the last already. The size
+formula needs no fold: it is the collection's `l_0` plus the spine's atom
+ops. `abs_eval` pairs a spine's types with its formula.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .abstraction import (
     type_union,
 )
 from .errors import MalformedQueryError, UnknownCollectionError
-from .sizes import Rel
+from .sizes import SizeFormula
 from .types import ArrayT, DocT, NUM
 
 OPERATOR_TAGS = ("project", "match", "add_fields", "unwind", "group", "lookup")
@@ -160,7 +159,7 @@ def _same(a, b) -> bool:
 
 class AbsEvalContext:
     """One example's abstract database, output and group-key bound, plus the
-    memo of every Λ computed from them and deduction's verdicts on that
+    interned abstract steps over them and deduction's verdicts on that
     output. The synthesizer sets `out_docs`."""
 
     def __init__(self, adb: dict, out_type: DocT, max_group_keys: int = 2):
@@ -169,41 +168,27 @@ class AbsEvalContext:
         self.out_aug = from_doc_type(out_type)
         self.max_group_keys = max_group_keys
         self.out_docs = []
-        self.sized = {}      # id(formula) -> whether out_docs' size satisfies it
+        self.sized = {}      # formula -> whether out_docs' size satisfies it
         self.typed = {}      # document type -> whether out_type matches it
-        self._lams = {}      # collection -> ops tuple -> the types of Λ
         self._types = {}     # t -> the types _same tells apart among those == t
         self._tuples = {}    # ids of interned types -> the one tuple of them
         self._steps = {}     # (tag, id(parent types), stage) -> the types after it
-        self._formulas = {}  # (collection, atom ops) -> SizeFormula
         # Types and type tuples are interned, and the intern tables keep them
         # alive as long as the context, so an id names one of them.
+        self._roots = {      # collection -> the types of Λ for the bare spine
+            name: self._intern_tuple((self._intern(ac.doc_type),)) for name, ac in adb.items()
+        }
 
     def types(self, collection: str, ops: tuple) -> tuple:
         """The document types of Λ for the spine `ops` over `collection`."""
-        memo = self._lams.get(collection)
-        if memo is None:
-            memo = self._lams[collection] = {}
-        types = memo.get(ops)
-        if types is None:
-            if ops:
-                types = self._step(self.types(collection, ops[:-1]), ops[-1], len(ops))
-            else:
-                types = self._intern_tuple((self._intern(self.adb[collection].doc_type),))
-            memo[ops] = types
+        types = self._roots[collection]
+        for j, tag in enumerate(ops, start=1):
+            types = self._step(types, tag, j)
         return types
 
-    def formula(self, collection: str, atoms: tuple):
+    def formula(self, collection: str, atoms: tuple) -> SizeFormula:
         """The size formula of every spine over `collection` with these atom ops."""
-        f = self._formulas.get((collection, atoms))
-        if f is None:
-            if atoms:
-                j = len(atoms)
-                f = self.formula(collection, atoms[:-1]).extended(Rel(atoms[-1], j, j - 1))
-            else:
-                f = self.adb[collection].formula
-            self._formulas[(collection, atoms)] = f
-        return f
+        return SizeFormula(self.adb[collection].formula.ground, atoms)
 
     def _step(self, parent: tuple, tag: str, j: int) -> tuple:
         if not parent:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedQueryError, NotASubsetError
-from .sizes import SizeFormula, is_sat as _formula_sat, Ground
-from .types import DocT, render_type
+from .sizes import SizeFormula, is_sat as _formula_sat
+from .types import DocT
 
 
 class AnyType:
@@ -56,7 +56,7 @@ def _render_value(v) -> str:
         return "Any"
     if isinstance(v, AugmentedType):
         return v.render()
-    return render_type(v)
+    return str(v)
 
 
 class AugmentedType:
@@ -313,13 +313,10 @@ class AbstractCollection:
 
 def abstract_db_of(db: dict, schema: dict) -> dict:
     """Each collection becomes (its schema type, l0 = current size)."""
-    out = {}
-    for name, coll_type in schema.items():
-        size = len(db.get(name, []))
-        out[name] = AbstractCollection(
-            from_doc_type(coll_type.elem), SizeFormula([Ground(0, size)])
-        )
-    return out
+    return {
+        name: AbstractCollection(from_doc_type(coll_type.elem), SizeFormula(len(db[name])))
+        for name, coll_type in schema.items()
+    }
 
 
 def concretizes(coll, ac: AbstractCollection, *,

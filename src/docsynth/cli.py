@@ -310,9 +310,10 @@ def _canon(doc):
 # --- entry point --------------------------------------------------------------
 
 def _add_synth_flags(p):
-    p.add_argument("--timeout", type=float, default=300.0, metavar="SECONDS")
-    p.add_argument("--max-depth", type=int, default=6, metavar="N")
-    p.add_argument("--max-group-keys", type=int, default=2, metavar="N")
+    default = SynthesisConfig()
+    p.add_argument("--timeout", type=float, default=default.timeout_seconds, metavar="SECONDS")
+    p.add_argument("--max-depth", type=int, default=default.max_pipeline_depth, metavar="N")
+    p.add_argument("--max-group-keys", type=int, default=default.max_group_keys, metavar="N")
     p.add_argument("--no-size-abstraction", action="store_true")
     p.add_argument("--no-type-abstraction", action="store_true")
 

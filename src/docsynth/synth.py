@@ -31,6 +31,8 @@ returned. The orders are fixed as follows.
                then arithmetic (left path, op, right path), then unary math
                functions; per-target dedup by value vector.
   group        key sets descending by size (lexicographic within a size),
+               skipping a set that merges no documents of some non-empty
+               example, since deduction assumed a strict decrease;
                aggregate-name sets ascending with the empty set first,
                aggregators Count, Sum, Avg, Min, Max per name, argument
                paths drawn from top-level numeric attributes.
@@ -41,15 +43,16 @@ returned. The orders are fixed as follows.
 The facts that stay fixed while one task is searched (abstract databases,
 output types, the constant pool, the deadline and the counters) are built
 once, in `Search`. Deduction's state lives in one `absint.AbsEvalContext`
-per example: the output documents and their lenient type, the Λ of every
-spine evaluated so far, and a `concretizes` verdict per formula (the size
-half) and per abstract document type (the type half). `deduce` runs each
-half unless its ablation flag is set; the size half reads the context's
-interned formula, not Λ, so it is the same with types off. `refine`
-prepends the new stage at the leaf, while abstract evaluation folds from the
-leaf outward, so a spine's parent for deduction is `ops[:-1]`, not the spine
-it was refined from; breadth first, both were visited earlier, and deduction
-takes one abstract step per spine. The layer functions (`deduce`,
+per example: the output documents and their lenient type, the interned
+abstract steps taken so far, and a `concretizes` verdict per size formula
+(the size half) and per abstract document type (the type half). `deduce`
+runs each half unless its ablation flag is set. The size half keys its memo
+by the formula value, the collection's `l_0` plus the spine's atom ops, and
+never reads Λ, so it is the same with types off. `refine` prepends the new
+stage at the leaf, while abstract evaluation folds from the leaf outward, so
+a spine's parent for deduction is `ops[:-1]`, not the spine it was refined
+from; breadth first, both were visited earlier, and deduction takes one new
+abstract step per spine. The layer functions (`deduce`,
 `abs_eval`, `concretizes`, `complete_sketch`, `enumerate_predicates`,
 `lenient_doc_type`, `apply_stage`) are called through this module's globals,
 because perfbench/tracing.py rebinds those names to time each layer.
@@ -118,7 +121,10 @@ class SynthesisTask:
             raise TaskError(f"collection {self.collection!r} not in schema")
         for i, ex in enumerate(self.examples):
             for name, coll_type in self.schema.items():
-                docs = ex.input.get(name, [])
+                docs = ex.input.get(name)
+                if docs is None:
+                    # the search reads every schema collection, through Lookup
+                    raise TaskError(f"examples[{i}].input: missing collection {name!r}")
                 if not conforms(docs, coll_type):
                     raise TaskError(f"examples[{i}].input[{name!r}] does not conform to the schema")
 
@@ -242,12 +248,11 @@ def deduce(search: Search, sk: Sketch) -> bool:
             if not lam:
                 return False
         if check_size:
-            # formulas are interned per context, so an id names one
             f = ctx.formula(sk.collection, sk.atoms)
-            sized = ctx.sized.get(id(f))
+            sized = ctx.sized.get(f)
             if sized is None:
                 # the size half reads the formula only, so the type is left open
-                sized = ctx.sized[id(f)] = concretizes(
+                sized = ctx.sized[f] = concretizes(
                     ctx.out_docs, AbstractCollection(ANY, f), doc_type=ctx.out_type,
                     check_type=False,
                 )
@@ -493,7 +498,7 @@ def _gen_group(state):
     num_paths = [(name,) for name, t in state.in_type.fields if t == NUM]
     agg_pool = [Count()]
     agg_pool += [make(p) for make in (Sum, Avg, Min, Max) for p in num_paths]
-    first_docs = state.first_docs
+    colls = state.colls
     output_nums = state.search.output_nums
 
     max_size = min(state.search.cfg.max_group_keys, len(paths))
@@ -501,13 +506,12 @@ def _gen_group(state):
         for keys in combinations(paths, size):
             if len({k[-1] for k in keys}) != size:
                 continue
-            groups = _group_members(first_docs, keys)
-            if first_docs and len(groups) >= len(first_docs):
+            # grouping must merge something in every example; the size
+            # reasoning that admitted this spine assumed a strict decrease
+            members = [_group_members(coll, keys) for coll in colls]
+            if any(coll and len(g) >= len(coll) for coll, g in zip(colls, members)):
                 continue
-            kept = [
-                a for a in agg_pool
-                if _agg_plausible(a, groups, output_nums)
-            ]
+            kept = [a for a in agg_pool if _agg_plausible(a, members[0], output_nums)]
             for nsize in range(0, len(num_out_attrs) + 1):
                 for names in combinations(num_out_attrs, nsize):
                     if not names:
@@ -570,7 +574,7 @@ _GENERATORS = {
 class _StageState:
     docs: list            # all current documents across examples, in order
     in_type: DocT
-    first_docs: list      # first example's current documents
+    colls: list           # each example's current documents
     search: Search
 
 
@@ -579,7 +583,7 @@ class _StageState:
 # ---------------------------------------------------------------------------
 
 def complete_sketch(search: Search, sk: Sketch):
-    colls = [list(db.get(sk.collection, [])) for db in search.inputs]
+    colls = [list(db[sk.collection]) for db in search.inputs]
     return _fill(search, sk, [None] * len(sk.ops), 0, colls)
 
 
@@ -591,18 +595,12 @@ def _fill(search: Search, sk: Sketch, chosen: list, k: int, colls: list):
             return _assemble(sk.collection, chosen)
         return None
     docs = [d for c in colls for d in c]
-    state = _StageState(docs, lenient_doc_type(docs), colls[0], search)
+    state = _StageState(docs, lenient_doc_type(docs), colls, search)
     for cand in _GENERATORS[sk.ops[k]](state):
         search.check_deadline()
         try:
             nxt = [apply_stage(db, coll, cand) for db, coll in zip(search.inputs, colls)]
         except EvalError:
-            continue
-        if isinstance(cand, Group) and any(
-            coll and len(new) >= len(coll) for coll, new in zip(colls, nxt)
-        ):
-            # grouping must merge something; the size reasoning that
-            # admitted this spine assumed a strict decrease per stage
             continue
         chosen[k] = cand
         got = _fill(search, sk, chosen, k + 1, nxt)

@@ -135,10 +135,6 @@ class DocT:
         return "{" + ", ".join(f"{n}: {t}" for n, t in self.fields) + "}"
 
 
-def render_type(t) -> str:
-    return str(t)
-
-
 # ---------------------------------------------------------------------------
 # Inference. Internally a null infers to _UNKNOWN and unification resolves it
 # against sibling occurrences; any _UNKNOWN left at the end is an error.

@@ -9,7 +9,7 @@ import pytest
 from docsynth.absint import AbsEvalContext, Sketch, abs_eval, array_paths
 from docsynth.abstraction import abstract_db_of, concretizes, from_doc_type
 from docsynth.errors import MalformedQueryError, UnknownCollectionError
-from docsynth.sizes import Ground, Rel, SizeFormula
+from docsynth.sizes import SizeFormula
 from docsynth.synth import lenient_doc_type
 from docsynth.types import ArrayT, DocT, NUM, STRING, compute_schema, infer_collection_type
 from .generators import gen_pair
@@ -62,7 +62,7 @@ class TestAbsEval:
             assert ac.formula.render() == (
                 "l₀=3 ∧ l₁≥l₀ ∧ l₂≤l₁ ∧ l₃<l₂ ∧ l₄=l₃ ∧ l₅≤l₄ ∧ l₆=l₅"
             )
-            assert ac.formula.max_label == 6
+            assert len(ac.formula.ops) == 6
 
     def test_feasibility_of_the_three_sketches(self):
         adb = forum_adb()
@@ -135,25 +135,23 @@ class TestAbsEval:
     def test_formula_matches_sketch_formula(self):
         ctx = AbsEvalContext(forum_adb(), OUT_TYPE)
         lam = abs_eval(ctx, OMEGA_3)
-        f = SizeFormula([Ground(0, 3)] + [
-            Rel(op, j, j - 1) for j, op in enumerate((">=", "<=", "<", "=", "<=", "="), start=1)
-        ])
+        f = SizeFormula(3, (">=", "<=", "<", "=", "<=", "="))
         assert OMEGA_3.atoms == (">=", "<=", "<", "=", "<=", "=")
         assert all(ac.formula == f for ac in lam)
-        # deduction's size half reads the same interned formula without Λ
-        assert all(ac.formula is ctx.formula("posts", OMEGA_3.atoms) for ac in lam)
+        # deduction's size half reads the same formula without Λ
+        assert all(ac.formula == ctx.formula("posts", OMEGA_3.atoms) for ac in lam)
 
     def test_atom_count_invariant(self):
         adb = forum_adb()
         for sk in (OMEGA_1, OMEGA_2, OMEGA_3):
             for ac in abs_eval(AbsEvalContext(adb, OUT_TYPE), sk):
-                assert len(ac.formula.atoms) == sk.depth + 1
-                assert ac.formula.max_label == sk.depth
+                assert ac.formula.ground == 3
+                assert len(ac.formula.ops) == sk.depth
 
 
 class TestAbsEvalMemo:
-    # Λ of a spine comes from the memoized Λ of ops[:-1]; whatever order the
-    # spines are visited in, that must give what a fresh fold gives, down to
+    # Λ of a spine reuses the interned steps of earlier spines; whatever order
+    # the spines are visited in, that must give what a fresh fold gives, down to
     # placeholder labels and the order of Λ's members
     def test_shared_memo_matches_fresh_memo_in_any_order(self):
         with_lookup = 0
@@ -179,10 +177,10 @@ class TestAbsEvalMemo:
         a = abs_eval(ctx, Sketch("posts", ("match", "project")))
         b = abs_eval(ctx, Sketch("posts", ("project", "match")))
         c = abs_eval(ctx, Sketch("posts", ("add_fields", "match")))
-        # one object per type, and one formula per sequence of size atoms
+        # one object per type, and one formula value per sequence of size atoms
         assert a[0].doc_type is b[0].doc_type
-        assert b[0].formula is c[0].formula
-        assert a[0].formula is not b[0].formula
+        assert b[0].formula == c[0].formula
+        assert a[0].formula != b[0].formula
 
 
 class TestHelpers:

@@ -23,7 +23,7 @@ from docsynth.abstraction import (
     type_union,
 )
 from docsynth.errors import MalformedQueryError, NotASubsetError
-from docsynth.sizes import Ground, Rel, SizeFormula
+from docsynth.sizes import SizeFormula
 from docsynth.types import ArrayT, BOOL, DocT, NUM, STRING, compute_schema, infer_collection_type
 from .oracles import match_by_enumeration
 
@@ -254,24 +254,17 @@ def test_subset_characterization(a, b):
 # Abstract collections
 # ---------------------------------------------------------------------------
 
-def phi(c, ops):
-    atoms = [Ground(0, c)]
-    for j, op in enumerate(ops, start=1):
-        atoms.append(Rel(op, j, j - 1))
-    return SizeFormula(atoms)
-
-
 class TestConcretizes:
     def setup_method(self):
         self.output = GOLDEN["stages"][5]  # two rows: reply_count, title
         self.out_t = infer_collection_type(self.output)
         self.c3 = AbstractCollection(
             aug(many(0, ANY), many(3, NUM)),
-            phi(3, [">=", "<=", "<", "=", "<=", "="]),
+            SizeFormula(3, (">=", "<=", "<", "=", "<=", "=")),
         )
         self.c1 = AbstractCollection(
             from_doc_type(compute_schema(GOLDEN["input"])["posts"].elem),
-            phi(3, []),
+            SizeFormula(3),
         )
 
     def test_forum_output_concretizes_c3(self):
@@ -285,14 +278,14 @@ class TestConcretizes:
         assert concretizes(self.output, self.c1, doc_type=self.out_t, check_type=False, check_size=False)
 
     def test_empty_collection_checks_size_only(self):
-        ac = AbstractCollection(aug(("zzz", NUM)), phi(3, ["<="]))
+        ac = AbstractCollection(aug(("zzz", NUM)), SizeFormula(3, ("<=",)))
         assert concretizes([], ac, doc_type=DocT({}))
-        ac2 = AbstractCollection(aug(("zzz", NUM)), phi(3, ["="]))
+        ac2 = AbstractCollection(aug(("zzz", NUM)), SizeFormula(3, ("=",)))
         assert not concretizes([], ac2, doc_type=DocT({}))
 
     def test_result_var(self):
-        assert self.c3.formula.max_label == 6
-        assert self.c1.formula.max_label == 0
+        assert len(self.c3.formula.ops) == 6
+        assert len(self.c1.formula.ops) == 0
 
     def test_render(self):
         assert self.c3.render() == (

@@ -24,7 +24,7 @@ from docsynth.lang import (
     Project, Sum, Unwind, stages,
 )
 from docsynth.mongo import optimize, render_shell, translate
-from docsynth.sizes import Ground, Rel, SizeFormula, is_sat
+from docsynth.sizes import SizeFormula, is_sat
 from docsynth.synth import (
     Example, Search, SynthesisConfig, SynthesisTask, complete_sketch, deduce, synthesize,
 )
@@ -88,7 +88,7 @@ def test_forum_deduction_verdicts_and_traces():
         lam = abs_eval(AbsEvalContext(adb, out_type), six)
         assert "{?⁺₀: Any, ?⁺₃: Num}" in [ac.doc_type.render() for ac in lam]
         for ac in lam:
-            assert len(ac.formula.atoms) == 7
+            assert len(ac.formula.ops) == 6
             assert ac.formula.render() == (
                 "l₀=3 ∧ l₁≥l₀ ∧ l₂≤l₁ ∧ l₃<l₂ ∧ l₄=l₃ ∧ l₅≤l₄ ∧ l₆=l₅"
             )
@@ -137,8 +137,7 @@ def test_size_solver_agrees_with_bruteforce():
         for _ in range(10000):
             c = rng.randint(0, 10)
             ops = [rng.choice(("=", "<=", ">=", "<")) for _ in range(rng.randint(0, 7))]
-            atoms = [Ground(0, c)] + [Rel(op, j, j - 1) for j, op in enumerate(ops, start=1)]
-            f = SizeFormula(atoms)
+            f = SizeFormula(c, tuple(ops))
             probe = None if rng.random() < 0.5 else rng.randint(0, 12)
             oracle_atoms = [("ground", c)] + [(op, j, j - 1) for j, op in enumerate(ops, start=1)]
             oracle_probe = None if probe is None else (len(ops), probe)

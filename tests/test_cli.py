@@ -12,6 +12,7 @@ import pytest
 
 from docsynth.cli import main
 from docsynth.errors import TaskError
+from docsynth.synth import SynthesisConfig, synthesize
 from docsynth.taskio import load_task, task_from_json, task_to_json
 from docsynth.types import compute_schema
 
@@ -178,6 +179,24 @@ class TestSynthCommand:
         path = write_json(tmp_path / "t.json", t)
         assert main(["synth", path, "--max-depth", "1"]) == 3
         assert "status=exhausted" in capsys.readouterr().out
+
+    def test_no_flags_build_the_default_config(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def spy(task, cfg, trace=None):
+            seen.append(cfg)
+            return synthesize(task, cfg, trace=trace)
+
+        monkeypatch.setattr("docsynth.cli.synthesize", spy)
+        assert main(["synth", write_json(tmp_path / "t.json", simple_task())]) == 0
+        assert seen == [SynthesisConfig()]
+
+    def test_example_missing_a_collection_is_input_error(self, tmp_path, capsys):
+        t = simple_task()
+        t["examples"][0]["input"]["tags"] = [{"name": "x"}]
+        t["examples"].append({"input": {"items": [{"a": 1}]}, "output": []})
+        assert main(["synth", write_json(tmp_path / "t.json", t)]) == 1
+        assert "examples[1].input: missing collection 'tags'" in capsys.readouterr().err
 
     def test_missing_task_file_is_input_error(self, tmp_path, capsys):
         assert main(["synth", str(tmp_path / "no.json")]) == 1

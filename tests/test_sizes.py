@@ -4,15 +4,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from docsynth.errors import MalformedFormulaError
-from docsynth.sizes import Ground, Rel, SizeFormula, is_sat
+from docsynth.sizes import SizeFormula, is_sat
 from .oracles import sat_by_enumeration
 
 
 def chain(c, ops):
-    atoms = [Ground(0, c)]
-    for j, op in enumerate(ops, start=1):
-        atoms.append(Rel(op, j, j - 1))
-    return SizeFormula(atoms)
+    return SizeFormula(c, tuple(ops))
 
 
 PHI_MATCH = chain(3, [">=", "<=", "="])
@@ -28,13 +25,15 @@ class TestRender:
         assert chain(0, []).render() == "l₀=0"
 
     def test_max_label(self):
-        assert PHI_GROUP.max_label == 6
-        assert chain(3, []).max_label == 0
+        assert len(PHI_GROUP.ops) == 6
+        assert len(chain(3, []).ops) == 0
 
     def test_equality_ignores_atom_order(self):
-        a = SizeFormula([Ground(0, 3), Rel("<=", 1, 0)])
-        b = SizeFormula([Rel("<=", 1, 0), Ground(0, 3)])
+        # a formula is a value: equal parts, however built, give equal formulas
+        a = SizeFormula(3, ("<=",))
+        b = SizeFormula(3, tuple(["<="]))
         assert a == b and hash(a) == hash(b)
+        assert a != SizeFormula(3, (">=",)) and a != SizeFormula(4, ("<=",))
 
 
 class TestVerdicts:
@@ -65,31 +64,17 @@ class TestVerdicts:
 
 
 class TestValidation:
-    def test_ground_not_at_l0(self):
-        with pytest.raises(MalformedFormulaError):
-            Ground(1, 3)
-
     def test_ground_value_checked(self):
         with pytest.raises(MalformedFormulaError):
-            Ground(0, -1)
+            SizeFormula(-1)
         with pytest.raises(MalformedFormulaError):
-            Ground(0, True)
+            SizeFormula(True)
 
-    def test_rel_must_point_one_back(self):
+    def test_unknown_relation_rejected(self):
         with pytest.raises(MalformedFormulaError):
-            Rel("<=", 2, 0)
+            SizeFormula(1, ("~",))
         with pytest.raises(MalformedFormulaError):
-            Rel("~", 1, 0)
-
-    def test_formula_invariants(self):
-        with pytest.raises(MalformedFormulaError):
-            SizeFormula([Ground(0, 1), Ground(0, 2)])
-        with pytest.raises(MalformedFormulaError):
-            SizeFormula([Rel("=", 1, 0)])
-        with pytest.raises(MalformedFormulaError):
-            SizeFormula([Ground(0, 1), Rel("=", 3, 2)])
-        with pytest.raises(MalformedFormulaError):
-            SizeFormula([Ground(0, 1), Rel("=", 1, 0), Rel("<", 1, 0)])
+            SizeFormula(1, ("=", "=="))
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +89,7 @@ chains = st.tuples(
 
 
 def to_oracle_atoms(f):
-    out = []
-    for a in f.atoms:
-        if isinstance(a, Ground):
-            out.append(("ground", a.value))
-        else:
-            out.append((a.op, a.left, a.right))
-    return out
+    return [("ground", f.ground)] + [(op, j, j - 1) for j, op in enumerate(f.ops, start=1)]
 
 
 @given(chains)
@@ -119,8 +98,8 @@ def to_oracle_atoms(f):
 def test_interval_matches_oracle(case):
     c, ops, probe = case
     f = chain(c, ops)
-    oracle_probe = None if probe is None else (f.max_label, probe)
-    expected = sat_by_enumeration(to_oracle_atoms(f), f.max_label + 1, oracle_probe)
+    oracle_probe = None if probe is None else (len(f.ops), probe)
+    expected = sat_by_enumeration(to_oracle_atoms(f), len(f.ops) + 1, oracle_probe)
     assert is_sat(f, probe) == expected
 
 

@@ -18,6 +18,8 @@ from docsynth.synth import (
     Search,
     SynthesisConfig,
     SynthesisTask,
+    _StageState,
+    _gen_group,
     complete_sketch,
     constant_pool,
     deduce,
@@ -219,6 +221,19 @@ class TestCompleteSketch:
         q = complete_sketch(Search(t, SynthesisConfig()), OMEGA_3)
         assert q == forum_query()
 
+    def test_group_keys_must_merge_every_example(self):
+        # k merges example 0 only, j merges neither, m merges both
+        ex0 = {"c": [{"k": 1, "j": 1, "m": 1}, {"k": 1, "j": 2, "m": 1}]}
+        ex1 = {"c": [{"k": 1, "j": 1, "m": 3}, {"k": 2, "j": 2, "m": 3}]}
+        task = SynthesisTask(compute_schema(ex0), "c", (
+            Example(ex0, [{"_id": {"m": 1}}]), Example(ex1, [{"_id": {"m": 3}}]),
+        ))
+        search = Search(task, SynthesisConfig(max_group_keys=1))
+        colls = [ex0["c"], ex1["c"]]
+        docs = colls[0] + colls[1]
+        state = _StageState(docs=docs, in_type=lenient_doc_type(docs), colls=colls, search=search)
+        assert {g.keys for g in _gen_group(state)} == {(("m",),)}
+
     def test_returns_none_when_no_completion_exists(self):
         db = {"items": [{"a": 1}]}
         task = SynthesisTask(compute_schema(db), "items", (Example(db, [{"zzz": 1}]),))
@@ -378,6 +393,11 @@ class TestValidation:
         db = {"c": [{"a": 1}]}
         with pytest.raises(TaskError):
             SynthesisTask(compute_schema(db), "other", (Example(db, []),))
+
+    def test_example_missing_a_schema_collection(self):
+        db = {"a": [{"k": 1}], "b": [{"k": 1}]}
+        with pytest.raises(TaskError, match=r"examples\[1\]\.input: missing collection 'b'"):
+            SynthesisTask(compute_schema(db), "a", (Example(db, []), Example({"a": [{"k": 2}]}, [])))
 
     def test_nonconforming_input(self):
         schema = compute_schema({"c": [{"a": 1}]})

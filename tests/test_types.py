@@ -19,7 +19,6 @@ from docsynth.types import (
     conforms,
     infer_collection_type,
     infer_value_type,
-    render_type,
     schema_from_json,
     schema_to_json,
     type_from_json,
@@ -144,8 +143,8 @@ def test_type_of_path_and_typed_paths():
 
 def test_render_type_notation():
     t = DocT({"title": STRING})
-    assert render_type(t) == "{title: String}"
-    assert render_type(ArrayT(DocT({"depth": NUM}))) == "Arr⟨{depth: Num}⟩"
+    assert str(t) == "{title: String}"
+    assert str(ArrayT(DocT({"depth": NUM}))) == "Arr⟨{depth: Num}⟩"
 
 
 def test_type_json_round_trip():
