@@ -13,6 +13,7 @@ placeholders pair up by kind and value type.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import MalformedQueryError, NotASubsetError
@@ -100,8 +101,8 @@ class AugmentedType:
     def _canonical(self):
         if self._canon is None:
             named = frozenset((k, _canon_value(v)) for k, v in self._named.items())
-            phs = sorted((p.kind, repr(_canon_value(v))) for p, v in self._placeholders)
-            self._canon = (named, tuple(phs))
+            phs = Counter((p.kind, _canon_value(v)) for p, v in self._placeholders)
+            self._canon = (named, frozenset(phs.items()))
         return self._canon
 
     def __eq__(self, other):
@@ -247,7 +248,7 @@ def _match_value(plain, av) -> bool:
     if isinstance(av, AugmentedType):
         if not isinstance(plain, DocT):
             return False
-        if set(plain.attrs) != set(av.named()):
+        if plain.attrs.keys() != av.named().keys():
             return False
         return all(_match_value(pt, av.get(name)) for name, pt in plain.fields)
     if isinstance(plain, DocT):

@@ -67,7 +67,7 @@ from itertools import combinations, product
 
 from .absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
 from .abstraction import ANY, AbstractCollection, abstract_db_of, concretizes
-from .errors import EvalError, TaskError, TypeInferenceError
+from .errors import EvalError, TaskError
 from .interp import HOLDS_ON, apply_stage, eval_agg, eval_expr, read_path
 from .lang import (
     AddFields, And, Arith, Avg, Cmp, CollectionRef, Count, Exists, FalsePred,
@@ -75,8 +75,7 @@ from .lang import (
     Project, SizeEq, Sum, TruePred, Unwind, ast_size,
 )
 from .types import (
-    KIND_OF_TYPE, NUM, TYPE_OF_KIND, ArrayT, DocT, conforms, infer_value_type, type_of_path,
-    typed_paths,
+    KIND_OF_TYPE, NUM, TYPE_OF_KIND, ArrayT, DocT, conforms, type_of_path, typed_paths,
 )
 from .values import ABSENT, collection_eq, get_path, kind_of, value_cmp, value_key
 
@@ -189,8 +188,12 @@ def refine(sk: Sketch):
 #
 # Candidate enumeration only needs paths and rough types; attributes whose
 # values disagree in kind (or that are only ever null / empty arrays) are
-# silently dropped rather than failing the whole stage. Any imprecision is
-# harmless because every candidate query is verified exactly.
+# silently dropped rather than failing the whole stage. One rule types a value
+# at every depth: documents by their attributes, arrays by the same rule over
+# the elements of all their occurrences. Where schema inference
+# (types.infer_collection_type) succeeds, the result is the type it infers.
+# Any imprecision is harmless because every candidate query is verified
+# exactly.
 # ---------------------------------------------------------------------------
 
 def lenient_doc_type(docs):
@@ -218,16 +221,8 @@ def _lenient_value_type(values):
     if kind == "doc":
         return lenient_doc_type([v for v in values if v is not None])
     if kind == "array":
-        elems = [e for v in values if v is not None for e in v]
-        if not elems:
-            return None
-        try:
-            inner = infer_value_type(elems[0])
-            if any(infer_value_type(e) != inner for e in elems[1:]):
-                return None
-        except TypeInferenceError:
-            return None
-        return ArrayT(inner)
+        elem = _lenient_value_type([e for v in values if v is not None for e in v])
+        return None if elem is None else ArrayT(elem)
     return TYPE_OF_KIND[kind]
 
 

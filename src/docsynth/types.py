@@ -86,47 +86,40 @@ class ArrayT:
 
 
 class DocT:
-    """Document type: ordered attribute map, order-insensitive equality."""
+    """Document type: ordered attribute map, order-insensitive equality.
+    `attrs` maps each name of `fields` to its type; do not mutate it."""
 
-    __slots__ = ("fields",)
+    __slots__ = ("fields", "attrs")
 
     def __init__(self, fields):
         if isinstance(fields, dict):
             fields = tuple(fields.items())
         else:
             fields = tuple(fields)
-        seen = set()
-        for name, _ in fields:
+        attrs = {}
+        for name, t in fields:
             if not values.is_valid_attr(name):
                 raise InvalidDocumentError(f"invalid attribute name in type: {name!r}")
-            if name in seen:
+            if name in attrs:
                 raise InvalidDocumentError(f"duplicate attribute in type: {name!r}")
-            seen.add(name)
+            attrs[name] = t
         object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "attrs", attrs)
 
     def __setattr__(self, *a):
         raise AttributeError("DocT is immutable")
 
-    @property
-    def attrs(self):
-        return dict(self.fields)
-
     def get(self, name):
-        for n, t in self.fields:
-            if n == name:
-                return t
-        return None
+        return self.attrs.get(name)
 
     def __contains__(self, name):
-        return any(n == name for n, _ in self.fields)
+        return name in self.attrs
 
     def __eq__(self, other):
-        if not isinstance(other, DocT):
-            return False
-        return sorted(self.fields, key=lambda f: f[0]) == sorted(other.fields, key=lambda f: f[0])
+        return isinstance(other, DocT) and self.attrs == other.attrs
 
     def __hash__(self):
-        return hash(tuple(sorted((n, hash(t)) for n, t in self.fields)))
+        return hash(frozenset(self.attrs.items()))
 
     def __repr__(self):
         return f"DocT({list(self.fields)!r})"
@@ -190,16 +183,6 @@ def _resolve(t, where):
     if isinstance(t, DocT):
         return DocT({n: _resolve(x, f"{where}.{n}") for n, x in t.fields})
     return t
-
-
-def infer_value_type(v):
-    """Infer the unique type of a value.
-
-    Raises HeterogeneousArrayError on conflicting element types and
-    UntypableArrayError / UntypableNullError when nulls or empty arrays leave
-    a type undetermined.
-    """
-    return _resolve(_infer(v, "$"), "$")
 
 
 def infer_collection_type(docs, where="collection") -> DocT:

@@ -30,7 +30,7 @@ from docsynth.synth import (
 )
 from docsynth import synth as synth_module
 from docsynth.taskio import load_task
-from docsynth.text import render_pred, render_query
+from docsynth.text import parse_query, render_pred, render_query
 from docsynth.types import (
     ArrayT, BOOL, DATETIME, DocT, NUM, STRING, compute_schema, typed_paths,
 )
@@ -269,6 +269,23 @@ class TestSynthesize:
             r = synthesize(task, SynthesisConfig(max_pipeline_depth=2))
             assert r.status == "success"
             assert render_query(r.query) == "Match(c, a > 6)"
+
+    @pytest.mark.parametrize("db, coll, query", [
+        ({"c": [{"r": [{"x": 1}, {"x": 2, "y": 3}]}]}, "c", "c"),
+        ({"c": [{"r": [1, None]}]}, "c", "c"),
+        ({"c": [{"k": 1, "r": [1, None]}, {"k": 2, "r": [3]}]}, "c", "Unwind(c, r)"),
+        ({"orders": [{"o": 1, "c": 1}, {"o": 2, "c": 2}, {"o": 3, "c": 1}],
+          "cust": [{"c": 1, "name": "a", "email": "a@x"}, {"c": 2, "name": "b"}]},
+         "orders", "Lookup(orders, c, c, cust, cs)"),
+    ], ids=["optional-attr-in-array", "null-in-array", "unwind-null", "lookup-optional-attr"])
+    def test_arrays_with_optional_attributes_or_nulls(self, db, coll, query):
+        # the output type keeps an array whose elements omit an attribute or are null
+        out = eval_query(db, parse_query(query))
+        task = SynthesisTask(compute_schema(db), coll, (Example(db, out),))
+        r = synthesize(task)
+        assert r.status == "success"
+        assert render_query(r.query) == query
+        assert eval_query(db, r.query) == out
 
     def test_forum_task_returns_section_query(self, forum_result):
         r = forum_result

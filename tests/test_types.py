@@ -7,6 +7,7 @@ from docsynth.errors import (
     UntypableArrayError,
     UntypableNullError,
 )
+from docsynth.synth import lenient_doc_type
 from docsynth.types import (
     ArrayT,
     BOOL,
@@ -18,7 +19,6 @@ from docsynth.types import (
     compute_schema,
     conforms,
     infer_collection_type,
-    infer_value_type,
     schema_from_json,
     schema_to_json,
     type_from_json,
@@ -30,13 +30,13 @@ from docsynth.values import Datetime, ObjectId
 
 
 def test_infer_simple_document():
-    t = infer_value_type({"a": 1, "b": [2, 3]})
+    t = infer_collection_type([{"a": 1, "b": [2, 3]}])
     assert t == DocT({"a": NUM, "b": ArrayT(NUM)})
 
 
 def test_infer_fig_style_post():
     doc = {"_id": "1", "title": "Title-1", "replies": [{"depth": 0}, {"depth": 1}]}
-    t = infer_value_type(doc)
+    t = infer_collection_type([doc])
     assert t == DocT({"_id": STRING, "title": STRING, "replies": ArrayT(DocT({"depth": NUM}))})
 
 
@@ -47,26 +47,27 @@ def test_doc_type_equality_ignores_order():
 
 def test_heterogeneous_array_rejected():
     with pytest.raises(HeterogeneousArrayError):
-        infer_value_type([1, "x"])
+        infer_collection_type([{"v": [1, "x"]}])
     with pytest.raises(HeterogeneousArrayError):
-        infer_value_type([{"a": 1}, {"a": "x"}])
+        infer_collection_type([{"v": [{"a": 1}, {"a": "x"}]}])
 
 
 def test_null_adopts_sibling_type():
-    assert infer_value_type([1, None, 3]) == ArrayT(NUM)
-    assert infer_value_type([{"a": 1}, {"a": None}]) == ArrayT(DocT({"a": NUM}))
+    assert infer_collection_type([{"v": [1, None, 3]}]) == DocT({"v": ArrayT(NUM)})
+    assert infer_collection_type([{"v": [{"a": 1}, {"a": None}]}]) == DocT(
+        {"v": ArrayT(DocT({"a": NUM}))})
 
 
 def test_empty_or_all_null_array_needs_fallback():
     with pytest.raises(UntypableArrayError):
-        infer_value_type([])
+        infer_collection_type([{"v": []}])
     with pytest.raises(UntypableArrayError):
-        infer_value_type([None, None])
+        infer_collection_type([{"v": [None, None]}])
 
 
 def test_bare_null_attr_is_untypable():
     with pytest.raises(UntypableNullError):
-        infer_value_type({"a": None})
+        infer_collection_type([{"a": None}])
 
 
 def test_collection_type_unifies_missing_and_null():
@@ -119,13 +120,26 @@ def _docs(full):
 
 # one full document among partial ones, in any order, so inference succeeds
 # and every attribute's type must be found wherever its witness is
-@given(st.tuples(_docs(True), st.lists(_docs(False), max_size=3)).flatmap(
-    lambda t: st.permutations([t[0], *t[1]])))
+_INFERABLE = st.tuples(_docs(True), st.lists(_docs(False), max_size=3)).flatmap(
+    lambda t: st.permutations([t[0], *t[1]]))
+
+
+@given(_INFERABLE)
 @example([{"n": None, "ds": []}, {"n": 1, "s": "x", "t": Datetime("2024-01-01"), "ns": [None, 2],
                                    "d": {"n": 1, "b": True, "o": ObjectId("ab")},
                                    "ds": [{"n": 2, "b": False, "o": ObjectId("cd")}]}])
 def test_collection_conforms_to_its_inferred_type(docs):
     assert conforms(docs, ArrayT(infer_collection_type(docs)))
+
+
+# where schema inference succeeds, lenient typing (synth.lenient_doc_type)
+# finds the same type at every depth
+@given(_INFERABLE)
+@example([{"n": 1, "s": "x", "t": Datetime("2024-01-01"), "ns": [2],
+           "d": {"n": 1, "b": True, "o": ObjectId("ab")},
+           "ds": [{"n": 2, "b": False, "o": ObjectId("cd")}]}, {"n": None, "ds": [None]}])
+def test_lenient_type_agrees_with_inference(docs):
+    assert lenient_doc_type(docs) == infer_collection_type(docs)
 
 
 def test_type_of_path_and_typed_paths():
