@@ -75,6 +75,7 @@ def cmd_synth(args) -> int:
         f"status={result.status}"
         f" sketches={stats['sketchesExplored']}"
         f" completions={stats['programsCompleted']}"
+        f" prefix_pruned={stats['prefixesPruned']}"
         f" ast={stats['astSize']}"
         f" elapsed={stats['elapsedSeconds']:.2f}s"
     )

@@ -6,6 +6,15 @@ relation op ties l_j to its immediate predecessor (`l_j = l_{j-1}`,
 over the non-negative integers. `SizeFormula(c, ops)` holds exactly that
 shape, so no other shape can be built, and forward interval propagation is
 a complete decision procedure for it.
+
+`reachable` is the same fold from a concrete size, used inside completion
+to prune a partial program once its inner stages are chosen. Its images are
+per operator kind and sound for the interpreter and the candidate
+generators, not for the chain atoms, so two are wider than their atoms:
+Unwind can drop documents (an empty or absent array) as well as multiply
+them, so it maps any size to 0..∞ rather than `>=`; Group maps 0 to 0 and
+n >= 2 to 1..n-1, and has no candidate at all at n = 1, because a key set
+must merge something in every example.
 """
 
 from __future__ import annotations
@@ -66,3 +75,23 @@ def is_sat(f: SizeFormula, probe=None) -> bool:
         elif op == ">=":
             hi = math.inf
     return probe is None or lo <= probe <= hi
+
+
+def reachable(n: int, tags, m: int) -> bool:
+    """Whether n documents can become m through stages of kinds `tags`, innermost first.
+
+    One [lo, hi] fold whose images are exact unions of the per-size images:
+    Match maps n to 0..n, Unwind to 0..∞, Group 0 to 0 and n >= 2 to
+    1..n-1 (n = 1 to nothing); Project, AddFields and Lookup keep n.
+    """
+    lo = hi = n
+    for tag in tags:
+        if tag == "match":
+            lo = 0
+        elif tag == "unwind":
+            lo, hi = 0, math.inf
+        elif tag == "group":
+            if lo == hi == 1:
+                return False
+            lo, hi = min(lo, 1), max(hi - 1, 0)
+    return lo <= m <= hi

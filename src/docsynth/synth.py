@@ -11,6 +11,18 @@ sketches are handed to an enumerative completer that instantiates arguments
 stage by stage, evaluating concretely on every example as it goes and
 accepting the first full query that reproduces every output exactly.
 
+Completion carries the size half down to partial programs. Before stage k
+is chosen, every example's collection has a concrete size, and
+`sizes.reachable` folds it through the operator kinds still to be chosen;
+when some example's output size is out of reach, the partial program is
+dropped with everything below it. The fold's images are those of the
+interpreter and the candidate generators, wider than the chain atoms where
+those assume more: Unwind may drop documents whose array is empty or absent,
+and Group has no candidate on a one-document collection. The check only
+drops partial programs that have no satisfying completion, so it never
+changes which query comes first. `disable_size_abstraction` turns it off
+with the spine-level size half, so the ablations measure both.
+
 Enumeration order is load-bearing for reproducibility: candidates are tried
 in the documented tier order and the first satisfying query wins, so any
 reordering changes which of several observationally equal queries is
@@ -74,6 +86,7 @@ from .lang import (
     FnCall, Group, Lookup, MATH_FNS, Match, Max, Min, Not, Or, PathExpr,
     Project, SizeEq, Sum, TruePred, Unwind, ast_size,
 )
+from .sizes import reachable
 from .types import (
     KIND_OF_TYPE, NUM, TYPE_OF_KIND, ArrayT, DocT, conforms, type_of_path, typed_paths,
 )
@@ -155,6 +168,8 @@ class Search:
             self.contexts.append(ctx)
         self.inputs = [ex.input for ex in task.examples]
         self.outputs = [ex.output for ex in task.examples]
+        self.out_sizes = [len(out) for out in self.outputs]
+        self.check_prefixes = not cfg.disable_size_abstraction
         self.out_type = lenient_doc_type([d for ex in task.examples for d in ex.output])
         self.pool = constant_pool(task.constants, task.examples)
         self.output_nums = {
@@ -164,6 +179,7 @@ class Search:
         }
         self.sketches = 0
         self.completions = 0
+        self.prefixes_pruned = 0
 
     def check_deadline(self):
         if time.monotonic() > self.deadline:
@@ -173,6 +189,7 @@ class Search:
         return SynthesisResult(query, status, {
             "sketchesExplored": self.sketches,
             "programsCompleted": self.completions,
+            "prefixesPruned": self.prefixes_pruned,
             "astSize": ast_size(query) if query is not None else 0,
             "elapsedSeconds": time.monotonic() - self.start,
         })
@@ -502,7 +519,8 @@ def _gen_group(state):
             if len({k[-1] for k in keys}) != size:
                 continue
             # grouping must merge something in every example; the size
-            # reasoning that admitted this spine assumed a strict decrease
+            # reasoning that admitted this spine assumed a strict decrease,
+            # and the prefix check (sizes.reachable) gives one document no Group
             members = [_group_members(coll, keys) for coll in colls]
             if any(coll and len(g) >= len(coll) for coll, g in zip(colls, members)):
                 continue
@@ -583,12 +601,21 @@ def complete_sketch(search: Search, sk: Sketch):
 
 
 def _fill(search: Search, sk: Sketch, chosen: list, k: int, colls: list):
-    """Choose stages k.. of sk, given every example's collection before stage k."""
+    """Choose stages k.. of sk, given every example's collection before stage k.
+
+    A prefix whose sizes cannot reach the outputs through the remaining
+    stages is dropped before its collection is typed or any candidate built.
+    """
     if k == len(sk.ops):
         search.completions += 1
         if all(collection_eq(c, o) for c, o in zip(colls, search.outputs)):
             return _assemble(sk.collection, chosen)
         return None
+    if search.check_prefixes:
+        rest = sk.ops[k:]
+        if not all(reachable(len(c), rest, m) for c, m in zip(colls, search.out_sizes)):
+            search.prefixes_pruned += 1
+            return None
     docs = [d for c in colls for d in c]
     state = _StageState(docs, lenient_doc_type(docs), colls, search)
     for cand in _GENERATORS[sk.ops[k]](state):

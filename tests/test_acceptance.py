@@ -56,7 +56,6 @@ def test_forum_task_end_to_end():
         task = load_task(str(TASKS_DIR / "reddit_posts.json"))
         result = reddit_posts_result()
         assert result.status == "success"
-        assert result.stats["elapsedSeconds"] <= 60
         for ex in task.examples:
             assert eval_query(ex.input, result.query) == ex.output
         coll, pipe = translate(result.query)
@@ -111,6 +110,11 @@ def test_pruned_spines_have_no_completion():
             db, coll, query, output, constants = gen_pair(seed, tiny=True, max_depth=2)
             task = SynthesisTask(compute_schema(db), coll, (Example(db, output),), tuple(constants))
             search = Search(task, cfg)
+            # the oracle completes with no pruning, so "no completion" does not
+            # rest on the prefix size check
+            oracle = Search(task, SynthesisConfig(
+                disable_size_abstraction=True, disable_type_abstraction=True,
+            ))
             worklist, frontier = [Sketch(coll, ())], [Sketch(coll, ())]
             for _ in range(2):
                 frontier = [
@@ -122,7 +126,7 @@ def test_pruned_spines_have_no_completion():
                 if deduce(search, sk):
                     continue
                 pruned += 1
-                got = complete_sketch(search, sk)
+                got = complete_sketch(oracle, sk)
                 assert got is None, f"seed {seed}: pruned spine {sk.ops} completes to {got}"
         assert pruned > 100
 
@@ -180,7 +184,6 @@ def test_disabling_pruning_costs_work_not_answers():
         )
         assert base.status == no_type.status == no_both.status == "success"
         assert no_type.stats["programsCompleted"] > base.stats["programsCompleted"]
-        assert no_type.stats["elapsedSeconds"] >= base.stats["elapsedSeconds"]
         assert no_type.query == base.query
         assert no_both.query == base.query
 
@@ -196,7 +199,6 @@ def test_bundled_tasks_all_solved_and_verified(tmp_path):
             name = os.path.basename(path)
             result = reddit_posts_result() if name == "reddit_posts.json" else synthesize(task)
             assert result.status == "success", f"{name} not solved"
-            assert result.stats["elapsedSeconds"] <= 300
             seen_tags.update(skeleton(result.query).ops)
             two_key_group = two_key_group or any(
                 isinstance(s, Group) and len(s.keys) == 2 for s in stages(result.query)

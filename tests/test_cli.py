@@ -144,6 +144,7 @@ class TestSynthCommand:
         )
         assert "status=success" in out
         assert "sketches=" in out and "completions=" in out and "ast=" in out
+        assert "prefix_pruned=" in out
 
     def test_emit_dsl_only(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", simple_task())

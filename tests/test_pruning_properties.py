@@ -1,25 +1,35 @@
 """Search-pruning properties checked over randomly generated pairs.
 
 Soundness: deduction never rejects the spine of a query that actually
-produced the output. Safety: whenever deduction rejects a spine on an
-example, exhaustive completion of that spine finds nothing either.
-Bounded completeness: synthesis recovers a query for examples produced
-by a known query of small depth. Plus determinism and the guarantee
-that disabling pruning never changes the answer, only the work done.
+produced the output, and completion's size check never rejects one of that
+query's concrete prefixes. Safety: whenever deduction rejects a spine on an
+example, exhaustive completion of that spine, with no pruning of its own,
+finds nothing either. Bounded completeness: synthesis recovers a query for
+examples produced by a known query of small depth, and a few deeper seeds
+are pinned by their counts. Plus determinism and the guarantee that
+disabling pruning never changes the answer, only the work done.
 """
 
 import pytest
 
 from docsynth.absint import OPERATOR_TAGS, Sketch
-from docsynth.interp import eval_query
+from docsynth.interp import apply_stage, eval_query
+from docsynth.lang import stages
+from docsynth.sizes import reachable
 from docsynth.synth import (
     Example, Search, SynthesisConfig, SynthesisTask, complete_sketch, deduce, synthesize,
 )
+from docsynth.text import render_query
 from docsynth.types import compute_schema
 from docsynth.values import collection_eq
+from perfbench.checker import accepts
 
 from .generators import gen_pair
 from .oracles import skeleton
+
+# completion with neither abstraction: what a spine admits, judged without
+# the pruning under test
+UNPRUNED = SynthesisConfig(disable_size_abstraction=True, disable_type_abstraction=True)
 
 
 def task_of(seed, **kw):
@@ -53,6 +63,22 @@ class TestPruningSoundness:
                 )
 
 
+class TestPrefixSoundness:
+    # completion must never drop a concrete prefix of the query that produced the output
+    def test_thousand_random_pairs(self):
+        for seed in range(1000):
+            db, coll, query, output, _ = gen_pair(seed)
+            tags = skeleton(query).ops
+            docs = list(db[coll])
+            for k, stage in enumerate(stages(query)):
+                assert reachable(len(docs), tags[k:], len(output)), (
+                    f"seed {seed}: rejected the {len(docs)}-document prefix before "
+                    f"stage {k} of {query}"
+                )
+                docs = apply_stage(db, docs, stage)
+            assert len(docs) == len(output)
+
+
 def all_sketches(coll, max_depth):
     frontier = [Sketch(coll, ())]
     yield frontier[0]
@@ -75,11 +101,12 @@ class TestPruningSafety:
             db, coll, query, output, constants = gen_pair(seed, tiny=True, max_depth=2)
             task = SynthesisTask(compute_schema(db), coll, (Example(db, output),), tuple(constants))
             search = Search(task, cfg)
+            oracle = Search(task, UNPRUNED)
             for sk in all_sketches(coll, 2):
                 if deduce(search, sk):
                     continue
                 pruned += 1
-                got = complete_sketch(search, sk)
+                got = complete_sketch(oracle, sk)
                 assert got is None, (
                     f"seed {seed}: pruned spine {sk.ops} completes to {got}"
                 )
@@ -99,6 +126,29 @@ class TestBoundedCompleteness:
             )
             got = eval_query(task.examples[0].input, result.query)
             assert collection_eq(got, output)
+
+
+class TestDeepCompleteness:
+    # seed -> (returned query, completions); the true queries have depth 4 to 6
+    PINNED = {
+        10: ("AddFields(Unwind(c6, arr5), [t7, t8, t9], [s3, n2, s3])", 114),
+        12: ("Match(Group(c6, [n1], [g7], [Count()]), _id.n1 = 2)", 442),
+        28: ("Match(AddFields(Unwind(c4, arr3), [t8, t9], [n1, n1]), n1 >= 6)", 1475),
+        34: ("Match(AddFields(c2, [t3, t4, t5, t6], [n1, n1, n1 + n1, n1]), n1 >= 4)", 10807),
+        35: ("AddFields(Lookup(c5, n1, k7, c6, j9), [t10, t11, t12], [s2, s2, s2])", 271),
+        37: ("Match(AddFields(Unwind(c9, arr5), [t10], [s2]), n1 = 7)", 146),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_deep_seed_solved_with_pinned_counts(self, seed):
+        task, query, output = task_of(seed, max_depth=6, for_synthesis=True)
+        assert 4 <= len(stages(query)) <= 6
+        result = synthesize(task)
+        assert result.status == "success", f"seed {seed}: {result.status}"
+        # replayed by the naive oracle, which shares no code with docsynth.interp
+        example = {"input": task.examples[0].input, "output": output}
+        assert accepts({"examples": [example]}, result.query)
+        assert (render_query(result.query), result.stats["programsCompleted"]) == self.PINNED[seed]
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from docsynth.errors import MalformedFormulaError
-from docsynth.sizes import SizeFormula, is_sat
+from docsynth.sizes import SizeFormula, is_sat, reachable
 from .oracles import sat_by_enumeration
 
 
@@ -114,3 +114,64 @@ def test_relaxation_is_monotone(case):
         if op in ("<", "="):
             relaxed = chain(c, ops[:k] + ["<="] + ops[k + 1:])
             assert is_sat(relaxed, probe) is True
+
+
+# ---------------------------------------------------------------------------
+# The prefix fold: per-operator size images, as the interpreter runs them
+# ---------------------------------------------------------------------------
+
+PROBES = range(13)
+
+# one stage of each kind: n -> the sizes it can produce, among PROBES
+IMAGES = {
+    "project": lambda n: {n},
+    "add_fields": lambda n: {n},
+    "lookup": lambda n: {n},
+    "match": lambda n: set(range(n + 1)),
+    "unwind": lambda n: set(PROBES),
+    "group": lambda n: {0} if n == 0 else set(range(1, n)),
+}
+
+
+class TestReachable:
+    def test_per_operator_images(self):
+        for tag, image in IMAGES.items():
+            for n in range(8):
+                got = {m for m in PROBES if reachable(n, (tag,), m)}
+                assert got == image(n), (tag, n)
+
+    def test_group_pins(self):
+        assert [m for m in PROBES if reachable(0, ("group",), m)] == [0]
+        assert [m for m in PROBES if reachable(1, ("group",), m)] == []
+        assert [m for m in PROBES if reachable(5, ("group",), m)] == [1, 2, 3, 4]
+
+    def test_unwind_is_unbounded_both_ways(self):
+        # empty or absent arrays drop documents; long ones multiply them
+        assert reachable(3, ("unwind",), 0)
+        assert reachable(0, ("unwind",), 10**9)
+        assert reachable(2, ("unwind", "group", "group"), 10**9)
+
+    def test_no_stages_pins_the_size(self):
+        assert reachable(4, (), 4)
+        assert not reachable(4, (), 3) and not reachable(4, (), 5)
+
+
+def reachable_by_enumeration(n, tags, m, cap=40):
+    """Compose the per-size images on explicit size sets, Unwind capped at `cap`."""
+    sizes = {n}
+    for tag in tags:
+        if tag == "unwind":
+            sizes = set(range(cap + 1)) if sizes else set()
+        else:
+            sizes = set().union(*(IMAGES[tag](s) for s in sizes))
+    return m in sizes
+
+
+@given(st.integers(0, 6), st.lists(st.sampled_from(sorted(IMAGES)), max_size=6), st.sampled_from(PROBES))
+@example(1, ["match", "group"], 0)
+@example(2, ["group", "group"], 0)
+@example(1, ["group", "unwind"], 0)
+@settings(max_examples=400)
+def test_fold_matches_composed_images(n, tags, m):
+    # the cap is exact here: six Group stages lower it by at most 6, to 34 > max(PROBES)
+    assert reachable(n, tags, m) == reachable_by_enumeration(n, tags, m)

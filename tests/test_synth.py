@@ -400,6 +400,26 @@ class TestAblations:
             assert r.query == base.query
             assert r.stats["programsCompleted"] >= base.stats["programsCompleted"]
 
+    def test_prefix_check_drops_a_prefix_before_any_candidate(self):
+        # one document can become at most one through Match then Project
+        db = {"items": [{"a": 1}]}
+        task = SynthesisTask(compute_schema(db), "items", (Example(db, [{"a": 1}, {"a": 1}]),))
+        sk = Sketch("items", ("match", "project"))
+        search = Search(task, SynthesisConfig())
+        assert complete_sketch(search, sk) is None
+        assert (search.prefixes_pruned, search.completions) == (1, 0)
+        unpruned = Search(task, SynthesisConfig(disable_size_abstraction=True))
+        assert complete_sketch(unpruned, sk) is None
+        assert unpruned.prefixes_pruned == 0 and unpruned.completions > 0
+
+    def test_size_flag_gates_the_prefix_check(self):
+        task = load_task(str(TASKS_DIR / "hard_unwind_group.json"))
+        base = synthesize(task)
+        off = synthesize(task, SynthesisConfig(disable_size_abstraction=True))
+        assert off.query == base.query
+        assert (base.stats["prefixesPruned"], base.stats["programsCompleted"]) == (58, 219)
+        assert off.stats["prefixesPruned"] == 0
+
 
 class TestValidation:
     def test_examples_required(self):
