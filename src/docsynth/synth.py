@@ -169,7 +169,6 @@ class Search:
         self.inputs = [ex.input for ex in task.examples]
         self.outputs = [ex.output for ex in task.examples]
         self.out_sizes = [len(out) for out in self.outputs]
-        self.check_prefixes = not cfg.disable_size_abstraction
         self.out_type = lenient_doc_type([d for ex in task.examples for d in ex.output])
         self.pool = constant_pool(task.constants, task.examples)
         self.output_nums = {
@@ -611,7 +610,7 @@ def _fill(search: Search, sk: Sketch, chosen: list, k: int, colls: list):
         if all(collection_eq(c, o) for c, o in zip(colls, search.outputs)):
             return _assemble(sk.collection, chosen)
         return None
-    if search.check_prefixes:
+    if not search.cfg.disable_size_abstraction:
         rest = sk.ops[k:]
         if not all(reachable(len(c), rest, m) for c, m in zip(colls, search.out_sizes)):
             search.prefixes_pruned += 1
