@@ -51,7 +51,6 @@ from .values import (
     order_key,
     path_str,
     value_cmp,
-    value_eq,
     value_key,
 )
 
@@ -206,11 +205,31 @@ def _group(db, src, q):
     return out
 
 
+def _lookup(db, src, q):
+    if q.foreign_coll not in db:
+        raise UnknownCollectionError(f"unknown collection {q.foreign_coll!r}")
+    buckets = {}
+    for f in db[q.foreign_coll]:
+        buckets.setdefault(value_key(read_path(f, q.foreign_path)), []).append(f)
+    as_path = [(q.as_attr,)]
+    return [
+        add_attrs(d, as_path, [list(buckets.get(value_key(read_path(d, q.local_path)), ()))])
+        for d in src
+    ]
+
+
 def apply_stage(db, src, q):
     """Run one operator over already-evaluated source documents.
 
     The operator's own source field is ignored; `db` is only consulted for
     Lookup's foreign collection.
+
+    Lookup is a hash join. The foreign collection is bucketed once per call
+    by the value_key of the foreign path, each bucket in foreign order, and
+    each local document reads the bucket of its own value's key. value_key
+    is equal exactly when value_eq holds, so the join is the nested scan's:
+    null meets null and absent, 1 meets 1.0 but not True, and NaN meets
+    nothing. Each output document gets its own list.
     """
     if isinstance(q, Project):
         return [extract_attrs(d, q.paths) for d in src]
@@ -226,15 +245,7 @@ def apply_stage(db, src, q):
     if isinstance(q, Group):
         return _group(db, src, q)
     if isinstance(q, Lookup):
-        if q.foreign_coll not in db:
-            raise UnknownCollectionError(f"unknown collection {q.foreign_coll!r}")
-        foreign = db[q.foreign_coll]
-        out = []
-        for d in src:
-            local = read_path(d, q.local_path)
-            joined = [f for f in foreign if value_eq(read_path(f, q.foreign_path), local)]
-            out.append(add_attrs(d, [(q.as_attr,)], [joined]))
-        return out
+        return _lookup(db, src, q)
     raise TypeError(f"not an operator: {q!r}")
 
 

@@ -105,15 +105,30 @@ def value_eq(a, b) -> bool:
     return a == b
 
 
+class _NaNKey:
+    """The key of one NaN: equal to no other key, as NaN equals no value."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "nan"
+
+
 def value_key(v):
-    """Hashable canonical form; value_key(a) == value_key(b) iff value_eq."""
+    """Hashable canonical form; value_key(a) == value_key(b) iff value_eq.
+
+    Numbers key by their exact value, so 2**53 + 1 and 2**53 stay apart
+    while 1, 1.0 and -0.0, 0 meet (Python hashes an int and a float that are
+    equal alike). Every call on a NaN gives a fresh key, so no two keys
+    built from NaN are equal, not even two built from the same object.
+    """
     k = kind_of(v)
     if k == "doc":
         return ("doc", tuple(sorted((n, value_key(x)) for n, x in v.items())))
     if k == "array":
         return ("array", tuple(value_key(x) for x in v))
     if k == "num":
-        return ("num", float(v))
+        return ("num", _NaNKey() if v != v else v)
     if k == "null":
         return ("null",)
     return (k, v)

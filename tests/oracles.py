@@ -162,7 +162,12 @@ def add_attrs(doc, pairs):
     return out
 
 
+class _NaN:
+    """Key of one NaN, equal to no other key: a NaN equals no value."""
+
+
 def _key_of(v):
+    """Group key: equal for two values exactly when `same_value` holds."""
     if isinstance(v, dict):
         return ("d", tuple(sorted((k, _key_of(x)) for k, x in v.items())))
     if isinstance(v, list):
@@ -172,7 +177,8 @@ def _key_of(v):
     if v is None:
         return ("n",)
     if isinstance(v, (int, float)):
-        return ("f", float(v))
+        # exact: 2**53 + 1 is not 2**53, and each NaN is a group of its own
+        return ("f", _NaN() if v != v else v)
     return (type(v).__name__, v)
 
 

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from docsynth.errors import UnknownCollectionError, UnwindNonArrayError
 from docsynth.interp import compare, eval_agg, eval_expr, eval_pred, eval_query, flatten
@@ -13,6 +14,7 @@ from docsynth.lang import (
     Unwind,
 )
 from docsynth.values import collection_eq
+from . import oracles
 from .test_lang import forum_query
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "replay_stages.json").read_text())
@@ -195,3 +197,64 @@ class TestStages:
         out = eval_query(db, q)
         assert out[0]["same"] == [{"a": 1, "b": 1}, {"a": 2, "b": 1}]
         assert out[1]["same"] == []
+
+
+# join and group keys that Python's == or float() would confuse: null
+# against absent, 1 / 1.0 / True, -0.0, integers beyond 2**53, NaN, and
+# documents and arrays that differ only in attribute order or element order
+_NAN = float("nan")
+_KEYS = st.sampled_from([
+    None, 0, -0.0, 1, 1.0, True, False, 2**53, 2**53 + 1, float(2**53), _NAN, "1",
+    {"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1.0, "b": 2}, [1, 2], [2, 1], [1.0, 2], [True, 2],
+])
+_KEYED = st.lists(
+    st.fixed_dictionaries({"i": st.integers(0, 3)}, optional={"k": _KEYS}), max_size=6,
+)
+
+
+@st.composite
+def _join_cases(draw):
+    local = draw(_KEYED)
+    foreign = draw(_KEYED)
+    # the same foreign document may occur more than once
+    foreign = foreign + draw(st.lists(st.sampled_from(foreign), max_size=2) if foreign else st.just([]))
+    # None: a self-join of the local collection
+    return local, draw(st.just(foreign) | st.none())
+
+
+class TestKeysAgainstReplay:
+    """Lookup and Group key values as the nested scans of oracles.replay do."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_join_cases())
+    @example(([{"i": 0, "k": _NAN}, {"i": 1, "k": _NAN}], None))
+    @example(([{"i": 0}, {"i": 1, "k": None}], [{"i": 2, "k": None}, {"i": 3}, {"i": 2, "k": None}]))
+    @example(([{"i": 0, "k": 1}, {"i": 1, "k": 2**53}],
+              [{"i": 1, "k": True}, {"i": 2, "k": 1.0}, {"i": 3, "k": 2**53 + 1}]))
+    def test_lookup_is_the_nested_scan(self, case):
+        local, foreign = case
+        db = {"c": local} if foreign is None else {"c": local, "f": foreign}
+        fname = "c" if foreign is None else "f"
+        out = eval_query(db, Lookup(CollectionRef("c"), ("k",), ("k",), fname, "j"))
+        want = oracles.replay(db, "c", [("lookup", "k", "k", fname, "j")])
+        assert len(out) == len(want) == len(local)
+        for d, got, exp in zip(local, out, want):
+            # the very foreign documents, in foreign order, duplicates kept
+            assert [id(f) for f in got["j"]] == [id(f) for f in exp["j"]]
+            assert got.keys() == d.keys() | {"j"}
+            assert all(got[n] is d[n] for n in d)
+        assert len({id(d["j"]) for d in out}) == len(out)  # no list is shared
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.fixed_dictionaries({"k": _KEYS, "i": st.integers(0, 3)}), max_size=8))
+    @example([{"k": _NAN, "i": 0}, {"k": _NAN, "i": 1}])
+    @example([{"k": 2**53, "i": 0}, {"k": 2**53 + 1, "i": 1}, {"k": float(2**53), "i": 2}])
+    def test_group_is_the_replay(self, docs):
+        db = {"c": docs}
+        out = eval_query(db, Group(CollectionRef("c"), (("k",),), ("n", "s"), (Count(), Sum(("i",)))))
+        want = oracles.replay(db, "c", [("group", ["k"], [("n", oracles.agg_count),
+                                                          ("s", oracles.agg_sum("i"))])])
+        assert len(out) == len(want)
+        for got, exp in zip(out, want):
+            assert got["_id"]["k"] is exp["_id"]["k"]  # the group's first key value
+            assert (got["n"], got["s"]) == (exp["n"], exp["s"])

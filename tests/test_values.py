@@ -69,6 +69,46 @@ def test_value_key_agrees_with_value_eq():
     assert value_key(1) == value_key(1.0)
     assert value_key(True) != value_key(1)
     assert value_key({"a": 1, "b": 2}) == value_key({"b": 2, "a": 1})
+    assert value_key(2**53 + 1) != value_key(2**53)
+    assert value_key(2**53) == value_key(float(2**53))
+    assert value_key(-0.0) == value_key(0)
+    nan = float("nan")
+    assert value_key(nan) != value_key(nan)
+    assert value_key([nan]) != value_key([nan])
+
+
+# numbers at the edge of float precision, zeros of both signs, NaN, and bools
+# beside the numbers that Python's == confuses them with
+_KEY_LEAVES = st.sampled_from([
+    None, 0, 1, 1.0, -0.0, 0.0, True, False, float("nan"), float("inf"),
+    2**53, 2**53 + 1, float(2**53), float(2**53 + 2), 2**64, float(2**64),
+    "a", "1", Datetime("2020-01-01"), ObjectId("ab"),
+]) | st.integers(2**53 - 2, 2**53 + 2)
+
+key_values = st.recursive(
+    _KEY_LEAVES,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["x", "y", "z"]), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _reordered(v):
+    """The same value with every document's attributes in reverse order."""
+    if isinstance(v, dict):
+        return {k: _reordered(x) for k, x in reversed(list(v.items()))}
+    if isinstance(v, list):
+        return [_reordered(x) for x in v]
+    return v
+
+
+@given(key_values, key_values)
+def test_value_key_equal_exactly_on_value_eq(a, b):
+    for x, y in ((a, b), (a, a), (a, _reordered(a)), (b, _reordered(a))):
+        same = value_eq(x, y)
+        assert (value_key(x) == value_key(y)) == same
+        if same:
+            assert hash(value_key(x)) == hash(value_key(y))
 
 
 def test_value_cmp_null_and_mixed_kinds_are_unordered():
