@@ -11,17 +11,24 @@ sketches are handed to an enumerative completer that instantiates arguments
 stage by stage, evaluating concretely on every example as it goes and
 accepting the first full query that reproduces every output exactly.
 
-Completion carries the size half down to partial programs. Before stage k
-is chosen, every example's collection has a concrete size, and
+Completion carries the size half down to partial programs. Once stage k's
+candidate is applied, every example's collection has a concrete size, and
 `sizes.reachable` folds it through the operator kinds still to be chosen;
 when some example's output size is out of reach, the partial program is
-dropped with everything below it. The fold's images are those of the
-interpreter and the candidate generators, wider than the chain atoms where
-those assume more: Unwind may drop documents whose array is empty or absent,
-and Group has no candidate on a one-document collection. The check only
-drops partial programs that have no satisfying completion, so it never
-changes which query comes first. `disable_size_abstraction` turns it off
-with the spine-level size half, so the ablations measure both.
+dropped with everything below it, before its collection is typed. The
+fold's images are those of the interpreter and the candidate generators,
+wider than the chain atoms where those assume more: Unwind may drop
+documents whose array is empty or absent, and Group has no candidate on a
+one-document collection. The check only drops partial programs that have
+no satisfying completion, so it never changes which query comes first.
+`disable_size_abstraction` turns it off with the spine-level size half, so
+the ablations measure both.
+
+A Match candidate is applied from its truth vector, which predicate
+enumeration already holds over the concatenated documents of all examples.
+Each example's slice of the vector gives the child's size by popcount, the
+size check runs on those counts, and only a child that passes is built, by
+bit selection; no Match runs through `eval_pred` during the search.
 
 Enumeration order is load-bearing for reproducibility: candidates are tried
 in the documented tier order and the first satisfying query wins, so any
@@ -324,12 +331,12 @@ def _primitive_leaves(v):
 
 
 def enumerate_predicates(docs, paths, constants):
-    """Lazily yield one representative per truth-equivalence class.
+    """Lazily yield one (representative, truth vector) per truth-equivalence class.
 
-    `paths` pairs each path with its type. Every atom's truth vector is
-    computed before its node, which is built only for a new class.
-    Connectives combine two representatives, so no predicate has more than
-    two atoms.
+    `paths` pairs each path with its type. Bit i of a vector is the
+    predicate's truth on docs[i]. Every atom's vector is computed before its
+    node, which is built only for a new class. Connectives combine two
+    representatives, so no predicate has more than two atoms.
     """
     seen = set()
     reps = []
@@ -338,7 +345,7 @@ def enumerate_predicates(docs, paths, constants):
             seen.add(bits)
             p = node(*args)
             reps.append((p, bits))
-            yield p
+            yield p, bits
     # negations of the representatives discovered so far
     full = (1 << len(docs)) - 1
     for p, v in list(reps):
@@ -347,14 +354,14 @@ def enumerate_predicates(docs, paths, constants):
             np = Not(p)
             seen.add(nv)
             reps.append((np, nv))
-            yield np
+            yield np, nv
     # And then Or over every ordered pair of representatives
     for lp, lv in reps:
         for rp, rv in reps:
             for build, bv in ((And, lv & rv), (Or, lv | rv)):
                 if bv not in seen:
                     seen.add(bv)
-                    yield build(lp, rp)
+                    yield build(lp, rp), bv
 
 
 def _atom_vectors(docs, paths, constants):
@@ -395,8 +402,10 @@ def _atom_vectors(docs, paths, constants):
 
 
 # ---------------------------------------------------------------------------
-# Per-operator candidate generators. Each yields operator nodes whose source
-# is a dummy reference; the completer rebinds sources during assembly.
+# Per-operator candidate generators. Each yields (operator node, truth vector)
+# pairs. A node's source is a dummy reference, which the completer rebinds
+# during assembly. The vector is a Match predicate's over the stage's
+# documents, bit i for docs[i], and None for the other operators.
 # ---------------------------------------------------------------------------
 
 _HOLE = CollectionRef("_")
@@ -419,19 +428,19 @@ def _common_paths(tin: DocT, tout: DocT, prefix=()):
 def _gen_project(state):
     paths = _common_paths(state.in_type, state.search.out_type)
     if paths:
-        yield Project(_HOLE, tuple(paths))
+        yield Project(_HOLE, tuple(paths)), None
 
 
 def _gen_match(state):
     paths = typed_paths(state.in_type)
-    for pred in enumerate_predicates(state.docs, paths, state.search.pool):
-        yield Match(_HOLE, pred)
+    for pred, bits in enumerate_predicates(state.docs, paths, state.search.pool):
+        yield Match(_HOLE, pred), bits
 
 
 def _gen_unwind(state):
     for path, t in typed_paths(state.in_type):
         if isinstance(t, ArrayT):
-            yield Unwind(_HOLE, path)
+            yield Unwind(_HOLE, path), None
 
 
 def _absent_targets(tin: DocT, tout: DocT, prefix=()):
@@ -494,7 +503,7 @@ def _gen_add_fields(state):
             if any(not pool for pool in pools):
                 continue
             for combo in product(*pools):
-                yield AddFields(_HOLE, subset, combo)
+                yield AddFields(_HOLE, subset, combo), None
 
 
 def _gen_group(state):
@@ -527,12 +536,12 @@ def _gen_group(state):
             for nsize in range(0, len(num_out_attrs) + 1):
                 for names in combinations(num_out_attrs, nsize):
                     if not names:
-                        yield Group(_HOLE, keys, (), ())
+                        yield Group(_HOLE, keys, (), ()), None
                         continue
                     if not kept:
                         continue
                     for aggs in product(kept, repeat=len(names)):
-                        yield Group(_HOLE, keys, names, aggs)
+                        yield Group(_HOLE, keys, names, aggs), None
 
 
 def _group_members(docs, keys):
@@ -569,7 +578,7 @@ def _gen_lookup(state):
                     continue
                 for foreign, ft in fpaths:
                     if ft == lt:
-                        yield Lookup(_HOLE, local, foreign, fname, as_attr)
+                        yield Lookup(_HOLE, local, foreign, fname, as_attr), None
 
 
 _GENERATORS = {
@@ -596,38 +605,79 @@ class _StageState:
 
 def complete_sketch(search: Search, sk: Sketch):
     colls = [list(db[sk.collection]) for db in search.inputs]
+    if _out_of_reach(search, [len(c) for c in colls], sk.ops):
+        return None
     return _fill(search, sk, [None] * len(sk.ops), 0, colls)
+
+
+def _out_of_reach(search: Search, sizes, rest) -> bool:
+    """Whether some example's size cannot reach its output size through the
+    stage kinds `rest`, in which case one pruned prefix is counted.
+
+    A full program (no stage left) is not checked here: it is counted as a
+    completion and compared with the outputs.
+    """
+    if not rest or search.cfg.disable_size_abstraction:
+        return False
+    if all(reachable(n, rest, m) for n, m in zip(sizes, search.out_sizes)):
+        return False
+    search.prefixes_pruned += 1
+    return True
 
 
 def _fill(search: Search, sk: Sketch, chosen: list, k: int, colls: list):
     """Choose stages k.. of sk, given every example's collection before stage k.
 
-    A prefix whose sizes cannot reach the outputs through the remaining
-    stages is dropped before its collection is typed or any candidate built.
+    The prefix up to stage k has passed the size check. Each candidate's
+    output sizes are checked against the stages after it before anything
+    below it is typed or built. A Match candidate comes with its truth
+    vector over the concatenated documents, so its sizes are the popcounts
+    of the vector's per-example slices and its output is a bit selection;
+    a Match rejected by size is never applied.
     """
     if k == len(sk.ops):
         search.completions += 1
         if all(collection_eq(c, o) for c, o in zip(colls, search.outputs)):
             return _assemble(sk.collection, chosen)
         return None
-    if not search.cfg.disable_size_abstraction:
-        rest = sk.ops[k:]
-        if not all(reachable(len(c), rest, m) for c, m in zip(colls, search.out_sizes)):
-            search.prefixes_pruned += 1
-            return None
     docs = [d for c in colls for d in c]
     state = _StageState(docs, lenient_doc_type(docs), colls, search)
-    for cand in _GENERATORS[sk.ops[k]](state):
+    rest = sk.ops[k + 1:]
+    for cand, bits in _GENERATORS[sk.ops[k]](state):
         search.check_deadline()
-        try:
-            nxt = [apply_stage(db, coll, cand) for db, coll in zip(search.inputs, colls)]
-        except EvalError:
-            continue
+        if bits is None:
+            try:
+                nxt = [apply_stage(db, coll, cand) for db, coll in zip(search.inputs, colls)]
+            except EvalError:
+                continue
+            if _out_of_reach(search, [len(c) for c in nxt], rest):
+                continue
+        else:
+            slices = _split_bits(bits, colls)
+            if _out_of_reach(search, [b.bit_count() for b in slices], rest):
+                continue
+            nxt = [_select(coll, b) for coll, b in zip(colls, slices)]
         chosen[k] = cand
         got = _fill(search, sk, chosen, k + 1, nxt)
         if got is not None:
             return got
     return None
+
+
+def _split_bits(bits: int, colls: list) -> list:
+    """A vector over the concatenated collections, cut into one per collection."""
+    out = []
+    for coll in colls:
+        n = len(coll)
+        out.append(bits & ((1 << n) - 1))
+        bits >>= n
+    return out
+
+
+def _select(docs: list, bits: int) -> list:
+    """The documents whose bit is set, in order."""
+    # bin() reads the most significant bit first; reversed, bit i is at i
+    return [d for d, b in zip(docs, bin(bits)[:1:-1]) if b == "1"]
 
 
 def _assemble(collection, stage_nodes):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from docsynth.absint import Sketch
 from docsynth.errors import TaskError
 from docsynth.lang import CollectionRef, Match, TRUE, ast_size
-from docsynth.interp import eval_query
+from docsynth.interp import eval_pred, eval_query
 from docsynth.synth import (
     Example,
     Search,
@@ -125,7 +125,7 @@ class TestConstantPool:
 class TestEnumeratePredicates:
     def test_truth_vector_collapse(self):
         docs = [{"d": 0}, {"d": 1}, {"d": 2}]
-        preds = list(enumerate_predicates(docs, [(("d",), NUM)], [0, 1]))
+        preds = [p for p, _ in enumerate_predicates(docs, [(("d",), NUM)], [0, 1])]
         rendered = [render_pred(p) for p in preds]
         assert "d > 0" in rendered
         assert "d >= 1" not in rendered  # same class as d > 0
@@ -136,14 +136,14 @@ class TestEnumeratePredicates:
 
     def test_no_constants_leaves_exists_tiers(self):
         docs = [{"d": 1}, {}]
-        preds = list(enumerate_predicates(docs, [(("d",), NUM)], []))
+        preds = [p for p, _ in enumerate_predicates(docs, [(("d",), NUM)], [])]
         assert [render_pred(p) for p in preds] == \
             ["true", "false", "Exists(d)", "!(Exists(d))"]
 
     def test_connectives_respect_atom_budget(self):
         docs = [{"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 0}, {"a": 1, "b": 1}]
         paths = [(("a",), NUM), (("b",), NUM)]
-        big = list(enumerate_predicates(docs, paths, [1]))
+        big = [p for p, _ in enumerate_predicates(docs, paths, [1])]
         assert any("&&" in render_pred(p) for p in big)
         # a = 1 && b = 1 reaches a class no single atom covers
         assert "(a = 1 && b = 1)" in [render_pred(p) for p in big]
@@ -194,7 +194,16 @@ class TestEnumeratePredicatesOracle:
         docs, in_type, constants = case
         got = enumerate_predicates(docs, typed_paths(in_type), constants)
         want = predicates_by_enumeration(docs, in_type, constants)
-        assert [render_pred(p) for p in got] == [render_pred(p) for p in want]
+        assert [render_pred(p) for p, _ in got] == [render_pred(p) for p in want]
+
+    @settings(deadline=None, max_examples=300)
+    @given(_enumeration_cases())
+    def test_vectors_are_eval_pred(self, case):
+        # completion applies Match from these vectors, never through eval_pred
+        docs, in_type, constants = case
+        for p, bits in enumerate_predicates(docs, typed_paths(in_type), constants):
+            want = sum(1 << i for i, d in enumerate(docs) if eval_pred(d, p))
+            assert bits == want, render_pred(p)
 
 
 class TestCompleteSketch:
@@ -232,7 +241,7 @@ class TestCompleteSketch:
         colls = [ex0["c"], ex1["c"]]
         docs = colls[0] + colls[1]
         state = _StageState(docs=docs, in_type=lenient_doc_type(docs), colls=colls, search=search)
-        assert {g.keys for g in _gen_group(state)} == {(("m",),)}
+        assert {g.keys for g, _ in _gen_group(state)} == {(("m",),)}
 
     def test_returns_none_when_no_completion_exists(self):
         db = {"items": [{"a": 1}]}
