@@ -76,6 +76,7 @@ def cmd_synth(args) -> int:
         f" sketches={stats['sketchesExplored']}"
         f" completions={stats['programsCompleted']}"
         f" prefix_pruned={stats['prefixesPruned']}"
+        f" reused={stats['statesReused']}"
         f" ast={stats['astSize']}"
         f" elapsed={stats['elapsedSeconds']:.2f}s"
     )

@@ -30,6 +30,24 @@ Each example's slice of the vector gives the child's size by popcount, the
 size check runs on those counts, and only a child that passes is built, by
 bit selection; no Match runs through `eval_pred` during the search.
 
+Completion also remembers where it failed, by the observed state rather
+than by the program that reached it. What `_fill` finds from stage k depends
+only on the stage kinds still to choose, on every example's collection
+before stage k, and on the fixed facts in `Search`: the stages already
+chosen are read only to assemble a success, which ends the search, and a
+deadline raises rather than returns. So a call that finds nothing records
+the pair (stages left, collections), and a later call with an equal pair
+returns nothing at once. Equal states are common, since `Match(True)` or a
+Project that keeps every path gives back its input. The key holds the
+collections by value: each document is interned by its repr, which keeps 1,
+1.0 and True apart and reads the attribute order, and each example keeps its
+own tuple of document ints. No digest stands in for a value, so two states
+that a generator or the output check could tell apart never share a key.
+The memo lives in one `Search` under every ablation setting; it cannot
+change the first query found, the sketches visited or the `complete_sketch`
+calls, only lower `programsCompleted` and `prefixesPruned`, and
+`statesReused` counts its hits.
+
 Enumeration order is load-bearing for reproducibility: candidates are tried
 in the documented tier order and the first satisfying query wins, so any
 reordering changes which of several observationally equal queries is
@@ -186,6 +204,15 @@ class Search:
         self.sketches = 0
         self.completions = 0
         self.prefixes_pruned = 0
+        # completion's failure memo (see _fill). Documents, states and stage
+        # suffixes are interned as small ints, and `failed` holds each pair
+        # (state, stages left) from which nothing was found. It is a dict,
+        # not a set: at a few thousand keys its table is a third the size.
+        self.doc_ids = {}     # repr of a document -> int
+        self.state_ids = {}   # the document ints of each example -> int
+        self.suffix_ids = {}  # the stage kinds still to choose -> int
+        self.failed = {}      # (state int, suffix int) -> None
+        self.states_reused = 0
 
     def check_deadline(self):
         if time.monotonic() > self.deadline:
@@ -196,6 +223,7 @@ class Search:
             "sketchesExplored": self.sketches,
             "programsCompleted": self.completions,
             "prefixesPruned": self.prefixes_pruned,
+            "statesReused": self.states_reused,
             "astSize": ast_size(query) if query is not None else 0,
             "elapsedSeconds": time.monotonic() - self.start,
         })
@@ -633,12 +661,22 @@ def _fill(search: Search, sk: Sketch, chosen: list, k: int, colls: list):
     below it is typed or built. A Match candidate comes with its truth
     vector over the concatenated documents, so its sizes are the popcounts
     of the vector's per-example slices and its output is a bit selection;
-    a Match rejected by size is never applied.
+    a Match rejected by size is never applied. A call that finds nothing is
+    recorded by its stages left and its collections, and a later call equal
+    in both returns None before typing anything.
     """
     if k == len(sk.ops):
         search.completions += 1
         if all(collection_eq(c, o) for c, o in zip(colls, search.outputs)):
             return _assemble(sk.collection, chosen)
+        return None
+    # breadth first, every spine completed earlier is another spine no
+    # longer than this one, so no earlier failure had all of this spine's
+    # stages left: the input state (k = 0) is never in the memo, and its key
+    # is built only to record a failure
+    key = _memo_key(search, sk.ops[k:], colls) if k else None
+    if key in search.failed:
+        search.states_reused += 1
         return None
     docs = [d for c in colls for d in c]
     state = _StageState(docs, lenient_doc_type(docs), colls, search)
@@ -654,14 +692,39 @@ def _fill(search: Search, sk: Sketch, chosen: list, k: int, colls: list):
                 continue
         else:
             slices = _split_bits(bits, colls)
-            if _out_of_reach(search, [b.bit_count() for b in slices], rest):
+            sizes = [b.bit_count() for b in slices]
+            if _out_of_reach(search, sizes, rest):
+                continue
+            if not rest and sizes != search.out_sizes:
+                search.completions += 1  # a full program that cannot equal the outputs
                 continue
             nxt = [_select(coll, b) for coll, b in zip(colls, slices)]
         chosen[k] = cand
         got = _fill(search, sk, chosen, k + 1, nxt)
         if got is not None:
             return got
+    if key is None:
+        key = _memo_key(search, sk.ops, colls)
+    search.failed[key] = None
     return None
+
+
+def _memo_key(search: Search, ops_left: tuple, colls: list) -> tuple:
+    """The failure memo's key for choosing `ops_left` from every example's
+    collection `colls`.
+
+    A document is interned by its repr, which keeps apart every two values
+    that a candidate generator or the output check can tell apart (1, 1.0
+    and True; attribute orders; an integer beyond 2**53 and its float), and
+    some they cannot (-0.0 and 0), which only costs a missed hit. Only NaNs
+    share a repr, and nothing in the search tells one NaN from another. The
+    state is the tuple of each example's document ints, so example
+    boundaries count too.
+    """
+    docs = search.doc_ids
+    state = tuple(tuple(docs.setdefault(repr(d), len(docs)) for d in c) for c in colls)
+    return (search.state_ids.setdefault(state, len(search.state_ids)),
+            search.suffix_ids.setdefault(ops_left, len(search.suffix_ids)))
 
 
 def _split_bits(bits: int, colls: list) -> list:

@@ -150,10 +150,12 @@ def value_cmp(a, b):
 
 
 def order_key(v):
-    """Total order key across kinds, used only by Min/Max aggregation."""
+    """Total order key across kinds, used only by Min/Max aggregation.
+
+    A number keys as itself: Python compares an int with a float exactly,
+    so 2**53 + 1 orders above 2**53, which float() would merge.
+    """
     k = kind_of(v)
-    if k == "num":
-        return (_KIND_RANK[k], float(v))
     if k in ("datetime", "objectid"):
         return (_KIND_RANK[k], v.value)
     if k in ("array", "doc"):

@@ -146,6 +146,13 @@ class TestSynthCommand:
         assert "sketches=" in out and "completions=" in out and "ast=" in out
         assert "prefix_pruned=" in out
 
+    def test_stats_line_reports_reused_states(self, capsys):
+        # hard_unwind_group reaches equal stage states from different prefixes
+        path = os.path.join(TASKS_DIR, "hard_unwind_group.json")
+        assert synthesize(load_task(path)).stats["statesReused"] == 26
+        assert main(["synth", path, "--emit", "dsl"]) == 0
+        assert " reused=26 " in capsys.readouterr().out
+
     def test_emit_dsl_only(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", simple_task())
         assert main(["synth", path, "--emit", "dsl"]) == 0

@@ -124,6 +124,17 @@ class TestAggregators:
         assert eval_agg([{"x": 2}, {"x": 4}], Avg(("x",))) == 3
         assert eval_agg([{"x": 1}, {"x": None}, {"x": 2}], Avg(("x",))) == 1.5
 
+    @pytest.mark.parametrize("values", [
+        [2**53, 2**53 + 1], [2**53 + 1, 2**53], [float(2**53), 2**53 + 1],
+        [2**53 + 1, float(2**53)], [-(2**53) - 1, -(2**53)], [2**53, float(2**53)],
+    ])
+    def test_min_max_order_numbers_exactly(self, values):
+        # as the oracle's Python min/max: beyond 2**53 float() merges neighbours
+        docs = [{"x": v} for v in values]
+        for agg, oracle in ((Min(("x",)), oracles.agg_min("x")), (Max(("x",)), oracles.agg_max("x"))):
+            got, want = eval_agg(docs, agg), oracle(docs)
+            assert (type(got), got) == (type(want), want)
+
 
 class TestStages:
     def test_unwind_example(self):

@@ -6,12 +6,16 @@ query's concrete prefixes. Safety: whenever deduction rejects a spine on an
 example, exhaustive completion of that spine, with no pruning of its own,
 finds nothing either. Bounded completeness: synthesis recovers a query for
 examples produced by a known query of small depth, and a few deeper seeds
-are pinned by their counts. Plus determinism and the guarantee that
-disabling pruning never changes the answer, only the work done.
+are pinned by their counts. Plus determinism, the guarantee that
+disabling pruning never changes the answer, only the work done, and the
+same for completion's failure memo.
 """
+
+from pathlib import Path
 
 import pytest
 
+from docsynth import synth as synth_module
 from docsynth.absint import OPERATOR_TAGS, Sketch
 from docsynth.interp import apply_stage, eval_query
 from docsynth.lang import stages
@@ -19,11 +23,13 @@ from docsynth.sizes import reachable
 from docsynth.synth import (
     Example, Search, SynthesisConfig, SynthesisTask, complete_sketch, deduce, synthesize,
 )
+from docsynth.taskio import load_task
 from docsynth.text import render_query
 from docsynth.types import compute_schema
 from docsynth.values import collection_eq
 from perfbench.checker import accepts
 
+from .conftest import reddit_posts_result
 from .generators import gen_pair
 from .oracles import skeleton
 
@@ -132,11 +138,11 @@ class TestDeepCompleteness:
     # seed -> (returned query, completions); the true queries have depth 4 to 6
     PINNED = {
         10: ("AddFields(Unwind(c6, arr5), [t7, t8, t9], [s3, n2, s3])", 114),
-        12: ("Match(Group(c6, [n1], [g7], [Count()]), _id.n1 = 2)", 442),
-        28: ("Match(AddFields(Unwind(c4, arr3), [t8, t9], [n1, n1]), n1 >= 6)", 1475),
+        12: ("Match(Group(c6, [n1], [g7], [Count()]), _id.n1 = 2)", 252),
+        28: ("Match(AddFields(Unwind(c4, arr3), [t8, t9], [n1, n1]), n1 >= 6)", 1080),
         34: ("Match(AddFields(c2, [t3, t4, t5, t6], [n1, n1, n1 + n1, n1]), n1 >= 4)", 10807),
-        35: ("AddFields(Lookup(c5, n1, k7, c6, j9), [t10, t11, t12], [s2, s2, s2])", 271),
-        37: ("Match(AddFields(Unwind(c9, arr5), [t10], [s2]), n1 = 7)", 146),
+        35: ("AddFields(Lookup(c5, n1, k7, c6, j9), [t10, t11, t12], [s2, s2, s2])", 264),
+        37: ("Match(AddFields(Unwind(c9, arr5), [t10], [s2]), n1 = 7)", 124),
     }
 
     @pytest.mark.parametrize("seed", sorted(PINNED))
@@ -185,3 +191,52 @@ class TestPruningMonotonicity:
                 assert (
                     ablated.stats["programsCompleted"] >= base.stats["programsCompleted"]
                 ), f"seed {seed}"
+
+
+class _NeverHits(dict):
+    """A failure memo that records every failure and reports none."""
+
+    def __contains__(self, key):
+        return False
+
+
+class _Unmemoized(Search):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.failed = _NeverHits()
+
+
+TASKS_DIR = Path(__file__).parent.parent / "tasks"
+
+
+class TestFailureMemo:
+    # the memo only skips states already searched without success, so with a
+    # memo that never hits the search returns the same query after the same
+    # spines, and does no less completion work
+    def _assert_memo_only_saves_work(self, task, cfg=SynthesisConfig(), memoized=None):
+        memoized = memoized or synthesize(task, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synth_module, "Search", _Unmemoized)
+            plain = synthesize(task, cfg)
+        assert (plain.status, plain.query) == (memoized.status, memoized.query)
+        assert plain.stats["sketchesExplored"] == memoized.stats["sketchesExplored"]
+        assert plain.stats["programsCompleted"] >= memoized.stats["programsCompleted"]
+        assert plain.stats["prefixesPruned"] >= memoized.stats["prefixesPruned"]
+        assert plain.stats["statesReused"] == 0
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in TASKS_DIR.glob("*.json")))
+    def test_shipped_tasks(self, name):
+        task = load_task(str(TASKS_DIR / (name + ".json")))
+        self._assert_memo_only_saves_work(
+            task, memoized=reddit_posts_result() if name == "reddit_posts" else None)
+
+    def test_depth_two_pairs(self):
+        cfg = SynthesisConfig(timeout_seconds=60, max_pipeline_depth=2)
+        for seed in range(10):
+            task, _, _ = task_of(seed, max_depth=2, for_synthesis=True)
+            self._assert_memo_only_saves_work(task, cfg)
+
+    @pytest.mark.parametrize("seed", sorted(TestDeepCompleteness.PINNED))
+    def test_deep_seeds(self, seed):
+        task, _, _ = task_of(seed, max_depth=6, for_synthesis=True)
+        self._assert_memo_only_saves_work(task)

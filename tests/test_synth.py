@@ -20,6 +20,7 @@ from docsynth.synth import (
     SynthesisTask,
     _StageState,
     _gen_group,
+    _memo_key,
     complete_sketch,
     constant_pool,
     deduce,
@@ -243,6 +244,26 @@ class TestCompleteSketch:
         state = _StageState(docs=docs, in_type=lenient_doc_type(docs), colls=colls, search=search)
         assert {g.keys for g, _ in _gen_group(state)} == {(("m",),)}
 
+    def test_memo_keeps_value_equal_states_apart(self):
+        # value_eq calls these states equal, but Arith tells 2**60 + 1 from
+        # its float, and the attribute order sets the candidate order
+        db = {"c": [{"a": 1}]}
+        task = SynthesisTask(compute_schema(db), "c", (Example(db, []), Example(db, [])))
+        search = Search(task, SynthesisConfig())
+        states = [
+            [[{"a": 1, "b": 2}], []],
+            [[{"a": 1.0, "b": 2}], []],
+            [[{"b": 2, "a": 1}], []],
+            [[{"a": 2**60 + 1}], []],
+            [[{"a": float(2**60 + 1)}], []],
+            [[], [{"a": 1, "b": 2}]],  # the same document in the other example
+        ]
+        keys = [_memo_key(search, ("project",), colls) for colls in states]
+        assert len(set(keys)) == len(states)
+        # an equal state built from new objects is the same state
+        assert _memo_key(search, ("project",), [[{"a": 1, "b": 2}], []]) == keys[0]
+        assert _memo_key(search, ("match",), states[0]) != keys[0]
+
     def test_returns_none_when_no_completion_exists(self):
         db = {"items": [{"a": 1}]}
         task = SynthesisTask(compute_schema(db), "items", (Example(db, [{"zzz": 1}]),))
@@ -426,7 +447,7 @@ class TestAblations:
         base = synthesize(task)
         off = synthesize(task, SynthesisConfig(disable_size_abstraction=True))
         assert off.query == base.query
-        assert (base.stats["prefixesPruned"], base.stats["programsCompleted"]) == (58, 219)
+        assert (base.stats["prefixesPruned"], base.stats["programsCompleted"]) == (58, 143)
         assert off.stats["prefixesPruned"] == 0
 
 
