@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import MalformedQueryError, NotASubsetError
-from .sizes import SizeFormula, is_sat as _formula_sat
+from .sizes import SizeFormula
 from .types import DocT
 
 
@@ -320,19 +320,16 @@ def abstract_db_of(db: dict, schema: dict) -> dict:
     }
 
 
-def concretizes(coll, ac: AbstractCollection, *,
-                doc_type: DocT, check_type=True, check_size=True) -> bool:
+def concretizes(coll, ac: AbstractCollection, *, doc_type: DocT) -> bool:
     """Whether the concrete collection, whose documents have type `doc_type`,
-    is one of `ac`'s instances.
+    fits `ac`'s document type.
 
-    The type half is vacuous for an empty collection (no document type
-    exists to check).
+    This is the type half of concretization. The size half needs no
+    abstract collection: deduction folds each example's input size through
+    the spine's stage kinds with `sizes.reachable`. The type half is vacuous
+    for an empty collection (no document type exists to check).
     """
-    if check_size and not _formula_sat(ac.formula, probe=len(coll)):
-        return False
-    if check_type and coll:
-        return matches(doc_type, ac.doc_type)
-    return True
+    return not coll or matches(doc_type, ac.doc_type)
 
 
 __all__ = [

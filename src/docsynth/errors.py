@@ -52,7 +52,8 @@ class UnwindNonArrayError(EvalError):
 
 
 class MalformedFormulaError(DocsynthError):
-    """Size formula violates the chain-shape invariants."""
+    """Size formula has a negative or non-integer ground size, or a stage
+    kind with no size image."""
 
 
 class NotASubsetError(DocsynthError):

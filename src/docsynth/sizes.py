@@ -1,20 +1,29 @@
-"""Size formulas over stage-size variables l_0 .. l_n and their solver.
+"""Size formulas over stage-size variables l_0 .. l_n and the one fold that decides them.
 
-A formula is a chain: `l_0 = c` grounds the input size, and the j-th
-relation op ties l_j to its immediate predecessor (`l_j = l_{j-1}`,
-`l_j <= l_{j-1}`, `l_j >= l_{j-1}`, `l_j < l_{j-1}`). All variables range
-over the non-negative integers. `SizeFormula(c, ops)` holds exactly that
-shape, so no other shape can be built, and forward interval propagation is
-a complete decision procedure for it.
+The paper's formula is a chain: `l_0 = c` grounds the input size, and stage
+j relates l_j to l_{j-1} by an atom of its operator kind. Here stage j's
+relation is its operator kind itself, read through one table of per-kind
+size images, the sizes that one stage of that kind can produce from n
+documents under the interpreter and the candidate generators:
 
-`reachable` is the same fold from a concrete size, used inside completion
-to prune a partial program once its inner stages are chosen. Its images are
-per operator kind and sound for the interpreter and the candidate
-generators, not for the chain atoms, so two are wider than their atoms:
-Unwind can drop documents (an empty or absent array) as well as multiply
-them, so it maps any size to 0..∞ rather than `>=`; Group maps 0 to 0 and
-n >= 2 to 1..n-1, and has no candidate at all at n = 1, because a key set
-must merge something in every example.
+  project, add_fields, lookup   n -> n
+  match                         n -> 0..n
+  unwind                        n -> 0..∞
+  group                         0 -> 0; 1 -> nothing; n >= 2 -> 1..n-1
+
+`reachable` folds a size through these images. Deduction folds each
+example's input size through a whole spine, and completion folds each
+partial program's concrete size through the stages still to be chosen, so
+spines and prefixes obey the same rule and no answer depends on which one
+checks first.
+
+Two images depart from the paper's atoms, because the atoms do not hold
+for the interpreter. `$unwind` drops a document whose array is empty or
+absent as well as multiplying the others, so Unwind is unconstrained, not
+`l_j >= l_{j-1}`. A Group over an empty example stays empty, so it is not
+a strict decrease at 0; from one document it has no candidate, because a
+key set must merge something in every example. `SizeFormula.render` still
+draws the paper's chain glyphs, with Unwind as `l_j∈ℕ`.
 """
 
 from __future__ import annotations
@@ -24,10 +33,12 @@ from dataclasses import dataclass
 
 from .errors import MalformedFormulaError
 
-REL_OPS = ("=", "<=", ">=", "<")
-
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
-_OP_GLYPH = {"=": "=", "<=": "≤", ">=": "≥", "<": "<"}
+# the paper's chain glyph of each stage kind; None leaves l_j unconstrained
+_GLYPH = {
+    "project": "=", "add_fields": "=", "lookup": "=",
+    "match": "≤", "group": "<", "unwind": None,
+}
 
 
 def _var(i: int) -> str:
@@ -36,7 +47,7 @@ def _var(i: int) -> str:
 
 @dataclass(frozen=True, slots=True)
 class SizeFormula:
-    """`l_0 = ground` and, for each j, `l_j ops[j-1] l_{j-1}`."""
+    """`l_0 = ground`, and l_j is an image of l_{j-1} under a stage of kind ops[j-1]."""
 
     ground: int
     ops: tuple = ()
@@ -45,44 +56,23 @@ class SizeFormula:
         g = self.ground
         if not isinstance(g, int) or isinstance(g, bool) or g < 0:
             raise MalformedFormulaError(f"ground value must be a non-negative integer: {g!r}")
-        for op in self.ops:
-            if op not in REL_OPS:
-                raise MalformedFormulaError(f"unknown relation {op!r}")
+        for tag in self.ops:
+            if tag not in _GLYPH:
+                raise MalformedFormulaError(f"unknown stage kind {tag!r}")
 
     def render(self) -> str:
-        return " ∧ ".join([f"{_var(0)}={self.ground}"] + [
-            f"{_var(j)}{_OP_GLYPH[op]}{_var(j - 1)}" for j, op in enumerate(self.ops, start=1)
-        ])
-
-
-def is_sat(f: SizeFormula, probe=None) -> bool:
-    """Whether `f` has a non-negative integer model; `probe` pins l_n to that value.
-
-    One [lo, hi] fold along the chain, exact for this formula class: each
-    relation maps the predecessor's interval through a monotone image ('='
-    copies, '<=' drops the lower bound, '>=' drops the upper bound, '<'
-    drops the lower bound, shifts the upper bound down one and dies when
-    the predecessor is pinned at zero).
-    """
-    lo = hi = f.ground
-    for op in f.ops:
-        if op == "<":  # strict decrease needs a predecessor of at least 1
-            if hi < 1:
-                return False
-            lo, hi = 0, hi - 1
-        elif op == "<=":
-            lo = 0
-        elif op == ">=":
-            hi = math.inf
-    return probe is None or lo <= probe <= hi
+        atoms = [f"{_var(0)}={self.ground}"]
+        for j, tag in enumerate(self.ops, start=1):
+            glyph = _GLYPH[tag]
+            atoms.append(f"{_var(j)}∈ℕ" if glyph is None else f"{_var(j)}{glyph}{_var(j - 1)}")
+        return " ∧ ".join(atoms)
 
 
 def reachable(n: int, tags, m: int) -> bool:
     """Whether n documents can become m through stages of kinds `tags`, innermost first.
 
-    One [lo, hi] fold whose images are exact unions of the per-size images:
-    Match maps n to 0..n, Unwind to 0..∞, Group 0 to 0 and n >= 2 to
-    1..n-1 (n = 1 to nothing); Project, AddFields and Lookup keep n.
+    One [lo, hi] fold whose images are exact unions of the per-size images
+    in the table above.
     """
     lo = hi = n
     for tag in tags:

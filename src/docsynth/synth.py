@@ -6,7 +6,8 @@ six children of a dequeued spine are built and visited then, so the deepest
 spines are never queued. Each visited sketch is first screened by abstract
 deduction: the observed output must be a possible instance of some abstract
 collection the sketch can produce, both in document type (placeholder
-matching) and in collection size (chain formula satisfiability). Feasible
+matching) and in collection size (each example's input size folded through
+the spine's stage kinds by `sizes.reachable`). Feasible
 sketches are handed to an enumerative completer that instantiates arguments
 stage by stage, evaluating concretely on every example as it goes and
 accepting the first full query that reproduces every output exactly.
@@ -15,14 +16,14 @@ Completion carries the size half down to partial programs. Once stage k's
 candidate is applied, every example's collection has a concrete size, and
 `sizes.reachable` folds it through the operator kinds still to be chosen;
 when some example's output size is out of reach, the partial program is
-dropped with everything below it, before its collection is typed. The
-fold's images are those of the interpreter and the candidate generators,
-wider than the chain atoms where those assume more: Unwind may drop
-documents whose array is empty or absent, and Group has no candidate on a
-one-document collection. The check only drops partial programs that have
-no satisfying completion, so it never changes which query comes first.
-`disable_size_abstraction` turns it off with the spine-level size half, so
-the ablations measure both.
+dropped with everything below it, before its collection is typed. Spines
+and prefixes read the same per-kind images, those of the interpreter and
+the candidate generators (see `sizes`): Unwind may drop documents whose
+array is empty or absent, and Group keeps an empty example empty and has no
+candidate on a one-document collection. The check only drops partial
+programs that have no satisfying completion, so it never changes which
+query comes first. `disable_size_abstraction` turns it off with the
+spine-level size half, so the ablations measure both.
 
 A Match candidate is applied from its truth vector, which predicate
 enumeration already holds over the concatenated documents of all examples.
@@ -69,7 +70,8 @@ returned. The orders are fixed as follows.
                functions; per-target dedup by value vector.
   group        key sets descending by size (lexicographic within a size),
                skipping a set that merges no documents of some non-empty
-               example, since deduction assumed a strict decrease;
+               example, as the size images assume (n >= 1 documents
+               group into 1..n - 1);
                aggregate-name sets ascending with the empty set first,
                aggregators Count, Sum, Avg, Min, Max per name, argument
                paths drawn from top-level numeric attributes.
@@ -79,13 +81,13 @@ returned. The orders are fixed as follows.
 
 The facts that stay fixed while one task is searched (abstract databases,
 output types, the constant pool, the deadline and the counters) are built
-once, in `Search`. Deduction's state lives in one `absint.AbsEvalContext`
-per example: the output documents and their lenient type, the interned
-abstract steps taken so far, and a `concretizes` verdict per size formula
-(the size half) and per abstract document type (the type half). `deduce`
-runs each half unless its ablation flag is set. The size half keys its memo
-by the formula value, the collection's `l_0` plus the spine's atom ops, and
-never reads Λ, so it is the same with types off. `refine` prepends the new
+once, in `Search`. Deduction's type state lives in one
+`absint.AbsEvalContext` per example: the output documents and their lenient
+type, the interned abstract steps taken so far, and a `concretizes` verdict
+per abstract document type. `deduce` runs each half unless its ablation
+flag is set. The size half folds each example's input size through the
+spine's stage kinds to its output size (`Search.out_sizes`); it never reads
+Λ, so it is the same with types off. `refine` prepends the new
 stage at the leaf, while abstract evaluation folds from the leaf outward, so
 a spine's parent for deduction is `ops[:-1]`, not the spine it was refined
 from; breadth first, both were visited earlier, and deduction takes one new
@@ -103,7 +105,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 
 from .absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
-from .abstraction import ANY, AbstractCollection, abstract_db_of, concretizes
+from .abstraction import abstract_db_of, concretizes
 from .errors import EvalError, TaskError
 from .interp import HOLDS_ON, apply_stage, eval_agg, eval_expr, read_path
 from .lang import (
@@ -286,30 +288,21 @@ def deduce(search: Search, sk: Sketch) -> bool:
     collection the spine produces, by the halves the config leaves on."""
     check_size = not search.cfg.disable_size_abstraction
     check_type = not search.cfg.disable_type_abstraction
-    for ctx in search.contexts:
-        # the type half's empty-Λ prune comes first, so a spine that no
-        # document type fits never costs a size verdict
+    for ctx, db, out_size in zip(search.contexts, search.inputs, search.out_sizes):
+        # the type half's empty-Λ prune comes first; the halves commute, so
+        # the order only decides which half a pruned spine is charged to
         if check_type:
             lam = abs_eval(ctx, sk)
             if not lam:
                 return False
-        if check_size:
-            f = ctx.formula(sk.collection, sk.atoms)
-            sized = ctx.sized.get(f)
-            if sized is None:
-                # the size half reads the formula only, so the type is left open
-                sized = ctx.sized[f] = concretizes(
-                    ctx.out_docs, AbstractCollection(ANY, f), doc_type=ctx.out_type,
-                    check_type=False,
-                )
-            if not sized:
-                return False
+        if check_size and not reachable(len(db[sk.collection]), sk.ops, out_size):
+            return False
         if check_type:
             for ac in lam:
                 typed = ctx.typed.get(ac.doc_type)
                 if typed is None:
                     typed = ctx.typed[ac.doc_type] = concretizes(
-                        ctx.out_docs, ac, doc_type=ctx.out_type, check_size=False,
+                        ctx.out_docs, ac, doc_type=ctx.out_type,
                     )
                 if typed:
                     break
@@ -554,9 +547,9 @@ def _gen_group(state):
         for keys in combinations(paths, size):
             if len({k[-1] for k in keys}) != size:
                 continue
-            # grouping must merge something in every example; the size
-            # reasoning that admitted this spine assumed a strict decrease,
-            # and the prefix check (sizes.reachable) gives one document no Group
+            # grouping must merge something in every non-empty example, as
+            # the size images (sizes.reachable) that admitted this spine and
+            # prefix assume: n >= 1 documents group into 1..n - 1
             members = [_group_members(coll, keys) for coll in colls]
             if any(coll and len(g) >= len(coll) for coll, g in zip(colls, members)):
                 continue
@@ -632,9 +625,8 @@ class _StageState:
 # ---------------------------------------------------------------------------
 
 def complete_sketch(search: Search, sk: Sketch):
+    # deduction has folded the input sizes through the whole spine already
     colls = [list(db[sk.collection]) for db in search.inputs]
-    if _out_of_reach(search, [len(c) for c in colls], sk.ops):
-        return None
     return _fill(search, sk, [None] * len(sk.ops), 0, colls)
 
 
@@ -656,7 +648,8 @@ def _out_of_reach(search: Search, sizes, rest) -> bool:
 def _fill(search: Search, sk: Sketch, chosen: list, k: int, colls: list):
     """Choose stages k.. of sk, given every example's collection before stage k.
 
-    The prefix up to stage k has passed the size check. Each candidate's
+    The prefix up to stage k has passed the size check, at stage 0 in
+    deduction and after that here. Each candidate's
     output sizes are checked against the stages after it before anything
     below it is typed or built. A Match candidate comes with its truth
     vector over the concatenated documents, so its sizes are the popcounts

@@ -23,9 +23,11 @@ exact and the completer's candidate grammar can express the query:
     (the filtered type is the unfiltered one, so every attribute it names
     must stay witnessed)
 
-Outside this fragment pruning can legitimately reject completable spines
-(strict-shrink Group sizes, drop-on-empty Unwind), so pairs from here are
-the ones the safety properties quantify over.
+Pairs from here are the ones the safety properties quantify over. The
+size half follows the interpreter's per-kind images, so it admits Unwind
+over empty or absent arrays and Group over an empty example; two such
+tasks are pinned in `tests/test_synth.py::TestSizeFlagIndependence`, and
+widening this fragment to them is still open.
 """
 
 import random
@@ -199,7 +201,7 @@ def _gen_group_stage(rng, docs, namer, synthetic):
             continue
         keys = tuple(sorted(keys_pool[:size]))
         partitions = {tuple(str(get_path(d, k)) for k in keys) for d in docs}
-        # pruning treats grouping as strictly shrinking, so the pair must too
+        # a Group candidate must merge something (synth._gen_group), so the pair must too
         if 2 <= len(partitions) < len(docs):
             aggs = []
             names = []

@@ -13,79 +13,41 @@ the predicate semantics.
 from itertools import product
 
 # ---------------------------------------------------------------------------
-# Size formula oracle: enumerate assignments.
+# Size image oracle: compose per-size images on explicit sets of sizes.
 #
-# A formula is described as a list of atoms:
-#   ("ground", c)          meaning l0 = c
-#   (op, j, i)             meaning l_j <op> l_i, op in "=", "<=", ">=", "<"
-# A probe is an optional (var, value) pair pinning one extra variable.
+# IMAGES maps each stage kind to the sizes one stage of that kind can
+# produce from n documents, among PROBES: a Match keeps any subset, an
+# Unwind drops documents whose array is empty or absent and multiplies the
+# others, and a Group keeps an empty collection empty and must merge
+# something in a non-empty one, so one document has no Group at all.
 # ---------------------------------------------------------------------------
 
-_OPS = {
-    "=": lambda a, b: a == b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
+PROBES = range(13)
+
+IMAGES = {
+    "project": lambda n: {n},
+    "add_fields": lambda n: {n},
+    "lookup": lambda n: {n},
+    "match": lambda n: set(range(n + 1)),
+    "unwind": lambda n: set(PROBES),
+    "group": lambda n: {0} if n == 0 else set(range(1, n)),
 }
 
 
-def sat_by_enumeration(atoms, n_vars, probe=None, bound=20):
-    """Decide satisfiability over nonnegative integers by exhaustive search.
+def sizes_by_enumeration(n, tags, cap=40):
+    """The sizes that n documents can become through stages of kinds `tags`,
+    innermost first, with Unwind's unbounded image cut at `cap`."""
+    sizes = {n}
+    for tag in tags:
+        if tag == "unwind":
+            sizes = set(range(cap + 1)) if sizes else set()
+        else:
+            sizes = set().union(*(IMAGES[tag](s) for s in sizes))
+    return sizes
 
-    Variables are assigned in index order, checking every atom as soon as all
-    of its variables are bound, so infeasible prefixes are cut off early. The
-    search bound is raised above every constant that occurs plus one level of
-    headroom per variable: chains can always shrink toward 0 and only >=
-    atoms force growth, one step per atom, so the bounded domain is complete
-    for the chain-shaped formulas under test.
 
-    Every relational atom ties a variable to its neighbour, so whether the
-    variables from k on can be assigned depends only on k and the value of
-    variable k - 1. Pairs (k, previous value) that failed are remembered,
-    which keeps the search polynomial in the bound.
-    """
-    consts = [a[1] for a in atoms if a[0] == "ground"]
-    if probe is not None:
-        consts.append(probe[1])
-    limit = max([bound] + consts) + n_vars + 1
-
-    by_var = {k: [] for k in range(n_vars)}
-    for a in atoms:
-        if a[0] != "ground" and abs(a[1] - a[2]) != 1:
-            raise ValueError(f"atom {a!r} does not tie neighbouring variables")
-        top = 0 if a[0] == "ground" else max(a[1], a[2])
-        by_var[top].append(a)
-
-    def check(assign, k):
-        for a in by_var[k]:
-            if a[0] == "ground":
-                if assign[0] != a[1]:
-                    return False
-            else:
-                op, j, i = a
-                if not _OPS[op](assign[j], assign[i]):
-                    return False
-        if probe is not None and probe[0] == k and assign[k] != probe[1]:
-            return False
-        return True
-
-    assign = [0] * n_vars
-    failed = set()  # (k, value of variable k - 1) with no satisfying extension
-
-    def go(k):
-        if k == n_vars:
-            return True
-        key = (k, assign[k - 1] if k else None)
-        if key in failed:
-            return False
-        for v in range(limit + 1):
-            assign[k] = v
-            if check(assign, k) and go(k + 1):
-                return True
-        failed.add(key)
-        return False
-
-    return go(0)
+def reachable_by_enumeration(n, tags, m, cap=40):
+    return m in sizes_by_enumeration(n, tags, cap)
 
 
 # ---------------------------------------------------------------------------

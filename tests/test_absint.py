@@ -52,7 +52,7 @@ class TestAbsEval:
         lam = abs_eval(AbsEvalContext(forum_adb(), OUT_TYPE), OMEGA_2)
         assert len(lam) == 1
         assert lam[0].doc_type.render() == "{title: String}"
-        assert lam[0].formula.render() == "l₀=3 ∧ l₁≥l₀ ∧ l₂≤l₁ ∧ l₃=l₂"
+        assert lam[0].formula.render() == "l₀=3 ∧ l₁∈ℕ ∧ l₂≤l₁ ∧ l₃=l₂"
 
     def test_six_stage_sketch(self):
         lam = abs_eval(AbsEvalContext(forum_adb(), OUT_TYPE), OMEGA_3)
@@ -60,7 +60,7 @@ class TestAbsEval:
         assert rendered == ["{?⁺₀: Any, ?⁺₃: Num}", "{?⁺₀: Any}"]
         for ac in lam:
             assert ac.formula.render() == (
-                "l₀=3 ∧ l₁≥l₀ ∧ l₂≤l₁ ∧ l₃<l₂ ∧ l₄=l₃ ∧ l₅≤l₄ ∧ l₆=l₅"
+                "l₀=3 ∧ l₁∈ℕ ∧ l₂≤l₁ ∧ l₃<l₂ ∧ l₄=l₃ ∧ l₅≤l₄ ∧ l₆=l₅"
             )
             assert len(ac.formula.ops) == 6
 
@@ -135,11 +135,11 @@ class TestAbsEval:
     def test_formula_matches_sketch_formula(self):
         ctx = AbsEvalContext(forum_adb(), OUT_TYPE)
         lam = abs_eval(ctx, OMEGA_3)
-        f = SizeFormula(3, (">=", "<=", "<", "=", "<=", "="))
-        assert OMEGA_3.atoms == (">=", "<=", "<", "=", "<=", "=")
+        # the formula is the collection's l0 and the spine's stage kinds,
+        # which deduction's size half folds without Λ
+        f = SizeFormula(3, ("unwind", "match", "group", "add_fields", "match", "project"))
+        assert f.ops == OMEGA_3.ops
         assert all(ac.formula == f for ac in lam)
-        # deduction's size half reads the same formula without Λ
-        assert all(ac.formula == ctx.formula("posts", OMEGA_3.atoms) for ac in lam)
 
     def test_atom_count_invariant(self):
         adb = forum_adb()
@@ -177,10 +177,10 @@ class TestAbsEvalMemo:
         a = abs_eval(ctx, Sketch("posts", ("match", "project")))
         b = abs_eval(ctx, Sketch("posts", ("project", "match")))
         c = abs_eval(ctx, Sketch("posts", ("add_fields", "match")))
-        # one object per type, and one formula value per sequence of size atoms
+        # one object per type, and one formula value per sequence of stage kinds
         assert a[0].doc_type is b[0].doc_type
-        assert b[0].formula == c[0].formula
-        assert a[0].formula != b[0].formula
+        assert b[0].formula == SizeFormula(3, ("project", "match"))
+        assert a[0].formula != b[0].formula != c[0].formula
 
 
 class TestHelpers:
@@ -193,7 +193,7 @@ class TestHelpers:
 
     def test_render_lambda(self):
         lam = abs_eval(AbsEvalContext(forum_adb(), OUT_TYPE), OMEGA_2)
-        assert [ac.render() for ac in lam] == ["({title: String}, l₀=3 ∧ l₁≥l₀ ∧ l₂≤l₁ ∧ l₃=l₂)"]
+        assert [ac.render() for ac in lam] == ["({title: String}, l₀=3 ∧ l₁∈ℕ ∧ l₂≤l₁ ∧ l₃=l₂)"]
 
     def test_sketch_render(self):
         assert OMEGA_2.render() == "Project(Match(Unwind(posts, ·), ·), ·)"

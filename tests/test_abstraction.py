@@ -23,7 +23,7 @@ from docsynth.abstraction import (
     type_union,
 )
 from docsynth.errors import MalformedQueryError, NotASubsetError
-from docsynth.sizes import SizeFormula
+from docsynth.sizes import SizeFormula, reachable
 from docsynth.types import ArrayT, BOOL, DocT, NUM, STRING, compute_schema, infer_collection_type
 from .oracles import match_by_enumeration
 
@@ -260,7 +260,7 @@ class TestConcretizes:
         self.out_t = infer_collection_type(self.output)
         self.c3 = AbstractCollection(
             aug(many(0, ANY), many(3, NUM)),
-            SizeFormula(3, (">=", "<=", "<", "=", "<=", "=")),
+            SizeFormula(3, ("unwind", "match", "group", "add_fields", "match", "project")),
         )
         self.c1 = AbstractCollection(
             from_doc_type(compute_schema(GOLDEN["input"])["posts"].elem),
@@ -271,17 +271,21 @@ class TestConcretizes:
         assert concretizes(self.output, self.c3, doc_type=self.out_t)
 
     def test_forum_output_rejects_raw_abstraction(self):
+        # both halves fail independently: the type half is concretizes, the
+        # size half the fold of l0 through the formula's stage kinds
         assert not concretizes(self.output, self.c1, doc_type=self.out_t)
-        # both halves fail independently
-        assert not concretizes(self.output, self.c1, doc_type=self.out_t, check_type=False)
-        assert not concretizes(self.output, self.c1, doc_type=self.out_t, check_size=False)
-        assert concretizes(self.output, self.c1, doc_type=self.out_t, check_type=False, check_size=False)
+        f = self.c1.formula
+        assert not reachable(f.ground, f.ops, len(self.output))
+        f3 = self.c3.formula
+        assert reachable(f3.ground, f3.ops, len(self.output))
 
     def test_empty_collection_checks_size_only(self):
-        ac = AbstractCollection(aug(("zzz", NUM)), SizeFormula(3, ("<=",)))
+        ac = AbstractCollection(aug(("zzz", NUM)), SizeFormula(3, ("match",)))
         assert concretizes([], ac, doc_type=DocT({}))
-        ac2 = AbstractCollection(aug(("zzz", NUM)), SizeFormula(3, ("=",)))
-        assert not concretizes([], ac2, doc_type=DocT({}))
+        assert reachable(3, ac.formula.ops, 0)
+        ac2 = AbstractCollection(aug(("zzz", NUM)), SizeFormula(3, ("project",)))
+        assert concretizes([], ac2, doc_type=DocT({}))
+        assert not reachable(3, ac2.formula.ops, 0)
 
     def test_result_var(self):
         assert len(self.c3.formula.ops) == 6
@@ -289,7 +293,7 @@ class TestConcretizes:
 
     def test_render(self):
         assert self.c3.render() == (
-            "({?⁺₀: Any, ?⁺₃: Num}, l₀=3 ∧ l₁≥l₀ ∧ l₂≤l₁ ∧ l₃<l₂ ∧ l₄=l₃ ∧ l₅≤l₄ ∧ l₆=l₅)"
+            "({?⁺₀: Any, ?⁺₃: Num}, l₀=3 ∧ l₁∈ℕ ∧ l₂≤l₁ ∧ l₃<l₂ ∧ l₄=l₃ ∧ l₅≤l₄ ∧ l₆=l₅)"
         )
 
 

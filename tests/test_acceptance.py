@@ -2,7 +2,7 @@
 
 Eight checks, one per shipping requirement: the forum task end to end,
 deduction trace fidelity on it, the two pruning properties at scale, size
-solver agreement with a brute-force oracle, the interpreter's reference
+fold agreement with the composed per-kind images, the interpreter's reference
 behaviors, the cost/answer split under disabled pruning, and the bundled
 task suite. Each test prints a single PASS/FAIL line (visible with -s).
 """
@@ -23,7 +23,7 @@ from docsynth.lang import (
     Project, Sum, Unwind, stages,
 )
 from docsynth.mongo import optimize, render_shell, translate
-from docsynth.sizes import SizeFormula, is_sat
+from docsynth.sizes import SizeFormula, reachable
 from docsynth.synth import (
     Example, Search, SynthesisConfig, SynthesisTask, complete_sketch, deduce, synthesize,
 )
@@ -34,7 +34,7 @@ from docsynth.values import collection_eq
 
 from .conftest import reddit_posts_result
 from .generators import gen_pair
-from .oracles import sat_by_enumeration, skeleton
+from .oracles import PROBES, sizes_by_enumeration, skeleton
 
 HERE = Path(__file__).parent
 TASKS_DIR = HERE.parent / "tasks"
@@ -81,14 +81,14 @@ def test_forum_deduction_verdicts_and_traces():
 
         lam = abs_eval(AbsEvalContext(adb, out_type), three)
         assert [ac.doc_type.render() for ac in lam] == ["{title: String}"]
-        assert lam[0].formula.render() == "l₀=3 ∧ l₁≥l₀ ∧ l₂≤l₁ ∧ l₃=l₂"
+        assert lam[0].formula.render() == "l₀=3 ∧ l₁∈ℕ ∧ l₂≤l₁ ∧ l₃=l₂"
 
         lam = abs_eval(AbsEvalContext(adb, out_type), six)
         assert "{?⁺₀: Any, ?⁺₃: Num}" in [ac.doc_type.render() for ac in lam]
         for ac in lam:
             assert len(ac.formula.ops) == 6
             assert ac.formula.render() == (
-                "l₀=3 ∧ l₁≥l₀ ∧ l₂≤l₁ ∧ l₃<l₂ ∧ l₄=l₃ ∧ l₅≤l₄ ∧ l₆=l₅"
+                "l₀=3 ∧ l₁∈ℕ ∧ l₂≤l₁ ∧ l₃<l₂ ∧ l₄=l₃ ∧ l₅≤l₄ ∧ l₆=l₅"
             )
 
 
@@ -132,17 +132,21 @@ def test_pruned_spines_have_no_completion():
 
 
 def test_size_solver_agrees_with_bruteforce():
-    with reported("size solver vs brute-force oracle on 10000 chains"):
+    with reported("size fold vs composed per-kind images on 10000 spines"):
         rng = random.Random(20260814)
         for _ in range(10000):
-            c = rng.randint(0, 10)
-            ops = [rng.choice(("=", "<=", ">=", "<")) for _ in range(rng.randint(0, 7))]
-            f = SizeFormula(c, tuple(ops))
+            n = rng.randint(0, 10)
+            tags = tuple(rng.choice(OPERATOR_TAGS) for _ in range(rng.randint(0, 7)))
             probe = None if rng.random() < 0.5 else rng.randint(0, 12)
-            oracle_atoms = [("ground", c)] + [(op, j, j - 1) for j, op in enumerate(ops, start=1)]
-            oracle_probe = None if probe is None else (len(ops), probe)
-            want = sat_by_enumeration(oracle_atoms, len(ops) + 1, oracle_probe, bound=0)
-            assert is_sat(f, probe) == want, f"{f.render()} probe={probe}"
+            want = sizes_by_enumeration(n, tags)
+            if probe is None:
+                # a non-empty set holds a size of at most max(n, 1)
+                got = any(reachable(n, tags, m) for m in PROBES)
+                assert got == bool(want), f"{SizeFormula(n, tags).render()}"
+            else:
+                assert reachable(n, tags, probe) == (probe in want), (
+                    f"{SizeFormula(n, tags).render()} probe={probe}"
+                )
 
 
 def test_interpreter_reference_behaviors():

@@ -139,7 +139,7 @@ class TestDeepCompleteness:
     PINNED = {
         10: ("AddFields(Unwind(c6, arr5), [t7, t8, t9], [s3, n2, s3])", 114),
         12: ("Match(Group(c6, [n1], [g7], [Count()]), _id.n1 = 2)", 252),
-        28: ("Match(AddFields(Unwind(c4, arr3), [t8, t9], [n1, n1]), n1 >= 6)", 1080),
+        28: ("Match(AddFields(Unwind(c4, arr3), [t8, t9], [n1, n1]), n1 >= 6)", 1115),
         34: ("Match(AddFields(c2, [t3, t4, t5, t6], [n1, n1, n1 + n1, n1]), n1 >= 4)", 10807),
         35: ("AddFields(Lookup(c5, n1, k7, c6, j9), [t10, t11, t12], [s2, s2, s2])", 264),
         37: ("Match(AddFields(Unwind(c9, arr5), [t10], [s2]), n1 = 7)", 124),

@@ -97,7 +97,7 @@ class TestDeduce:
         assert deduce(Search(t, cfg), Sketch("posts", ())) is True
 
     def test_size_only_still_rejects_bare(self):
-        # 3 input posts vs 2 output rows: the identity-size chain is UNSAT
+        # 3 input posts vs 2 output rows: the bare spine keeps the size
         t = forum_task()
         cfg = SynthesisConfig(disable_type_abstraction=True)
         assert deduce(Search(t, cfg), Sketch("posts", ())) is False
@@ -431,13 +431,17 @@ class TestAblations:
             assert r.stats["programsCompleted"] >= base.stats["programsCompleted"]
 
     def test_prefix_check_drops_a_prefix_before_any_candidate(self):
-        # one document can become at most one through Match then Project
+        # one document can become at most one through Match then Project:
+        # deduction drops the spine, and a completion started anyway drops
+        # both Match candidates (true and false, the only truth vectors
+        # over one document) before any Project candidate
         db = {"items": [{"a": 1}]}
         task = SynthesisTask(compute_schema(db), "items", (Example(db, [{"a": 1}, {"a": 1}]),))
         sk = Sketch("items", ("match", "project"))
         search = Search(task, SynthesisConfig())
+        assert not deduce(search, sk)
         assert complete_sketch(search, sk) is None
-        assert (search.prefixes_pruned, search.completions) == (1, 0)
+        assert (search.prefixes_pruned, search.completions) == (2, 0)
         unpruned = Search(task, SynthesisConfig(disable_size_abstraction=True))
         assert complete_sketch(unpruned, sk) is None
         assert unpruned.prefixes_pruned == 0 and unpruned.completions > 0
@@ -449,6 +453,34 @@ class TestAblations:
         assert off.query == base.query
         assert (base.stats["prefixesPruned"], base.stats["programsCompleted"]) == (58, 143)
         assert off.stats["prefixesPruned"] == 0
+
+
+class TestSizeFlagIndependence:
+    # Data outside the generators' fragment, where the paper's chain atoms do
+    # not hold for the interpreter: the answer must not depend on a flag.
+    FLAGS = [
+        SynthesisConfig(disable_size_abstraction=s, disable_type_abstraction=t)
+        for s in (False, True) for t in (False, True)
+    ]
+
+    def _same_answer_under_every_flag(self, task, want):
+        for cfg in self.FLAGS:
+            r = synthesize(task, cfg)
+            query = None if r.query is None else render_query(r.query)
+            assert (r.status, query, r.stats["sketchesExplored"]) == want, cfg
+
+    def test_unwind_drops_an_empty_array(self):
+        c = [{"a": 1, "xs": [{"v": 1}]}, {"a": 2, "xs": []}, {"a": 3, "xs": [{"v": 2}]}]
+        out = [{"a": 1, "xs": {"v": 1}}, {"a": 3, "xs": {"v": 2}}]
+        task = SynthesisTask(compute_schema({"c": c}), "c", (Example({"c": c}, out),))
+        self._same_answer_under_every_flag(task, ("success", "Unwind(c, xs)", 5))
+
+    def test_group_keeps_an_empty_example_empty(self):
+        c = [{"k": 1, "v": 1}, {"k": 1, "v": 2}, {"k": 2, "v": 3}]
+        out = [{"_id": {"k": 2}}, {"_id": {"k": 1}}]
+        task = SynthesisTask(compute_schema({"c": c}), "c",
+                             (Example({"c": c}, out), Example({"c": []}, [])))
+        self._same_answer_under_every_flag(task, ("success", "Group(c, [k], [], [])", 6))
 
 
 class TestValidation:
