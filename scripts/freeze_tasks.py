@@ -13,7 +13,7 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, ROOT)
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]  # docsynth, and tests.oracles
 
 from docsynth.interp import eval_query
 from docsynth.lang import (
@@ -21,11 +21,13 @@ from docsynth.lang import (
     Match, PathExpr, Project, SizeEq, Sum, Unwind,
 )
 from docsynth.text import render_query
+from docsynth.types import compute_schema, schema_to_json
 from docsynth.values import collection_eq, database_to_json, value_to_json
 
 from tests import oracles
 
-GOLDEN = json.load(open(os.path.join(ROOT, "tests", "golden", "replay_stages.json")))
+with open(os.path.join(ROOT, "tests", "golden", "replay_stages.json"), encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
 FORUM_DB = GOLDEN["input"]
 
 
@@ -219,29 +221,35 @@ TASKS = [
 ]
 
 
+def build(spec) -> dict:
+    """The task file of one spec, its output cross-checked against the oracle replay."""
+    db = spec["db"]
+    output = eval_query(db, spec["query"])
+    check = oracles.replay(db, spec["collection"], spec["oracle"])
+    assert collection_eq(output, check), f"{spec['name']}: interpreter and oracle disagree"
+
+    task = {"collection": spec["collection"]}
+    if spec.get("explicit_schema"):
+        task["schema"] = schema_to_json(compute_schema(db))
+    if spec.get("constants"):
+        task["constants"] = spec["constants"]
+    task["examples"] = [
+        {"input": database_to_json(db), "output": [value_to_json(d) for d in output]}
+    ]
+    return task
+
+
 def main():
     out_dir = os.path.join(ROOT, "tasks")
     os.makedirs(out_dir, exist_ok=True)
     for spec in TASKS:
-        db = spec["db"]
-        output = eval_query(db, spec["query"])
-        check = oracles.replay(db, spec["collection"], spec["oracle"])
-        assert collection_eq(output, check), f"{spec['name']}: interpreter and oracle disagree"
-
-        task = {"collection": spec["collection"]}
-        if spec.get("explicit_schema"):
-            from docsynth.types import compute_schema, schema_to_json
-            task["schema"] = schema_to_json(compute_schema(db))
-        if spec.get("constants"):
-            task["constants"] = spec["constants"]
-        task["examples"] = [
-            {"input": database_to_json(db), "output": [value_to_json(d) for d in output]}
-        ]
+        task = build(spec)
         path = os.path.join(out_dir, spec["name"] + ".json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(task, fh, indent=2)
             fh.write("\n")
-        print(f"{spec['name']}: {len(output)} output docs  ({render_query(spec['query'])})")
+        n = len(task["examples"][0]["output"])
+        print(f"{spec['name']}: {n} output docs  ({render_query(spec['query'])})")
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ The package turns a task (collection schema, input/output example pairs,
 optional constants) into a pipeline query that reproduces every example,
 and can translate that query into a MongoDB aggregation pipeline. Search
 runs over operator spines, pruning spines whose over-approximated output
-(a document type with placeholders plus a size formula, the input size
-folded through per-stage-kind size images) cannot produce the example
-outputs, then fills the surviving spines stage by stage against concrete
-intermediate collections.
+(document types with placeholders, and the input size folded through
+per-stage-kind size images) cannot produce the example outputs, then fills
+the surviving spines stage by stage against concrete intermediate
+collections.
 """
 
 from docsynth.errors import DocsynthError, EvalError, ParseError, TaskError

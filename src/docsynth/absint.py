@@ -1,27 +1,26 @@
 """Abstract evaluation of sketches.
 
 A sketch fixes the pipeline's operator spine and leaf collection but leaves
-every argument open. Evaluating it over an abstract database yields the set
-of abstract collections any completion could produce; the synthesizer prunes
-a sketch when the observed output concretizes none of them.
+every argument open. Evaluating it over the schema yields Λ, the document
+types, with placeholders, that any completion's output could have; the
+synthesizer prunes a sketch when the observed output matches none of them.
+The size half of the abstraction needs no evaluation: deduction folds each
+example's input size through the spine's stage kinds (`sizes.reachable`).
 
 Stage ids count outward from the leaf (leaf = 0), and stage j contributes
-its type successors; its size relation is its operator kind, read through
-`sizes`' per-kind images.
+its type successors.
 
-Evaluation is a left fold from the leaf outward: the types of Λ start from
-one interned root tuple per collection, and each stage takes one successor
-step. `AbsEvalContext` holds one example's abstract database, interns types
-and tuples of types, and computes each (operator, parent tuple, stage) step
-once, so Λ of a spine costs one table lookup per stage and memo entries
+Evaluation is a left fold from the leaf outward: Λ starts from one interned
+root tuple per collection, and each stage takes one successor step.
+`AbsEvalContext` holds the schema and one example's output type, interns
+types and tuples of types, and computes each (operator, parent tuple, stage)
+step once, so Λ of a spine costs one table lookup per stage and memo entries
 share their objects. A type is interned by one exact structural key, which
 reads attribute order and placeholder labels, because the successors of a
 type depend on both; `AugmentedType.__eq__` ignores them. The synthesizer
 refines a spine by prepending a stage at the leaf, so `ops[:-1]` of a
 depth-d+1 spine is a depth-d spine, and breadth-first search has taken every
-step but the last already. The size formula needs no fold: it is the
-collection's `l_0` plus the spine's stage kinds. `abs_eval` pairs a spine's
-types with its formula.
+step but the last already.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 
 from .abstraction import (
     ANY,
-    AbstractCollection,
     AugmentedType,
     Placeholder,
     from_doc_type,
@@ -41,7 +39,6 @@ from .abstraction import (
     type_union,
 )
 from .errors import MalformedQueryError, UnknownCollectionError
-from .sizes import SizeFormula
 from .types import ArrayT, DocT, NUM
 
 OPERATOR_TAGS = ("project", "match", "add_fields", "unwind", "group", "lookup")
@@ -90,7 +87,7 @@ def _key_subsets(names, max_keys):
         yield from combinations(names, size)
 
 
-def _successors(tag, t: AugmentedType, j: int, out_aug: AugmentedType, adb, max_group_keys):
+def _successors(tag, t: AugmentedType, j: int, out_aug: AugmentedType, schema, max_group_keys):
     if tag == "match":
         return [t]
     if tag == "project":
@@ -106,11 +103,10 @@ def _successors(tag, t: AugmentedType, j: int, out_aug: AugmentedType, adb, max_
             out.append(type_replace_path(t, path, new))
         return out
     if tag == "lookup":
-        out = []
-        for name, ac in adb.items():
-            foreign = ArrayT(to_doc_type(ac.doc_type))
-            out.append(type_union(t, AugmentedType([(Placeholder("one", j), foreign)])))
-        return out
+        return [
+            type_union(t, AugmentedType([(Placeholder("one", j), foreign)]))
+            for foreign in schema.values()
+        ]
     # group
     t_kd = to_doc_type(t)
     names = [n for n, _ in t_kd.fields]
@@ -163,16 +159,15 @@ def _exact_key(t) -> tuple:
 
 
 class AbsEvalContext:
-    """One example's abstract database, output and group-key bound, plus the
-    interned abstract steps over them and deduction's type verdicts on that
-    output. The synthesizer sets `out_docs`."""
+    """The schema, one example's output type and the group-key bound, plus
+    the interned abstract steps over them and deduction's type verdicts on
+    that output."""
 
-    def __init__(self, adb: dict, out_type: DocT, max_group_keys: int = 2):
-        self.adb = adb
+    def __init__(self, schema: dict, out_type: DocT, max_group_keys: int = 2):
+        self.schema = schema  # collection -> ArrayT of its document type
         self.out_type = out_type
         self.out_aug = from_doc_type(out_type)
         self.max_group_keys = max_group_keys
-        self.out_docs = []
         self.typed = {}      # document type -> whether out_type matches it
         self._types = {}     # exact key of a type -> the one type with that key
         self._tuples = {}    # ids of interned types -> the one tuple of them
@@ -180,7 +175,8 @@ class AbsEvalContext:
         # Types and type tuples are interned, and the intern tables keep them
         # alive as long as the context, so an id names one of them.
         self._roots = {      # collection -> the types of Λ for the bare spine
-            name: self._intern_tuple((self._intern(ac.doc_type),)) for name, ac in adb.items()
+            name: self._intern_tuple((self._intern(from_doc_type(coll_type.elem)),))
+            for name, coll_type in schema.items()
         }
 
     def types(self, collection: str, ops: tuple) -> tuple:
@@ -198,7 +194,7 @@ class AbsEvalContext:
         if types is None:
             nxt = {}
             for t in parent:
-                for s in _successors(tag, t, j, self.out_aug, self.adb, self.max_group_keys):
+                for s in _successors(tag, t, j, self.out_aug, self.schema, self.max_group_keys):
                     nxt.setdefault(self._intern(s), None)
             types = self._steps[key] = self._intern_tuple(tuple(nxt))
         return types
@@ -210,12 +206,8 @@ class AbsEvalContext:
         return self._types.setdefault(_exact_key(t), t)
 
 
-def abs_eval(ctx: AbsEvalContext, sk: Sketch) -> list:
-    """The set Λ of abstract collections reachable by any completion of sk."""
-    if sk.collection not in ctx.adb:
+def abs_eval(ctx: AbsEvalContext, sk: Sketch) -> tuple:
+    """Λ: the document types any completion of sk can produce, as interned by ctx."""
+    if sk.collection not in ctx.schema:
         raise UnknownCollectionError(f"unknown collection {sk.collection!r}")
-    types = ctx.types(sk.collection, sk.ops)
-    if not types:
-        return []
-    formula = SizeFormula(ctx.adb[sk.collection].formula.ground, sk.ops)
-    return [AbstractCollection(t, formula) for t in types]
+    return ctx.types(sk.collection, sk.ops)

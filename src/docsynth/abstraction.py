@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import MalformedQueryError, NotASubsetError
-from .sizes import SizeFormula
 from .types import DocT
 
 
@@ -299,37 +298,16 @@ def matches(t: DocT, aug: AugmentedType) -> bool:
     return assign(0)
 
 
-# ---------------------------------------------------------------------------
-# Abstract collections and databases
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AbstractCollection:
-    doc_type: AugmentedType
-    formula: SizeFormula
-
-    def render(self) -> str:
-        return f"({self.doc_type.render()}, {self.formula.render()})"
-
-
-def abstract_db_of(db: dict, schema: dict) -> dict:
-    """Each collection becomes (its schema type, l0 = current size)."""
-    return {
-        name: AbstractCollection(from_doc_type(coll_type.elem), SizeFormula(len(db[name])))
-        for name, coll_type in schema.items()
-    }
-
-
-def concretizes(coll, ac: AbstractCollection, *, doc_type: DocT) -> bool:
+def concretizes(coll, aug: AugmentedType, *, doc_type: DocT) -> bool:
     """Whether the concrete collection, whose documents have type `doc_type`,
-    fits `ac`'s document type.
+    can be an instance of the abstract document type `aug`.
 
-    This is the type half of concretization. The size half needs no
-    abstract collection: deduction folds each example's input size through
-    the spine's stage kinds with `sizes.reachable`. The type half is vacuous
-    for an empty collection (no document type exists to check).
+    This is the type half of concretization; deduction decides the size half
+    by folding each example's input size through the spine's stage kinds
+    (`sizes.reachable`). It is vacuous for an empty collection (no document
+    type exists to check).
     """
-    return not coll or matches(doc_type, ac.doc_type)
+    return not coll or matches(doc_type, aug)
 
 
 __all__ = [
@@ -337,5 +315,5 @@ __all__ = [
     "from_doc_type", "to_doc_type", "BOT",
     "type_union", "type_intersect", "type_subset", "type_subtract",
     "type_replace_path",
-    "matches", "AbstractCollection", "abstract_db_of", "concretizes",
+    "matches", "concretizes",
 ]

@@ -22,7 +22,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import DocsynthError, EvalError, ParseError, TaskError
+from .errors import DocsynthError, EvalError, TaskError
 from .interp import eval_query
 from .lang import Group
 from .mongo import optimize, render_shell, translate
@@ -354,9 +354,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except DocsynthError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

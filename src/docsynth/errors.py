@@ -51,11 +51,6 @@ class UnwindNonArrayError(EvalError):
     """Unwind path resolved to a present, non-null, non-array value."""
 
 
-class MalformedFormulaError(DocsynthError):
-    """Size formula has a negative or non-integer ground size, or a stage
-    kind with no size image."""
-
-
 class NotASubsetError(DocsynthError):
     """type_subtract called with a right operand that is not a subset of the left."""
 

@@ -16,6 +16,7 @@ references are "$a.b" strings; stages print one per line inside
 from __future__ import annotations
 
 import json
+import math
 import re
 
 from .errors import MalformedQueryError
@@ -314,6 +315,8 @@ def _render_value(v):
         return "false"
     if v is None:
         return "null"
+    if isinstance(v, float) and not math.isfinite(v):
+        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"  # JS globals
     if isinstance(v, (int, float)):
         return repr(v)
     if isinstance(v, str):

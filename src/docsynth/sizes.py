@@ -1,4 +1,4 @@
-"""Size formulas over stage-size variables l_0 .. l_n and the one fold that decides them.
+"""The size half of the collection abstraction: one fold over per-kind size images.
 
 The paper's formula is a chain: `l_0 = c` grounds the input size, and stage
 j relates l_j to l_{j-1} by an atom of its operator kind. Here stage j's
@@ -22,50 +22,12 @@ for the interpreter. `$unwind` drops a document whose array is empty or
 absent as well as multiplying the others, so Unwind is unconstrained, not
 `l_j >= l_{j-1}`. A Group over an empty example stays empty, so it is not
 a strict decrease at 0; from one document it has no candidate, because a
-key set must merge something in every example. `SizeFormula.render` still
-draws the paper's chain glyphs, with Unwind as `l_j∈ℕ`.
+key set must merge something in every example.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .errors import MalformedFormulaError
-
-_SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
-# the paper's chain glyph of each stage kind; None leaves l_j unconstrained
-_GLYPH = {
-    "project": "=", "add_fields": "=", "lookup": "=",
-    "match": "≤", "group": "<", "unwind": None,
-}
-
-
-def _var(i: int) -> str:
-    return "l" + str(i).translate(_SUBSCRIPTS)
-
-
-@dataclass(frozen=True, slots=True)
-class SizeFormula:
-    """`l_0 = ground`, and l_j is an image of l_{j-1} under a stage of kind ops[j-1]."""
-
-    ground: int
-    ops: tuple = ()
-
-    def __post_init__(self):
-        g = self.ground
-        if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-            raise MalformedFormulaError(f"ground value must be a non-negative integer: {g!r}")
-        for tag in self.ops:
-            if tag not in _GLYPH:
-                raise MalformedFormulaError(f"unknown stage kind {tag!r}")
-
-    def render(self) -> str:
-        atoms = [f"{_var(0)}={self.ground}"]
-        for j, tag in enumerate(self.ops, start=1):
-            glyph = _GLYPH[tag]
-            atoms.append(f"{_var(j)}∈ℕ" if glyph is None else f"{_var(j)}{glyph}{_var(j - 1)}")
-        return " ∧ ".join(atoms)
 
 
 def reachable(n: int, tags, m: int) -> bool:

@@ -79,22 +79,22 @@ returned. The orders are fixed as follows.
   lookup       foreign collections in schema order, output array attributes,
                then (local, foreign) path pairs of equal primitive type.
 
-The facts that stay fixed while one task is searched (abstract databases,
-output types, the constant pool, the deadline and the counters) are built
-once, in `Search`. Deduction's type state lives in one
-`absint.AbsEvalContext` per example: the output documents and their lenient
-type, the interned abstract steps taken so far, and a `concretizes` verdict
-per abstract document type. `deduce` runs each half unless its ablation
-flag is set. The size half folds each example's input size through the
-spine's stage kinds to its output size (`Search.out_sizes`); it never reads
-Λ, so it is the same with types off. `refine` prepends the new
-stage at the leaf, while abstract evaluation folds from the leaf outward, so
-a spine's parent for deduction is `ops[:-1]`, not the spine it was refined
-from; breadth first, both were visited earlier, and deduction takes one new
-abstract step per spine. The layer functions (`deduce`,
-`abs_eval`, `concretizes`, `complete_sketch`, `enumerate_predicates`,
-`lenient_doc_type`, `apply_stage`) are called through this module's globals,
-because perfbench/tracing.py rebinds those names to time each layer.
+The facts that stay fixed while one task is searched (the examples' inputs
+and outputs, output types, the constant pool, the deadline and the
+counters) are built once, in `Search`. Deduction's type state lives in one
+`absint.AbsEvalContext` per example: the lenient type of its output, the
+interned abstract steps taken so far, and a `concretizes` verdict per
+abstract document type. `deduce` runs each half unless its ablation flag is
+set. The size half folds each example's input size through the spine's
+stage kinds to its output size; it never reads Λ, so it is the same with
+types off. `refine` prepends the new stage at the leaf, while abstract
+evaluation folds from the leaf outward, so a spine's parent for deduction
+is `ops[:-1]`, not the spine it was refined from; breadth first, both were
+visited earlier, and deduction takes one new abstract step per spine. The
+layer functions (`deduce`, `abs_eval`, `concretizes`, `complete_sketch`,
+`enumerate_predicates`, `lenient_doc_type`, `apply_stage`) are called
+through this module's globals, because perfbench/tracing.py rebinds those
+names to time each layer.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 
 from .absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
-from .abstraction import abstract_db_of, concretizes
+from .abstraction import concretizes
 from .errors import EvalError, TaskError
 from .interp import HOLDS_ON, apply_stage, eval_agg, eval_expr, read_path
 from .lang import (
@@ -187,12 +187,10 @@ class Search:
         self.cfg = cfg
         self.start = time.monotonic()
         self.deadline = self.start + cfg.timeout_seconds
-        self.contexts = []  # one deduction context per example
-        for ex in task.examples:
-            ctx = AbsEvalContext(abstract_db_of(ex.input, task.schema),
-                                 lenient_doc_type(ex.output), cfg.max_group_keys)
-            ctx.out_docs = ex.output
-            self.contexts.append(ctx)
+        self.contexts = [  # one deduction context per example
+            AbsEvalContext(task.schema, lenient_doc_type(ex.output), cfg.max_group_keys)
+            for ex in task.examples
+        ]
         self.inputs = [ex.input for ex in task.examples]
         self.outputs = [ex.output for ex in task.examples]
         self.out_sizes = [len(out) for out in self.outputs]
@@ -288,22 +286,20 @@ def deduce(search: Search, sk: Sketch) -> bool:
     collection the spine produces, by the halves the config leaves on."""
     check_size = not search.cfg.disable_size_abstraction
     check_type = not search.cfg.disable_type_abstraction
-    for ctx, db, out_size in zip(search.contexts, search.inputs, search.out_sizes):
+    for ctx, db, out in zip(search.contexts, search.inputs, search.outputs):
         # the type half's empty-Λ prune comes first; the halves commute, so
         # the order only decides which half a pruned spine is charged to
         if check_type:
             lam = abs_eval(ctx, sk)
             if not lam:
                 return False
-        if check_size and not reachable(len(db[sk.collection]), sk.ops, out_size):
+        if check_size and not reachable(len(db[sk.collection]), sk.ops, len(out)):
             return False
         if check_type:
-            for ac in lam:
-                typed = ctx.typed.get(ac.doc_type)
+            for t in lam:
+                typed = ctx.typed.get(t)
                 if typed is None:
-                    typed = ctx.typed[ac.doc_type] = concretizes(
-                        ctx.out_docs, ac, doc_type=ctx.out_type,
-                    )
+                    typed = ctx.typed[t] = concretizes(out, t, doc_type=ctx.out_type)
                 if typed:
                     break
             else:

@@ -8,10 +8,12 @@ The parser accepts exactly what the renderer produces, plus the unicode
 comparison/connective spellings. Path segments must be identifier-shaped
 ([A-Za-z_][A-Za-z0-9_]*) in text form; data attribute names outside that set
 are representable in the AST and JSON encodings but not in this syntax.
+Nor are NaN and the infinities, which the constant grammar cannot spell.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ParseError
@@ -66,6 +68,8 @@ def render_const(v) -> str:
     if k == "bool":
         return "true" if v else "false"
     if k == "num":
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ParseError(f"constant {v!r} is not representable in text syntax")
         return repr(v)
     if k == "str":
         out = v.replace("\\", "\\\\").replace('"', '\\"')

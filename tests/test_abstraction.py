@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from docsynth.abstraction import (
     ANY,
-    AbstractCollection,
     AugmentedType,
     Placeholder,
-    abstract_db_of,
     concretizes,
     from_doc_type,
     matches,
@@ -23,7 +21,7 @@ from docsynth.abstraction import (
     type_union,
 )
 from docsynth.errors import MalformedQueryError, NotASubsetError
-from docsynth.sizes import SizeFormula, reachable
+from docsynth.sizes import reachable
 from docsynth.types import ArrayT, BOOL, DocT, NUM, STRING, compute_schema, infer_collection_type
 from .oracles import match_by_enumeration
 
@@ -251,66 +249,33 @@ def test_subset_characterization(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Abstract collections
+# Concretization
 # ---------------------------------------------------------------------------
 
 class TestConcretizes:
     def setup_method(self):
         self.output = GOLDEN["stages"][5]  # two rows: reply_count, title
         self.out_t = infer_collection_type(self.output)
-        self.c3 = AbstractCollection(
-            aug(many(0, ANY), many(3, NUM)),
-            SizeFormula(3, ("unwind", "match", "group", "add_fields", "match", "project")),
-        )
-        self.c1 = AbstractCollection(
-            from_doc_type(compute_schema(GOLDEN["input"])["posts"].elem),
-            SizeFormula(3),
-        )
+        self.c3 = aug(many(0, ANY), many(3, NUM))
+        self.ops3 = ("unwind", "match", "group", "add_fields", "match", "project")
+        self.c1 = from_doc_type(compute_schema(GOLDEN["input"])["posts"].elem)
 
     def test_forum_output_concretizes_c3(self):
         assert concretizes(self.output, self.c3, doc_type=self.out_t)
 
     def test_forum_output_rejects_raw_abstraction(self):
         # both halves fail independently: the type half is concretizes, the
-        # size half the fold of l0 through the formula's stage kinds
+        # size half the fold of the 3 input posts through the stage kinds
         assert not concretizes(self.output, self.c1, doc_type=self.out_t)
-        f = self.c1.formula
-        assert not reachable(f.ground, f.ops, len(self.output))
-        f3 = self.c3.formula
-        assert reachable(f3.ground, f3.ops, len(self.output))
+        assert not reachable(3, (), len(self.output))
+        assert reachable(3, self.ops3, len(self.output))
 
     def test_empty_collection_checks_size_only(self):
-        ac = AbstractCollection(aug(("zzz", NUM)), SizeFormula(3, ("match",)))
-        assert concretizes([], ac, doc_type=DocT({}))
-        assert reachable(3, ac.formula.ops, 0)
-        ac2 = AbstractCollection(aug(("zzz", NUM)), SizeFormula(3, ("project",)))
-        assert concretizes([], ac2, doc_type=DocT({}))
-        assert not reachable(3, ac2.formula.ops, 0)
-
-    def test_result_var(self):
-        assert len(self.c3.formula.ops) == 6
-        assert len(self.c1.formula.ops) == 0
+        t = aug(("zzz", NUM))
+        assert concretizes([], t, doc_type=DocT({}))
+        assert reachable(3, ("match",), 0)
+        assert not reachable(3, ("project",), 0)
 
     def test_render(self):
-        assert self.c3.render() == (
-            "({?⁺₀: Any, ?⁺₃: Num}, l₀=3 ∧ l₁∈ℕ ∧ l₂≤l₁ ∧ l₃<l₂ ∧ l₄=l₃ ∧ l₅≤l₄ ∧ l₆=l₅)"
-        )
+        assert self.c3.render() == "{?⁺₀: Any, ?⁺₃: Num}"
 
-
-class TestAbstractDb:
-    def test_forum_input(self):
-        db = GOLDEN["input"]
-        adb = abstract_db_of(db, compute_schema(db))
-        ac = adb["posts"]
-        assert ac.doc_type.render() == "{_id: String, title: String, replies: Arr⟨{depth: Num}⟩}"
-        assert ac.formula.render() == "l₀=3"
-
-    def test_sizes_per_collection(self):
-        db = {"a": [{"x": 1}], "b": []}
-        schema = {
-            "a": ArrayT(DocT({"x": NUM})),
-            "b": ArrayT(DocT({"y": STRING})),
-        }
-        adb = abstract_db_of(db, schema)
-        assert adb["a"].formula.render() == "l₀=1"
-        assert adb["b"].formula.render() == "l₀=0"

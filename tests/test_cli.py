@@ -167,6 +167,16 @@ class TestSynthCommand:
         assert "Match(items" not in out
         assert "db.items.aggregate([" in out
 
+    def test_non_finite_constant_has_no_dsl_text_and_js_spelling(self, tmp_path, capsys):
+        inf = float("inf")
+        t = {"collection": "c",
+             "examples": [{"input": {"c": [{"x": 1}, {"x": inf}]}, "output": [{"x": inf}]}]}
+        path = write_json(tmp_path / "t.json", t)  # json writes the bare token Infinity
+        assert main(["synth", path, "--emit", "dsl"]) == 1
+        assert "not representable" in capsys.readouterr().err
+        assert main(["synth", path, "--emit", "mongo"]) == 0
+        assert "{$match: {x: {$eq: Infinity}}}" in capsys.readouterr().out
+
     def test_out_file_receives_artifacts(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", simple_task())
         dest = tmp_path / "query.txt"

@@ -87,6 +87,14 @@ class TestRender:
             assert render_pred(p) == text
             assert parse_pred(text) == p
 
+    def test_non_finite_constants_are_not_representable(self):
+        # the constant grammar has no spelling that would parse back
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParseError, match="not representable"):
+                render_pred(Cmp(("x",), "=", value))
+            with pytest.raises(ParseError, match="not representable"):
+                render_query(Match(CollectionRef("c"), Cmp(("x",), "=", value)))
+
     def test_unicode_ops_accepted_on_parse(self):
         assert parse_pred("a ≤ 1") == Cmp(("a",), "<=", 1)
         assert parse_pred("a ≠ 1") == Cmp(("a",), "!=", 1)

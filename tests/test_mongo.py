@@ -129,6 +129,11 @@ class TestRenderStage:
         s = render_stage({"$match": {"a": {"$eq": None}, "b": {"$eq": True}, "c": {"$eq": 1.5}}})
         assert s == "{$match: {a: {$eq: null}, b: {$eq: true}, c: {$eq: 1.5}}}"
 
+    def test_non_finite_numbers_use_js_globals(self):
+        nan, inf = float("nan"), float("inf")
+        s = render_stage({"$match": {"a": {"$eq": nan}, "b": {"$eq": inf}, "c": {"$eq": -inf}}})
+        assert s == "{$match: {a: {$eq: NaN}, b: {$eq: Infinity}, c: {$eq: -Infinity}}}"
+
     def test_datetime_renders_extended_tag(self):
         s = render_stage({"$match": {"d": {"$eq": Datetime("2020-01-01T00:00:00Z")}}})
         assert s == '{$match: {d: {$eq: {$date: "2020-01-01T00:00:00Z"}}}}'
