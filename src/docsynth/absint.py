@@ -8,7 +8,21 @@ The size half of the abstraction needs no evaluation: deduction folds each
 example's input size through the spine's stage kinds (`sizes.reachable`).
 
 Stage ids count outward from the leaf (leaf = 0), and stage j contributes
-its type successors.
+its type successors. An abstract type is a `DocT` of named attributes plus
+top-level placeholders (`abstraction.AugmentedType`), and each successor
+builds its result from those two parts directly:
+
+  match       the type itself.
+  project     the named attributes the example's output type has with an
+              equal type (`types.doc_intersect`), and every placeholder.
+  add_fields  ?⁺₀: Any appended, unless it is already there.
+  lookup      ?¹ⱼ appended, typed by one collection of the schema, one
+              successor per collection.
+  unwind      the array at one path that crosses no array replaced by its
+              element type, one successor per such path, in lexicographic
+              order (`types.typed_paths`).
+  group       {_id: a set of at most max_group_keys named attributes}, with
+              and without ?⁺ⱼ: Num, per key set.
 
 Evaluation is a left fold from the leaf outward: Λ starts from one interned
 root tuple per collection, and each stage takes one successor step.
@@ -26,20 +40,11 @@ step but the last already.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .abstraction import (
-    ANY,
-    AugmentedType,
-    Placeholder,
-    from_doc_type,
-    to_doc_type,
-    type_intersect,
-    type_replace_path,
-    type_subtract,
-    type_union,
-)
+from .abstraction import ANY, AugmentedType, Placeholder
 from .errors import MalformedQueryError, UnknownCollectionError
-from .types import ArrayT, DocT, NUM
+from .types import NUM, ArrayT, DocT, doc_intersect, doc_replace_path, typed_paths
 
 OPERATOR_TAGS = ("project", "match", "add_fields", "unwind", "group", "lookup")
 
@@ -65,85 +70,46 @@ class Sketch:
         return out
 
 
-def array_paths(t: AugmentedType, prefix=()):
-    """Named paths to array-typed attributes, never crossing an array."""
-    out = []
-    for key, value in t.entries:
-        if isinstance(key, Placeholder):
-            continue
-        path = prefix + (key,)
-        if isinstance(value, ArrayT):
-            out.append(path)
-        elif isinstance(value, AugmentedType):
-            out.extend(array_paths(value, path))
-    return out
-
-
-def _key_subsets(names, max_keys):
-    """Non-empty subsets of at most max_keys names, smaller first, stable order."""
-    from itertools import combinations
-
-    for size in range(1, min(max_keys, len(names)) + 1):
-        yield from combinations(names, size)
-
-
-def _successors(tag, t: AugmentedType, j: int, out_aug: AugmentedType, schema, max_group_keys):
+def _successors(tag, t: AugmentedType, j: int, out_type: DocT, schema, max_group_keys):
+    doc, phs = t.doc, t.placeholders
     if tag == "match":
         return [t]
     if tag == "project":
-        t_k = from_doc_type(to_doc_type(t))
-        return [type_union(type_subtract(t, t_k), type_intersect(t_k, out_aug))]
+        return [AugmentedType(doc_intersect(doc, out_type), phs)]
     if tag == "add_fields":
-        return [type_union(t, AugmentedType([(Placeholder("many", 0), ANY)]))]
+        new = (Placeholder("many", 0), ANY)
+        return [t if new in phs else AugmentedType(doc, phs + (new,))]
     if tag == "unwind":
-        out = []
-        for path in array_paths(t):
-            elem = _path_value(t, path).elem
-            new = from_doc_type(elem) if isinstance(elem, DocT) else elem
-            out.append(type_replace_path(t, path, new))
-        return out
-    if tag == "lookup":
         return [
-            type_union(t, AugmentedType([(Placeholder("one", j), foreign)]))
-            for foreign in schema.values()
+            AugmentedType(doc_replace_path(doc, path, vt.elem), phs)
+            for path, vt in typed_paths(doc) if isinstance(vt, ArrayT)
         ]
-    # group
-    t_kd = to_doc_type(t)
-    names = [n for n, _ in t_kd.fields]
+    if tag == "lookup":
+        return [AugmentedType(doc, phs + ((Placeholder("one", j), foreign),)) for foreign in schema.values()]
+    # group: the key document is {_id: a subset of the named attributes},
+    # with or without the aggregates
     out = []
-    for subset in _key_subsets(names, max_group_keys):
-        key_doc = from_doc_type(DocT((n, t_kd.attrs[n]) for n in subset))
-        base = AugmentedType([("_id", key_doc)])
-        out.append(type_union(base, AugmentedType([(Placeholder("many", j), NUM)])))
-        out.append(base)
+    for size in range(1, min(max_group_keys, len(doc.fields)) + 1):
+        for keys in combinations(doc.fields, size):
+            key_doc = DocT([("_id", DocT(keys))])
+            out.append(AugmentedType(key_doc, [(Placeholder("many", j), NUM)]))
+            out.append(AugmentedType(key_doc))
     return out
 
 
-def _path_value(t: AugmentedType, path):
-    cur = t
-    for seg in path:
-        cur = cur.get(seg)
-    return cur
-
-
-def _exact_key(t) -> tuple:
-    """A key equal for two types exactly when they agree in attribute order,
-    placeholder kinds and labels, and `DocT` field order, at every depth.
+def _exact_key(t: AugmentedType) -> tuple:
+    """A key equal for two types exactly when they agree in placeholder
+    kinds, labels and order, and in `DocT` field order at every depth.
 
     The key is one flat tuple of tokens: a tuple per nested document raised
-    the tracemalloc peak of the reddit_posts search from 7.4 to 9.1 MB.
-    Each document token is followed by its entry count, so a token sequence
-    parses back one way.
+    the tracemalloc peak of the reddit_posts search from 7.4 to 9.1 MB. The
+    placeholder count comes first and each document token is followed by its
+    field count, so a token sequence parses back one way.
     """
-    out = []
+    out = [len(t.placeholders)]
 
     def walk(v):
-        if isinstance(v, AugmentedType):
-            out.extend(("aug", len(v.entries)))
-            for k, x in v.entries:
-                out.append(k)
-                walk(x)
-        elif isinstance(v, DocT):
+        if isinstance(v, DocT):
             out.extend(("doc", len(v.fields)))
             for n, x in v.fields:
                 out.append(n)
@@ -154,7 +120,10 @@ def _exact_key(t) -> tuple:
         else:
             out.append(v)
 
-    walk(t)
+    for p, v in t.placeholders:
+        out.append(p)
+        walk(v)
+    walk(t.doc)
     return tuple(out)
 
 
@@ -166,7 +135,6 @@ class AbsEvalContext:
     def __init__(self, schema: dict, out_type: DocT, max_group_keys: int = 2):
         self.schema = schema  # collection -> ArrayT of its document type
         self.out_type = out_type
-        self.out_aug = from_doc_type(out_type)
         self.max_group_keys = max_group_keys
         self.typed = {}      # document type -> whether out_type matches it
         self._types = {}     # exact key of a type -> the one type with that key
@@ -175,7 +143,7 @@ class AbsEvalContext:
         # Types and type tuples are interned, and the intern tables keep them
         # alive as long as the context, so an id names one of them.
         self._roots = {      # collection -> the types of Λ for the bare spine
-            name: self._intern_tuple((self._intern(from_doc_type(coll_type.elem)),))
+            name: self._intern_tuple((self._intern(AugmentedType(coll_type.elem)),))
             for name, coll_type in schema.items()
         }
 
@@ -194,7 +162,7 @@ class AbsEvalContext:
         if types is None:
             nxt = {}
             for t in parent:
-                for s in _successors(tag, t, j, self.out_aug, self.schema, self.max_group_keys):
+                for s in _successors(tag, t, j, self.out_type, self.schema, self.max_group_keys):
                     nxt.setdefault(self._intern(s), None)
             types = self._steps[key] = self._intern_tuple(tuple(nxt))
         return types

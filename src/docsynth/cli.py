@@ -1,7 +1,9 @@
 """Command-line front end: synth, eval, and bench subcommands.
 
 Exit codes for synth: 0 synthesis succeeded, 2 timed out, 3 search space
-exhausted, 1 bad input (task file, flags). eval exits 0 only when the query
+exhausted, 1 bad input (task file, flags) or, with `--emit dsl`, a query that
+the text syntax cannot spell (`--emit both` then writes the pipeline, warns
+and exits 0). eval exits 0 only when the query
 reproduces every example output. bench always exits 0 unless the task
 directory itself is unusable.
 
@@ -22,7 +24,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import DocsynthError, EvalError, TaskError
+from .errors import DocsynthError, EvalError, ParseError, TaskError
 from .interp import eval_query
 from .lang import Group
 from .mongo import optimize, render_shell, translate
@@ -85,9 +87,17 @@ def cmd_synth(args) -> int:
         print(stats_line)
         return _STATUS_EXIT[result.status]
 
+    # the text syntax cannot spell every query (a NaN or infinite constant,
+    # an unusual path segment); the pipeline and the stats line do not need it
     parts = []
     if args.emit in ("dsl", "both"):
-        parts.append(render_query(result.query))
+        try:
+            parts.append(render_query(result.query))
+        except ParseError as e:
+            if args.emit == "dsl":
+                print(stats_line)
+                raise
+            print(f"warning: DSL text omitted: {e}", file=sys.stderr)
     if args.emit in ("mongo", "both"):
         coll, pipeline = translate(result.query)
         parts.append(render_shell(coll, optimize(pipeline)))

@@ -51,9 +51,5 @@ class UnwindNonArrayError(EvalError):
     """Unwind path resolved to a present, non-null, non-array value."""
 
 
-class NotASubsetError(DocsynthError):
-    """type_subtract called with a right operand that is not a subset of the left."""
-
-
 class TaskError(DocsynthError):
     """A synthesis task file is malformed or inconsistent."""

@@ -19,7 +19,7 @@ from .errors import (
     UntypableNullError,
 )
 from . import values
-from .values import Datetime, ObjectId, kind_of
+from .values import kind_of
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,29 @@ def typed_paths(doct: DocT):
     walk((), doct)
     out.sort(key=lambda entry: entry[0])
     return out
+
+
+def doc_replace_path(doct: DocT, path, new) -> DocT:
+    """`doct` with the type at `path`, a path through documents that
+    resolves in it, replaced by `new`; field order is kept."""
+    head, rest = path[0], path[1:]
+    return DocT(
+        (n, (doc_replace_path(t, rest, new) if rest else new) if n == head else t)
+        for n, t in doct.fields
+    )
+
+
+def doc_intersect(a: DocT, b: DocT) -> DocT:
+    """The attributes of `a` that `b` has with an equal type, in `a`'s order;
+    an attribute that is a document in both keeps their intersection."""
+    fields = []
+    for name, t in a.fields:
+        u = b.attrs.get(name)
+        if isinstance(t, DocT) and isinstance(u, DocT):
+            fields.append((name, doc_intersect(t, u)))
+        elif t == u:
+            fields.append((name, t))
+    return DocT(fields)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from docsynth.absint import AbsEvalContext, Sketch, abs_eval, array_paths
-from docsynth.abstraction import concretizes, from_doc_type
+from docsynth.absint import AbsEvalContext, Sketch, abs_eval
+from docsynth.abstraction import concretizes
 from docsynth.errors import MalformedQueryError, UnknownCollectionError
 from docsynth.sizes import reachable
 from docsynth.synth import lenient_doc_type
@@ -165,11 +165,19 @@ class TestAbsEvalMemo:
 
 class TestHelpers:
     def test_array_paths(self):
-        t = from_doc_type(DocT({
+        # Unwind branches on every array path that crosses no array, in
+        # lexicographic order of the paths
+        schema = {"c": ArrayT(DocT({
             "xs": ArrayT(NUM),
             "meta": DocT({"ys": ArrayT(STRING), "z": NUM}),
-        }))
-        assert array_paths(t) == [("xs",), ("meta", "ys")]
+            "zs": ArrayT(DocT({"w": ArrayT(NUM)})),
+        }))}
+        lam = abs_eval(AbsEvalContext(schema, DocT({})), Sketch("c", ("unwind",)))
+        assert [t.render() for t in lam] == [
+            "{xs: Arr⟨Num⟩, meta: {ys: String, z: Num}, zs: Arr⟨{w: Arr⟨Num⟩}⟩}",
+            "{xs: Num, meta: {ys: Arr⟨String⟩, z: Num}, zs: Arr⟨{w: Arr⟨Num⟩}⟩}",
+            "{xs: Arr⟨Num⟩, meta: {ys: Arr⟨String⟩, z: Num}, zs: {w: Arr⟨Num⟩}}",
+        ]
 
     def test_sketch_render(self):
         assert OMEGA_2.render() == "Project(Match(Unwind(posts, ·), ·), ·)"

@@ -1,4 +1,5 @@
-"""Augmented type algebra, match relation, and concretization tests."""
+"""Augmented types, the document-type operations the abstract successors use,
+the match relation, and concretization tests."""
 
 import json
 from pathlib import Path
@@ -6,30 +7,22 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from docsynth.abstraction import (
-    ANY,
-    AugmentedType,
-    Placeholder,
-    concretizes,
-    from_doc_type,
-    matches,
-    to_doc_type,
-    type_intersect,
-    type_replace_path,
-    type_subset,
-    type_subtract,
-    type_union,
-)
-from docsynth.errors import MalformedQueryError, NotASubsetError
+from docsynth.abstraction import ANY, AugmentedType, Placeholder, concretizes, matches
+from docsynth.errors import MalformedQueryError
 from docsynth.sizes import reachable
-from docsynth.types import ArrayT, BOOL, DocT, NUM, STRING, compute_schema, infer_collection_type
+from docsynth.types import (
+    ArrayT, BOOL, DocT, NUM, STRING, compute_schema, doc_intersect, doc_replace_path,
+    infer_collection_type,
+)
 from .oracles import match_by_enumeration
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "replay_stages.json").read_text())
 
 
 def aug(*entries):
-    return AugmentedType(entries)
+    """The augmented type of named and placeholder entries, in any order."""
+    named = [(k, v) for k, v in entries if not isinstance(k, Placeholder)]
+    return AugmentedType(DocT(named), [(k, v) for k, v in entries if isinstance(k, Placeholder)])
 
 
 def many(label, value=ANY):
@@ -53,7 +46,7 @@ class TestRendering:
         assert t2.render() == "{a: Num, ?⁺₀: Any}"
 
     def test_nested_and_arrays(self):
-        t = from_doc_type(DocT({"_id": STRING, "replies": ArrayT(DocT({"depth": NUM}))}))
+        t = AugmentedType(DocT({"_id": STRING, "replies": ArrayT(DocT({"depth": NUM}))}))
         assert t.render() == "{_id: String, replies: Arr⟨{depth: Num}⟩}"
 
 
@@ -61,10 +54,6 @@ class TestInvariants:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(MalformedQueryError):
             aug(many(0), one(0))
-
-    def test_nested_placeholders_rejected(self):
-        with pytest.raises(MalformedQueryError):
-            aug(("a", aug(many(0))))
 
     def test_label_insensitive_equality(self):
         assert aug(many(0, NUM)) == aug(many(7, NUM))
@@ -77,65 +66,28 @@ class TestInvariants:
         assert aug(("a", NUM), ("b", STRING)) == aug(("b", STRING), ("a", NUM))
 
 
-class TestDocTypeConversion:
-    def test_drops_placeholders_and_any(self):
-        assert to_doc_type(aug(("a", STRING), many(1, ANY))) == DocT({"a": STRING})
-        assert to_doc_type(aug(one(3, ArrayT(NUM)))) == DocT({})
-        assert to_doc_type(aug(many(0, ANY), many(3, NUM))) == DocT({})
-        assert to_doc_type(aug(("a", ANY), ("b", NUM))) == DocT({"b": NUM})
-
-    def test_recurses(self):
-        t = aug(("d", aug(("x", NUM), ("y", ANY))))
-        assert to_doc_type(t) == DocT({"d": DocT({"x": NUM})})
-
-    def test_round_trip_plain(self):
-        d = DocT({"a": NUM, "b": DocT({"c": STRING})})
-        assert to_doc_type(from_doc_type(d)) == d
-
-
 class TestAlgebra:
-    def test_union(self):
-        assert type_union(aug(("a", NUM)), aug(("b", STRING))) == aug(("a", NUM), ("b", STRING))
-        assert type_union(aug(("a", NUM)), aug(("a", STRING))) == aug()
-        assert type_union(aug(("a", NUM)), aug(("a", NUM))) == aug(("a", NUM))
-
-    def test_union_merges_same_placeholder_key(self):
-        t = type_union(aug(("a", NUM), many(0, ANY)), aug(many(0, ANY)))
-        assert t == aug(("a", NUM), many(0, ANY))
-
     def test_intersect(self):
-        a = aug(("a", NUM), ("b", STRING))
-        b = aug(("a", NUM), ("c", BOOL))
-        assert type_intersect(a, b) == aug(("a", NUM))
-        assert type_intersect(aug(("a", NUM)), aug(("a", STRING))) == aug()
+        a = DocT({"a": NUM, "b": STRING})
+        b = DocT({"a": NUM, "c": BOOL})
+        assert doc_intersect(a, b) == DocT({"a": NUM})
+        assert doc_intersect(DocT({"a": NUM}), DocT({"a": STRING})) == DocT({})
 
     def test_intersect_recurses(self):
-        a = aug(("d", aug(("x", NUM), ("y", STRING))))
-        b = aug(("d", aug(("x", NUM))))
-        assert type_intersect(a, b) == b
-
-    def test_subset(self):
-        assert type_subset(aug(("a", NUM)), aug(("a", NUM), ("b", STRING)))
-        assert not type_subset(aug(("a", NUM), ("b", STRING)), aug(("a", NUM)))
-        assert type_subset(aug(("d", aug(("x", NUM)))), aug(("d", aug(("x", NUM), ("y", NUM)))))
-
-    def test_subtract(self):
-        a = aug(("_id", aug(("t", STRING))), many(3, NUM))
-        assert type_subtract(a, aug(("_id", aug(("t", STRING))))) == aug(many(3, NUM))
-        with pytest.raises(NotASubsetError):
-            type_subtract(aug(("a", NUM)), aug(("b", NUM)))
+        a = DocT({"d": DocT({"x": NUM, "y": STRING})})
+        b = DocT({"d": DocT({"x": NUM})})
+        assert doc_intersect(a, b) == b
 
     def test_replace_array_with_element(self):
-        t = from_doc_type(DocT({"replies": ArrayT(DocT({"depth": NUM}))}))
-        got = type_replace_path(t, ("replies",), from_doc_type(DocT({"depth": NUM})))
-        assert got == aug(("replies", aug(("depth", NUM))))
+        t = DocT({"replies": ArrayT(DocT({"depth": NUM}))})
+        got = doc_replace_path(t, ("replies",), DocT({"depth": NUM}))
+        assert got == DocT({"replies": DocT({"depth": NUM})})
 
     def test_replace_path(self):
-        t = aug(("a", aug(("c", NUM))), ("b", aug(("c", STRING))))
-        got = type_replace_path(t, ("b", "c"), BOOL)
-        assert got == aug(("a", aug(("c", NUM))), ("b", aug(("c", BOOL))))
-        with pytest.raises(MalformedQueryError):
-            type_replace_path(t, ("a", "z"), BOOL)
+        t = DocT({"a": DocT({"c": NUM}), "b": DocT({"c": STRING})})
+        got = doc_replace_path(t, ("b", "c"), BOOL)
+        assert got == DocT({"a": DocT({"c": NUM}), "b": DocT({"c": BOOL})})
+        assert [n for n, _ in got.fields] == ["a", "b"]
 
 
 class TestMatches:
@@ -158,9 +110,9 @@ class TestMatches:
 
     def test_degenerates_to_equality_without_placeholders(self):
         t = DocT({"a": NUM, "d": DocT({"x": STRING})})
-        assert matches(t, from_doc_type(t))
-        assert not matches(t, from_doc_type(DocT({"a": NUM})))
-        assert not matches(DocT({"a": NUM}), from_doc_type(t))
+        assert matches(t, AugmentedType(t))
+        assert not matches(t, AugmentedType(DocT({"a": NUM})))
+        assert not matches(DocT({"a": NUM}), AugmentedType(t))
 
     def test_backtracking(self):
         t = DocT({"a": NUM, "b": STRING})
@@ -201,23 +153,23 @@ def match_cases(draw):
 def test_matches_agrees_with_oracle(case):
     doc_attrs, named, ones, manys = case
     t = DocT(doc_attrs)
-    entries = list(named.items())
+    placeholders = []
     label = 0
     for tok in ones:
-        entries.append((Placeholder("one", label), tok))
+        placeholders.append((Placeholder("one", label), tok))
         label += 1
     for tok in manys:
-        entries.append((Placeholder("many", label), tok))
+        placeholders.append((Placeholder("many", label), tok))
         label += 1
     expected = match_by_enumeration(
         doc_attrs, named, ones, manys,
         accepts=lambda concrete, want: want is ANY or concrete == want,
     )
-    assert matches(t, AugmentedType(entries)) == expected
+    assert matches(t, AugmentedType(DocT(named), placeholders)) == expected
 
 
 # ---------------------------------------------------------------------------
-# Algebra properties on placeholder-free types
+# Intersection properties
 # ---------------------------------------------------------------------------
 
 plain_types = st.recursive(
@@ -228,24 +180,14 @@ plain_types = st.recursive(
         max_size=3,
     ),
     max_leaves=4,
-).map(lambda d: from_doc_type(DocT(d)))
+).map(DocT)
 
 
 @given(plain_types, plain_types)
 @settings(max_examples=200)
-def test_union_intersect_commute(a, b):
-    assert type_union(a, b) == type_union(b, a)
-    assert type_intersect(a, b) == type_intersect(b, a)
-    assert type_union(a, a) == a
-    assert type_intersect(a, a) == a
-
-
-@given(plain_types, plain_types)
-@settings(max_examples=200)
-def test_subset_characterization(a, b):
-    lhs = type_subset(a, b)
-    rhs = type_intersect(a, b) == a and type_union(a, b) == b
-    assert lhs == rhs
+def test_intersect_commutes_and_is_idempotent(a, b):
+    assert doc_intersect(a, b) == doc_intersect(b, a)
+    assert doc_intersect(a, a) == a
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +200,7 @@ class TestConcretizes:
         self.out_t = infer_collection_type(self.output)
         self.c3 = aug(many(0, ANY), many(3, NUM))
         self.ops3 = ("unwind", "match", "group", "add_fields", "match", "project")
-        self.c1 = from_doc_type(compute_schema(GOLDEN["input"])["posts"].elem)
+        self.c1 = AugmentedType(compute_schema(GOLDEN["input"])["posts"].elem)
 
     def test_forum_output_concretizes_c3(self):
         assert concretizes(self.output, self.c3, doc_type=self.out_t)

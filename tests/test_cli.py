@@ -177,6 +177,33 @@ class TestSynthCommand:
         assert main(["synth", path, "--emit", "mongo"]) == 0
         assert "{$match: {x: {$eq: Infinity}}}" in capsys.readouterr().out
 
+    def non_finite_task(self, tmp_path):
+        inf = float("inf")
+        t = {"collection": "c",
+             "examples": [{"input": {"c": [{"x": 1}, {"x": inf}]}, "output": [{"x": inf}]}]}
+        return write_json(tmp_path / "t.json", t)
+
+    def test_emit_both_keeps_pipeline_and_stats_without_dsl_text(self, tmp_path, capsys):
+        path = self.non_finite_task(tmp_path)
+        assert main(["synth", path]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("db.c.aggregate([\n  {$match: {x: {$eq: Infinity}}}])\n")
+        assert "status=success" in out
+        assert "warning: DSL text omitted: constant inf is not representable" in err
+        dest = tmp_path / "query.txt"
+        assert main(["synth", path, "--out", str(dest)]) == 0
+        out, err = capsys.readouterr()
+        assert "{$match: {x: {$eq: Infinity}}}" in dest.read_text()
+        assert "status=success" in out and "aggregate" not in out
+        assert "warning: DSL text omitted" in err
+
+    def test_emit_dsl_prints_stats_then_fails(self, tmp_path, capsys):
+        path = self.non_finite_task(tmp_path)
+        assert main(["synth", path, "--emit", "dsl"]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("status=success ")
+        assert err == "error: constant inf is not representable in text syntax\n"
+
     def test_out_file_receives_artifacts(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", simple_task())
         dest = tmp_path / "query.txt"

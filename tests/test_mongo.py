@@ -2,14 +2,12 @@
 
 import pathlib
 
-import pytest
 from hypothesis import given, settings
 
 from docsynth.interp import eval_query
 from docsynth.lang import (
     AddFields, And, Arith, Cmp, CollectionRef, Count, Exists, FALSE, FnCall,
-    Group, Lookup, Match, Not, Or, PathExpr, Project, SizeEq, Sum, TRUE,
-    TruePred, Unwind,
+    Group, Lookup, Match, Not, Or, PathExpr, Project, SizeEq, TRUE, Unwind,
 )
 from docsynth.mongo import (
     optimize,
@@ -22,7 +20,6 @@ from docsynth.text import parse_query
 from docsynth.values import Datetime
 
 from .test_lang import forum_query, queries
-from .oracles import replay
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 C = CollectionRef("c")
