@@ -6,9 +6,6 @@ the text syntax cannot spell (`--emit both` then writes the pipeline, warns
 and exits 0). eval exits 0 only when the query
 reproduces every example output. bench always exits 0 unless the task
 directory itself is unusable.
-
-The DOCSYNTH_LOG environment variable (error, info, trace) controls log
-verbosity on stderr; the default is error.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import argparse
 import csv
 import difflib
 import json
-import logging
 import os
 import statistics
 import sys
@@ -26,26 +22,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .errors import DocsynthError, EvalError, ParseError, TaskError
 from .interp import eval_query
-from .lang import Group
 from .mongo import optimize, render_shell, translate
 from .synth import SynthesisConfig, synthesize
 from .taskio import load_task
 from .text import parse_query, render_query
 from .values import collection_eq, value_to_json
-
-log = logging.getLogger("docsynth")
-
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "trace": logging.DEBUG}
-
-
-def _configure_logging():
-    name = os.environ.get("DOCSYNTH_LOG", "error").lower()
-    level = _LOG_LEVELS.get(name)
-    if level is None:
-        print(f"warning: unknown DOCSYNTH_LOG level {name!r}, using error", file=sys.stderr)
-        level = logging.ERROR
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
-    log.setLevel(level)
 
 
 def _config_from_args(args) -> SynthesisConfig:
@@ -106,7 +87,6 @@ def cmd_synth(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        log.info("wrote %s", args.out)
     else:
         sys.stdout.write(text)
     print(stats_line)
@@ -247,28 +227,6 @@ def cmd_bench(args) -> int:
 
 # --- optional live verification ----------------------------------------------
 
-def rewrap_group_ids(docs, key_name):
-    """Undo the translator's single-key _id flattening so live pipeline
-    results compare against example outputs, which keep the key document."""
-    out = []
-    for d in docs:
-        if "_id" in d and not isinstance(d["_id"], dict):
-            d = dict(d)
-            d["_id"] = {key_name: d["_id"]}
-        out.append(d)
-    return out
-
-
-def _last_single_group_key(query):
-    key = None
-    q = query
-    while hasattr(q, "source"):
-        if isinstance(q, Group) and len(q.keys) == 1 and key is None:
-            key = q.keys[0][-1]
-        q = q.source
-    return key
-
-
 def _verify_mongo(uri, task, query) -> bool:
     try:
         import pymongo
@@ -278,7 +236,6 @@ def _verify_mongo(uri, task, query) -> bool:
     coll, pipeline = translate(query)
     pipeline = optimize(pipeline)
     has_group = any("$group" in stage for stage in pipeline)
-    key_name = _last_single_group_key(query)
     client = pymongo.MongoClient(uri, serverSelectionTimeoutMS=5000)
     dbname = "docsynth_verify"
     ok = True
@@ -294,17 +251,12 @@ def _verify_mongo(uri, task, query) -> bool:
             # from results unless the expected output actually carries one
             if not any("_id" in d for d in ex.output):
                 got = [{k: v for k, v in d.items() if k != "_id"} for d in got]
-            elif key_name is not None:
-                got = rewrap_group_ids(got, key_name)
             if has_group:
                 matches = sorted(map(_canon, got)) == sorted(map(_canon, ex.output))
             else:
                 matches = list(map(_canon, got)) == list(map(_canon, ex.output))
-            if not matches:
-                print(f"verify-mongo: example {i}: mismatch", file=sys.stderr)
-                ok = False
-            else:
-                log.info("verify-mongo: example %d ok", i)
+            print(f"verify-mongo: example {i}: {'ok' if matches else 'mismatch'}", file=sys.stderr)
+            ok = ok and matches
     finally:
         client.drop_database(dbname)
         client.close()
@@ -359,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -250,6 +250,11 @@ class Group:
                 raise MalformedQueryError(f"invalid aggregate name: {n!r}")
         if len(set(self.names)) != len(self.names):
             raise MalformedQueryError("duplicate aggregate names")
+        # each key shows in the output `_id` document under its last segment
+        if len({k[-1] for k in self.keys}) != len(self.keys):
+            raise MalformedQueryError("group keys share a last segment")
+        if "_id" in self.names:
+            raise MalformedQueryError("an aggregate cannot be named _id")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ that keeps every added field. `reconstruct_query` maps emitted stage shapes
 (including the merged ones) back into the language so tests can replay an
 optimized pipeline through the reference interpreter.
 
+`_id` follows the interpreter: a `$group` `_id` is always the key document
+`{last segment: "$path", ...}`, and a `$project` excludes `_id` exactly when
+no kept path is `_id` or lies below it. `reconstruct_query` refuses any
+other `_id` form, since a server would return a different shape for it.
+
 Rendering conventions follow the house style for pipeline listings: keys
 that look like identifiers stay bare, everything else is quoted; path
 references are "$a.b" strings; stages print one per line inside
@@ -85,14 +90,18 @@ def _agg_doc(a):
     return {tag: _ref(a.path)}
 
 
+def _project_spec(paths):
+    """The $project inclusion spec keeping the dotted `paths`. A server keeps
+    `_id` unless told otherwise, so `_id: 0` is added exactly when no kept
+    path is `_id` or lies below it."""
+    spec = {} if any(_overlaps(p, "_id") for p in paths) else {"_id": 0}
+    spec.update(dict.fromkeys(paths, 1))
+    return spec
+
+
 def _stage_doc(op):
     if isinstance(op, Project):
-        spec = {}
-        if ("_id",) not in op.paths:
-            spec["_id"] = 0
-        for p in op.paths:
-            spec[path_str(p)] = 1
-        return {"$project": spec}
+        return {"$project": _project_spec([path_str(p) for p in op.paths])}
     if isinstance(op, Match):
         return {"$match": _pred_doc(op.pred)}
     if isinstance(op, AddFields):
@@ -100,11 +109,8 @@ def _stage_doc(op):
     if isinstance(op, Unwind):
         return {"$unwind": _ref(op.path)}
     if isinstance(op, Group):
-        if len(op.keys) == 1:
-            key_spec = _ref(op.keys[0])
-        else:
-            key_spec = {k[-1]: _ref(k) for k in op.keys}
-        spec = {"_id": key_spec}
+        # the key document that interp builds: each key under its last segment
+        spec = {"_id": {k[-1]: _ref(k) for k in op.keys}}
         for name, agg in zip(op.names, op.aggs):
             spec[name] = _agg_doc(agg)
         return {"$group": spec}
@@ -170,19 +176,12 @@ def _merge_pair(a, b):
            any(not isinstance(v, int) for v in sb.values()):
             return None  # computed stages: leave alone
         included_a = _project_paths(sa)
-        wanted = _project_paths(sb)
-        if not all(_keeps(included_a, p) for p in wanted if p != "_id"):
+        # an `_id` that the first stage dropped is absent, so the second
+        # stage's request for it keeps nothing
+        wanted = [p for p in _project_paths(sb) if p != "_id" or "_id" in included_a]
+        if not wanted or not all(_keeps(included_a, p) for p in wanted):
             return None
-        spec = {}
-        id_kept = "_id" in included_a and "_id" in wanted
-        if not id_kept:
-            spec["_id"] = 0
-        for p in wanted:
-            if p != "_id" or id_kept:
-                spec[p] = 1
-        if not _project_paths(spec):
-            return None
-        return {"$project": spec}
+        return {"$project": _project_spec(wanted)}
     if "$addFields" in a and "$project" in b:
         added = a["$addFields"]
         spec = b["$project"]
@@ -277,17 +276,17 @@ def reconstruct_query(collection, pipeline):
                 q = AddFields(q,
                               tuple(parse_path(k) for k in computed),
                               tuple(_expr_from_doc(v) for v in computed.values()))
-            kept = [parse_path(k) for k, v in spec.items() if not (k == "_id" and v == 0)]
-            q = Project(q, tuple(kept))
-        elif tag == "$group":
-            key_spec = spec["_id"]
-            if isinstance(key_spec, str):
-                keys = (parse_path(key_spec[1:]),)
-            else:
-                keys = tuple(parse_path(v[1:]) for v in key_spec.values())
+            kept = _project_paths(spec)
+            if _project_spec(kept).keys() != spec.keys():
+                raise MalformedQueryError(f"unrecognized $project _id rule: {spec!r}")
+            q = Project(q, tuple(parse_path(k) for k in kept))
+        elif tag == "$group" and isinstance(spec["_id"], dict):
+            keys = tuple(parse_path(v[1:]) for v in spec["_id"].values())
             names = tuple(k for k in spec if k != "_id")
             aggs = tuple(_agg_from_doc(spec[n]) for n in names)
             q = Group(q, keys, names, aggs)
+            if _stage_doc(q) != stage:  # a key not under its last segment
+                raise MalformedQueryError(f"unrecognized $group _id: {spec['_id']!r}")
         elif tag == "$lookup":
             q = Lookup(q, parse_path(spec["localField"]),
                        parse_path(spec["foreignField"]), spec["from"], spec["as"])

@@ -542,7 +542,7 @@ def _gen_group(state):
     for size in range(max_size, 0, -1):
         for keys in combinations(paths, size):
             if len({k[-1] for k in keys}) != size:
-                continue
+                continue  # lang.Group refuses keys that share a last segment
             # grouping must merge something in every non-empty example, as
             # the size images (sizes.reachable) that admitted this spine and
             # prefix assume: n >= 1 documents group into 1..n - 1

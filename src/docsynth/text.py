@@ -215,14 +215,17 @@ class _Parser:
             segs.append(self.ident("path segment"))
         return tuple(segs)
 
-    def path_list(self):
+    def bracketed(self, item, allow_empty=False):
+        """`[item, ...]` as a tuple; `[]` only when `allow_empty`."""
         self.expect("[")
-        paths = [self.path()]
-        while self.peek()[1] == ",":
-            self.next()
-            paths.append(self.path())
+        items = []
+        if not (allow_empty and self.peek()[1] == "]"):
+            items.append(item())
+            while self.peek()[1] == ",":
+                self.next()
+                items.append(item())
         self.expect("]")
-        return tuple(paths)
+        return tuple(items)
 
     def const(self):
         kind, val, pos = self.next()
@@ -323,15 +326,6 @@ class _Parser:
             return Arith(left, op, self.path())
         return PathExpr(left)
 
-    def expr_list(self):
-        self.expect("[")
-        exprs = [self.expr()]
-        while self.peek()[1] == ",":
-            self.next()
-            exprs.append(self.expr())
-        self.expect("]")
-        return tuple(exprs)
-
     # -- aggregators --------------------------------------------------------
 
     def agg(self):
@@ -346,30 +340,6 @@ class _Parser:
         self.expect(")")
         return _AGG_OPS[name](path)
 
-    def agg_list(self):
-        self.expect("[")
-        if self.peek()[1] == "]":
-            self.next()
-            return ()
-        aggs = [self.agg()]
-        while self.peek()[1] == ",":
-            self.next()
-            aggs.append(self.agg())
-        self.expect("]")
-        return tuple(aggs)
-
-    def name_list(self):
-        self.expect("[")
-        if self.peek()[1] == "]":
-            self.next()
-            return ()
-        names = [self.ident("attribute name")]
-        while self.peek()[1] == ",":
-            self.next()
-            names.append(self.ident("attribute name"))
-        self.expect("]")
-        return tuple(names)
-
     # -- queries ------------------------------------------------------------
 
     def query(self):
@@ -382,21 +352,21 @@ class _Parser:
         source = self.query()
         self.expect(",")
         if val == "Project":
-            q = Project(source, self.path_list())
+            q = Project(source, self.bracketed(self.path))
         elif val == "Match":
             q = Match(source, self.pred())
         elif val == "AddFields":
-            paths = self.path_list()
+            paths = self.bracketed(self.path)
             self.expect(",")
-            q = AddFields(source, paths, self.expr_list())
+            q = AddFields(source, paths, self.bracketed(self.expr))
         elif val == "Unwind":
             q = Unwind(source, self.path())
         elif val == "Group":
-            keys = self.path_list()
+            keys = self.bracketed(self.path)
             self.expect(",")
-            names = self.name_list()
+            names = self.bracketed(lambda: self.ident("attribute name"), allow_empty=True)
             self.expect(",")
-            q = Group(source, keys, names, self.agg_list())
+            q = Group(source, keys, names, self.bracketed(self.agg, allow_empty=True))
         else:
             local = self.path()
             self.expect(",")

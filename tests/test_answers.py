@@ -10,6 +10,10 @@ golden/ablations.json pins the same for the four settings of the two
 pruning flags (`disable_size_abstraction`, `disable_type_abstraction`) on
 every shipped task but reddit_posts, whose search without type abstraction
 is far slower than the rest.
+
+Each pinned pipeline is also replayed without a search: read back into the
+language by `reconstruct_query`, it must give every example's output, so a
+stage shape that the interpreter does not compute fails here.
 """
 
 import importlib.util
@@ -20,10 +24,12 @@ from pathlib import Path
 
 import pytest
 
-from docsynth.mongo import optimize, render_shell, translate
+from docsynth.interp import eval_query
+from docsynth.mongo import optimize, reconstruct_query, render_shell, translate
 from docsynth.synth import SynthesisConfig, synthesize
 from docsynth.taskio import load_task, task_from_json
-from docsynth.text import render_query
+from docsynth.text import parse_query, render_query
+from docsynth.values import collection_eq
 
 from .conftest import reddit_posts_result
 
@@ -76,6 +82,16 @@ def test_goldens_cover_every_task():
 @pytest.mark.parametrize("name", sorted(ANSWERS))
 def test_answer_matches_golden(name):
     assert answer(name) == ANSWERS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ANSWERS))
+def test_pinned_pipeline_replays_every_example(name):
+    coll, pipe = translate(parse_query(ANSWERS[name]["query"]))
+    pipeline = optimize(pipe)
+    assert render_shell(coll, pipeline) == ANSWERS[name]["pipeline"]
+    replayed = reconstruct_query(coll, pipeline)
+    for ex in load(name).examples:
+        assert collection_eq(eval_query(ex.input, replayed), ex.output)
 
 
 def test_ablation_goldens_cover_every_setting():

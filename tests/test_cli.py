@@ -7,11 +7,15 @@ import csv
 import glob
 import json
 import os
+import sys
+from types import SimpleNamespace
 
 import pytest
 
 from docsynth.cli import main
 from docsynth.errors import TaskError
+from docsynth.interp import eval_query
+from docsynth.mongo import reconstruct_query
 from docsynth.synth import SynthesisConfig, synthesize
 from docsynth.taskio import load_task, task_from_json, task_to_json
 from docsynth.types import compute_schema
@@ -399,18 +403,72 @@ class TestBundledTasks:
         assert len(glob.glob(os.path.join(TASKS_DIR, "*.json"))) >= 10
 
 
-class TestGroupIdRewrap:
-    def test_single_key_ids_are_rewrapped(self):
-        from docsynth.cli import rewrap_group_ids
+class FakeMongoClient:
+    """Stands in for pymongo.MongoClient. It keeps what the CLI inserts,
+    stamps an `_id` on each stored document as a server does, and answers
+    `aggregate` by replaying the pipeline through the interpreter."""
 
-        docs = [{"_id": "h1", "n": 2}, {"_id": "h2", "n": 1}]
-        assert rewrap_group_ids(docs, "host") == [
-            {"_id": {"host": "h1"}, "n": 2},
-            {"_id": {"host": "h2"}, "n": 1},
-        ]
+    def __init__(self, uri, serverSelectionTimeoutMS):
+        self.dbs = {}
 
-    def test_document_ids_untouched(self):
-        from docsynth.cli import rewrap_group_ids
+    def __getitem__(self, name):
+        return self.dbs.setdefault(name, FakeDatabase())
 
-        docs = [{"_id": {"a": 1, "b": 2}, "n": 5}]
-        assert rewrap_group_ids(docs, "a") == docs
+    def drop_database(self, name):
+        self.dbs.pop(name, None)
+
+    def close(self):
+        pass
+
+
+class FakeDatabase(dict):
+    def __missing__(self, name):
+        coll = self[name] = FakeCollection(self, name)
+        return coll
+
+
+class FakeCollection:
+    def __init__(self, db, name):
+        self.db, self.name, self.docs = db, name, []
+
+    def drop(self):
+        self.docs = []
+
+    def insert_many(self, docs):
+        for d in docs:
+            d.setdefault("_id", len(self.docs))
+            self.docs.append(d)
+
+    def aggregate(self, pipeline):
+        data = {name: coll.docs for name, coll in self.db.items()}
+        return eval_query(data, reconstruct_query(self.name, pipeline))
+
+
+class TestVerifyMongo:
+    @pytest.fixture(autouse=True)
+    def fake_pymongo(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "pymongo", SimpleNamespace(MongoClient=FakeMongoClient))
+
+    def test_each_example_reports_ok(self, tmp_path, capsys):
+        path = write_json(tmp_path / "t.json", simple_task())
+        assert main(["synth", path, "--emit", "mongo", "--verify-mongo", "mongodb://h"]) == 0
+        assert capsys.readouterr().err == "verify-mongo: example 0: ok\n"
+
+    def test_group_key_document_is_compared_as_is(self, capsys):
+        path = os.path.join(TASKS_DIR, "unwind_group_count.json")
+        assert main(["synth", path, "--emit", "mongo", "--verify-mongo", "mongodb://h"]) == 0
+        out, err = capsys.readouterr()
+        assert '{$group: {_id: {tags: "$tags"}, n: {$count: {}}}}' in out
+        assert err == "verify-mongo: example 0: ok\n"
+
+    def test_mismatch_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(FakeCollection, "aggregate", lambda self, pipeline: [])
+        path = write_json(tmp_path / "t.json", simple_task())
+        assert main(["synth", path, "--verify-mongo", "mongodb://h"]) == 1
+        assert capsys.readouterr().err == "verify-mongo: example 0: mismatch\n"
+
+    def test_missing_pymongo_is_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "pymongo", None)
+        path = write_json(tmp_path / "t.json", simple_task())
+        assert main(["synth", path, "--verify-mongo", "mongodb://h"]) == 1
+        assert "requires the pymongo package" in capsys.readouterr().err

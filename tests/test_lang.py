@@ -1,5 +1,7 @@
 """Query AST construction, metrics, and text syntax tests."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,6 +112,21 @@ class TestRender:
         with pytest.raises(ParseError):
             parse_query("Project(posts, [a]) extra")
 
+    def test_bracketed_list_errors(self):
+        assert parse_query("Group(c, [a], [], [])") == Group(CollectionRef("c"), (("a",),), (), ())
+        cases = {
+            "Project(c, [])": ("expected path segment, got ']'", 12),
+            "AddFields(c, [a], [b, ])": ("expected path segment, got ']'", 22),
+            "Group(c, [a], [n,], [Count()])": ("expected attribute name, got ']'", 17),
+            "Group(c, [a], [n], [Count(),])": ("expected aggregator, got ']'", 28),
+            "Group(c, [a], [n m], [Count()])": ("expected ']', got 'm'", 17),
+            "Group(c, [a], n, [Count()])": ("expected '[', got 'n'", 14),
+        }
+        for text, (message, position) in cases.items():
+            with pytest.raises(ParseError, match=re.escape(message)) as exc:
+                parse_query(text)
+            assert exc.value.position == position
+
     def test_sizeeq_needs_a_plain_nonnegative_integer(self):
         assert parse_query("Match(c, SizeEq(a, 10))").pred == SizeEq(("a",), 10)
         for size in ("1e3", "1.5", "-1", "1E2"):
@@ -149,6 +166,19 @@ class TestValidation:
             Group(CollectionRef("c"), (), ("n",), (Count(),))
         with pytest.raises(MalformedQueryError):
             Group(CollectionRef("c"), (("k",),), ("n", "n"), (Count(), Count()))
+
+    def test_group_id_must_hold_every_key(self):
+        # the output `_id` names each key by its last segment and holds no
+        # aggregate, so a key sharing one or an aggregate named _id is lost
+        for text in ("Group(c, [a.x, b.x], [n], [Count()])",
+                     "Group(c, [a, a], [], [])",
+                     "Group(c, [a], [_id], [Count()])"):
+            with pytest.raises(MalformedQueryError):
+                parse_query(text)
+        with pytest.raises(MalformedQueryError):
+            Group(CollectionRef("c"), (("a", "x"), ("b", "x")), ("n",), (Count(),))
+        with pytest.raises(MalformedQueryError):
+            Group(CollectionRef("c"), (("a",),), ("_id",), (Count(),))
 
     def test_cmp_rejects_bad_op_and_composite_value(self):
         with pytest.raises(MalformedQueryError):
@@ -231,9 +261,11 @@ def queries(draw, max_depth=4):
         elif kind == "unwind":
             q = Unwind(q, draw(paths))
         elif kind == "group":
-            names = draw(st.lists(idents, min_size=0, max_size=2, unique=True))
             # group keys surface under their last segment in the output
-            # _id document, so keys sharing one would collide there
+            # _id document, so Group refuses keys sharing one and an
+            # aggregate named _id
+            names = draw(st.lists(idents.filter(lambda s: s != "_id"), min_size=0, max_size=2,
+                                  unique=True))
             keys = draw(st.lists(paths, min_size=1, max_size=2, unique_by=lambda p: p[-1]))
             q = Group(q, tuple(keys), tuple(names), tuple(draw(aggs) for _ in names))
         else:

@@ -2,8 +2,10 @@
 
 import pathlib
 
+import pytest
 from hypothesis import given, settings
 
+from docsynth.errors import MalformedQueryError
 from docsynth.interp import eval_query
 from docsynth.lang import (
     AddFields, And, Arith, Cmp, CollectionRef, Count, Exists, FALSE, FnCall,
@@ -42,6 +44,12 @@ class TestStageShapes:
     def test_project_keeps_id_when_projected(self):
         assert stage_of(Project(C, (("_id",), ("a",)))) == \
             {"$project": {"_id": 1, "a": 1}}
+
+    def test_project_below_id_keeps_id(self):
+        # the interpreter returns {_id: {title: ...}}; `_id: 0` beside
+        # "_id.title" is a path collision on a server
+        assert stage_of(Project(C, (("_id", "title"),))) == \
+            {"$project": {"_id.title": 1}}
 
     def test_match_comparisons(self):
         assert stage_of(Match(C, Cmp(("a",), "=", 3))) == {"$match": {"a": {"$eq": 3}}}
@@ -82,9 +90,10 @@ class TestStageShapes:
     def test_unwind(self):
         assert stage_of(Unwind(C, ("replies",))) == {"$unwind": "$replies"}
 
-    def test_group_single_key_is_bare_reference(self):
-        q = Group(C, (("title",),), ("n",), (Count(),))
-        assert stage_of(q) == {"$group": {"_id": "$title", "n": {"$count": {}}}}
+    def test_group_single_key_is_key_document(self):
+        # interp keys every group by the document {last segment: value}
+        q = Group(C, (("info", "title"),), ("n",), (Count(),))
+        assert stage_of(q) == {"$group": {"_id": {"title": "$info.title"}, "n": {"$count": {}}}}
 
     def test_group_multi_key_document_uses_last_segments(self):
         q = Group(C, (("info", "name"), ("cls",)), (), ())
@@ -160,6 +169,16 @@ class TestOptimize:
         pipe = [{"$project": {"_id": 0, "a": 1}}, {"$project": {"_id": 0, "a.b": 1}}]
         assert optimize(pipe) == [{"$project": {"_id": 0, "a.b": 1}}]
 
+    def test_projects_below_id_compose_without_excluding_id(self):
+        pipe = [{"$project": {"_id": 1, "a": 1}}, {"$project": {"_id.title": 1}}]
+        assert optimize(pipe) == [{"$project": {"_id.title": 1}}]
+        _, pipe = translate(Project(Project(C, (("_id",), ("a",))), (("_id", "title"),)))
+        assert optimize(pipe) == [{"$project": {"_id.title": 1}}]
+
+    def test_projects_drop_id_the_first_stage_dropped(self):
+        pipe = [{"$project": {"_id": 0, "a": 1}}, {"$project": {"_id": 1, "a": 1}}]
+        assert optimize(pipe) == [{"$project": {"_id": 0, "a": 1}}]
+
     def test_non_composable_projects_untouched(self):
         pipe = [{"$project": {"_id": 0, "a": 1}}, {"$project": {"_id": 0, "z": 1}}]
         assert optimize(pipe) == pipe
@@ -210,6 +229,25 @@ class TestReconstruction:
         db = {"c": [{"x": {"y": 7}, "a": 1}]}
         q = Project(AddFields(C, (("t",),), (PathExpr(("x", "y")),)), (("a",), ("t",)))
         self._assert_replay_equal(db, q)
+
+    def test_replay_projects_below_id(self):
+        db = {"c": [{"_id": {"title": "t", "n": 1}, "a": 2}]}
+        q = Project(Project(C, (("_id",), ("a",))), (("_id", "title"),))
+        self._assert_replay_equal(db, q)
+        assert eval_query(db, q) == [{"_id": {"title": "t"}}]
+
+    def test_rejects_bare_group_id(self):
+        with pytest.raises(MalformedQueryError):
+            reconstruct_query("c", [{"$group": {"_id": "$title"}}])
+
+    def test_rejects_group_key_off_its_last_segment(self):
+        with pytest.raises(MalformedQueryError):
+            reconstruct_query("c", [{"$group": {"_id": {"t": "$title"}}}])
+
+    def test_rejects_project_id_forms_translate_never_emits(self):
+        for spec in ({"a": 1}, {"_id": 0, "_id.title": 1}):
+            with pytest.raises(MalformedQueryError):
+                reconstruct_query("c", [{"$project": spec}])
 
     def _assert_replay_equal(self, db, q):
         coll, pipe = translate(q)
