@@ -5,7 +5,8 @@ innermost first. `optimize` merges adjacent $addFields stages, composable
 adjacent $project stages, and an $addFields directly followed by a $project
 that keeps every added field. `reconstruct_query` maps emitted stage shapes
 (including the merged ones) back into the language so tests can replay an
-optimized pipeline through the reference interpreter.
+optimized pipeline through the reference interpreter; it raises
+MalformedQueryError on any other shape.
 
 `_id` follows the interpreter: a `$group` `_id` is always the key document
 `{last segment: "$path", ...}`, and a `$project` excludes `_id` exactly when
@@ -24,7 +25,7 @@ import json
 import math
 import re
 
-from .errors import MalformedQueryError
+from .errors import InvalidDocumentError, MalformedQueryError
 from .lang import (
     AddFields, And, Arith, Avg, Cmp, CollectionRef, Count, Exists, FALSE,
     FalsePred, FnCall, Group, Lookup, Match, Max, Min, Not, Or, PathExpr,
@@ -215,37 +216,47 @@ def optimize(pipeline):
 # Reconstruction (for replay-equivalence tests)
 # ---------------------------------------------------------------------------
 
+def _path_of_ref(ref):
+    """The path that `_ref` spelled as `ref`."""
+    if not (isinstance(ref, str) and ref.startswith("$")):
+        raise MalformedQueryError(f"not a path reference: {ref!r}")
+    return parse_path(ref[1:])
+
+
 def _pred_from_doc(doc):
     if doc == {}:
         return TRUE
     if doc == {"$nor": [{}]}:
         return FALSE
     (key, body), = doc.items()
-    if key == "$and":
-        return And(_pred_from_doc(body[0]), _pred_from_doc(body[1]))
-    if key == "$or":
-        return Or(_pred_from_doc(body[0]), _pred_from_doc(body[1]))
+    if key in ("$and", "$or"):
+        left, right = body
+        return (And if key == "$and" else Or)(_pred_from_doc(left), _pred_from_doc(right))
     if key == "$nor":
-        return Not(_pred_from_doc(body[0]))
+        inner, = body
+        return Not(_pred_from_doc(inner))
+    if key.startswith("$"):
+        raise MalformedQueryError(f"unrecognized query operator: {key}")
     path = parse_path(key)
     (op, arg), = body.items()
     if op == "$not":
         return Not(_pred_from_doc({key: arg}))
     if op == "$size":
         return SizeEq(path, arg)
-    if op == "$exists":
+    if op == "$exists" and isinstance(arg, bool):
         return Exists(path) if arg else Not(Exists(path))
     return Cmp(path, _MONGO_TO_CMP[op], arg)
 
 
 def _expr_from_doc(doc):
-    if isinstance(doc, str) and doc.startswith("$"):
-        return PathExpr(parse_path(doc[1:]))
+    if isinstance(doc, str):
+        return PathExpr(_path_of_ref(doc))
     (op, arg), = doc.items()
     if op in _MONGO_TO_ARITH:
-        return Arith(parse_path(arg[0][1:]), _MONGO_TO_ARITH[op], parse_path(arg[1][1:]))
+        left, right = arg
+        return Arith(_path_of_ref(left), _MONGO_TO_ARITH[op], _path_of_ref(right))
     if op in _MONGO_TO_FN:
-        return FnCall(_MONGO_TO_FN[op], parse_path(arg[1:]))
+        return FnCall(_MONGO_TO_FN[op], _path_of_ref(arg))
     raise MalformedQueryError(f"unrecognized expression document: {doc!r}")
 
 
@@ -254,44 +265,52 @@ def _agg_from_doc(doc):
     if op == "$count":
         return Count()
     make = {"$sum": Sum, "$avg": Avg, "$min": Min, "$max": Max}[op]
-    return make(parse_path(arg[1:]))
+    return make(_path_of_ref(arg))
+
+
+def _op_from_doc(q, stage):
+    """The operator over `q` that the stage document `stage` describes."""
+    (tag, spec), = stage.items()
+    if tag == "$match":
+        return Match(q, _pred_from_doc(spec))
+    if tag == "$unwind":
+        return Unwind(q, _path_of_ref(spec))
+    if tag == "$addFields":
+        return AddFields(q, tuple(parse_path(k) for k in spec),
+                         tuple(_expr_from_doc(v) for v in spec.values()))
+    if tag == "$project":
+        computed = {k: v for k, v in spec.items() if not isinstance(v, int)}
+        if computed:
+            q = AddFields(q,
+                          tuple(parse_path(k) for k in computed),
+                          tuple(_expr_from_doc(v) for v in computed.values()))
+        kept = _project_paths(spec)
+        if _project_spec(kept) != {k: 1 if k in computed else v for k, v in spec.items()}:
+            raise MalformedQueryError(f"unrecognized $project spec: {spec!r}")
+        return Project(q, tuple(parse_path(k) for k in kept))
+    if tag == "$group" and isinstance(spec["_id"], dict):
+        keys = tuple(_path_of_ref(v) for v in spec["_id"].values())
+        names = tuple(k for k in spec if k != "_id")
+        op = Group(q, keys, names, tuple(_agg_from_doc(spec[n]) for n in names))
+    elif tag == "$lookup":
+        op = Lookup(q, parse_path(spec["localField"]),
+                    parse_path(spec["foreignField"]), spec["from"], spec["as"])
+    else:
+        raise MalformedQueryError(f"unrecognized stage: {tag}")
+    # e.g. a group key not under its last segment, or an extra lookup option
+    if _stage_doc(op) != stage:
+        raise MalformedQueryError(f"unrecognized {tag} spec: {spec!r}")
+    return op
 
 
 def reconstruct_query(collection, pipeline):
     """Rebuild a language query from emitted (possibly merged) stages."""
     q = CollectionRef(collection)
     for stage in pipeline:
-        (tag, spec), = stage.items()
-        if tag == "$match":
-            q = Match(q, _pred_from_doc(spec))
-        elif tag == "$unwind":
-            q = Unwind(q, parse_path(spec[1:]))
-        elif tag == "$addFields":
-            paths = tuple(parse_path(k) for k in spec)
-            exprs = tuple(_expr_from_doc(v) for v in spec.values())
-            q = AddFields(q, paths, exprs)
-        elif tag == "$project":
-            computed = {k: v for k, v in spec.items() if not isinstance(v, int)}
-            if computed:
-                q = AddFields(q,
-                              tuple(parse_path(k) for k in computed),
-                              tuple(_expr_from_doc(v) for v in computed.values()))
-            kept = _project_paths(spec)
-            if _project_spec(kept).keys() != spec.keys():
-                raise MalformedQueryError(f"unrecognized $project _id rule: {spec!r}")
-            q = Project(q, tuple(parse_path(k) for k in kept))
-        elif tag == "$group" and isinstance(spec["_id"], dict):
-            keys = tuple(parse_path(v[1:]) for v in spec["_id"].values())
-            names = tuple(k for k in spec if k != "_id")
-            aggs = tuple(_agg_from_doc(spec[n]) for n in names)
-            q = Group(q, keys, names, aggs)
-            if _stage_doc(q) != stage:  # a key not under its last segment
-                raise MalformedQueryError(f"unrecognized $group _id: {spec['_id']!r}")
-        elif tag == "$lookup":
-            q = Lookup(q, parse_path(spec["localField"]),
-                       parse_path(spec["foreignField"]), spec["from"], spec["as"])
-        else:
-            raise MalformedQueryError(f"unrecognized stage: {tag}")
+        try:
+            q = _op_from_doc(q, stage)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError, InvalidDocumentError):
+            raise MalformedQueryError(f"unrecognized stage: {stage!r}") from None
     return q
 
 

@@ -92,9 +92,10 @@ evaluation folds from the leaf outward, so a spine's parent for deduction
 is `ops[:-1]`, not the spine it was refined from; breadth first, both were
 visited earlier, and deduction takes one new abstract step per spine. The
 layer functions (`deduce`, `abs_eval`, `concretizes`, `complete_sketch`,
-`enumerate_predicates`, `lenient_doc_type`, `apply_stage`) are called
-through this module's globals, because perfbench/tracing.py rebinds those
-names to time each layer.
+`enumerate_predicates`, `apply_stage`, and `lenient_doc_type`, which
+`types` defines and which types each intermediate collection in one call)
+are called through this module's globals, because perfbench/tracing.py
+rebinds those names to time each layer.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ from .lang import (
 )
 from .sizes import reachable
 from .types import (
-    KIND_OF_TYPE, NUM, TYPE_OF_KIND, ArrayT, DocT, conforms, type_of_path, typed_paths,
+    KIND_OF_TYPE, NUM, ArrayT, DocT, conforms, lenient_doc_type, type_of_path, typed_paths,
 )
 from .values import ABSENT, collection_eq, get_path, kind_of, value_cmp, value_key
 
@@ -159,6 +160,8 @@ class SynthesisTask:
         if self.collection not in self.schema:
             raise TaskError(f"collection {self.collection!r} not in schema")
         for i, ex in enumerate(self.examples):
+            if not isinstance(ex.output, list) or not all(isinstance(d, dict) for d in ex.output):
+                raise TaskError(f"examples[{i}].output must be a list of documents")
             for name, coll_type in self.schema.items():
                 docs = ex.input.get(name)
                 if docs is None:
@@ -232,49 +235,6 @@ class Search:
 def refine(sk: Sketch):
     """The six sketches wrapping a fresh operator around the leaf."""
     return [Sketch(sk.collection, (tag,) + sk.ops) for tag in OPERATOR_TAGS]
-
-
-# ---------------------------------------------------------------------------
-# Lenient typing of intermediate collections.
-#
-# Candidate enumeration only needs paths and rough types; attributes whose
-# values disagree in kind (or that are only ever null / empty arrays) are
-# silently dropped rather than failing the whole stage. One rule types a value
-# at every depth: documents by their attributes, arrays by the same rule over
-# the elements of all their occurrences. Where schema inference
-# (types.infer_collection_type) succeeds, the result is the type it infers.
-# Any imprecision is harmless because every candidate query is verified
-# exactly.
-# ---------------------------------------------------------------------------
-
-def lenient_doc_type(docs):
-    attrs = {}  # name -> list of non-absent values
-    order = []
-    for d in docs:
-        for name, v in d.items():
-            if name not in attrs:
-                attrs[name] = []
-                order.append(name)
-            attrs[name].append(v)
-    fields = []
-    for name in order:
-        t = _lenient_value_type(attrs[name])
-        if t is not None:
-            fields.append((name, t))
-    return DocT(fields)
-
-
-def _lenient_value_type(values):
-    kinds = {kind_of(v) for v in values if v is not None}
-    if len(kinds) != 1:
-        return None
-    kind = kinds.pop()
-    if kind == "doc":
-        return lenient_doc_type([v for v in values if v is not None])
-    if kind == "array":
-        elem = _lenient_value_type([e for v in values if v is not None for e in v])
-        return None if elem is None else ArrayT(elem)
-    return TYPE_OF_KIND[kind]
 
 
 # ---------------------------------------------------------------------------

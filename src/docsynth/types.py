@@ -1,10 +1,19 @@
 """Value types, type inference, and schemas.
 
 Document types are insertion-ordered but compare order-insensitively. Null is
-a value of every type, so inference unifies: within an array (and across the
-documents of a collection) an attribute's type is determined by its non-null
-occurrences, and an attribute present in some documents and absent in others
-is typed by the present occurrences.
+a value of every type, so one walk types a collection: each attribute, across
+all the documents, is typed by its non-null values, which must be of one
+kind; documents are typed by the same rule over their attributes, and arrays
+over the elements of all their occurrences. An attribute present in some
+documents and absent in others is typed by the present occurrences.
+
+The walk has two modes. Schema inference (`infer_collection_type`) raises a
+TypeInferenceError where an attribute's values have two or more kinds, or
+none. Lenient typing (`lenient_doc_type`) types the intermediate collections
+of the search, whose candidate enumeration only needs paths and rough types:
+it silently drops such an attribute rather than failing the whole stage.
+Where inference succeeds, both give the same type. Any imprecision is
+harmless, because every candidate query is verified exactly.
 """
 
 from __future__ import annotations
@@ -129,72 +138,79 @@ class DocT:
 
 
 # ---------------------------------------------------------------------------
-# Inference. Internally a null infers to _UNKNOWN and unification resolves it
-# against sibling occurrences; any _UNKNOWN left at the end is an error.
+# Inference: one walk types a collection, leniently or strictly.
 # ---------------------------------------------------------------------------
 
-_UNKNOWN = ("unknown",)
+# how a conflict names the kinds it found
+_KIND_NAME = {**{k: str(t) for k, t in TYPE_OF_KIND.items()}, "doc": "{…}", "array": "Arr⟨…⟩"}
 
 
-def _infer(v, where):
-    k = kind_of(v)
-    if k == "null":
-        return _UNKNOWN
-    if k in TYPE_OF_KIND:
-        return TYPE_OF_KIND[k]
-    if k == "array":
-        elem = _UNKNOWN
-        for i, x in enumerate(v):
-            elem = _unify(elem, _infer(x, f"{where}[{i}]"), where)
-        return ArrayT(elem)
-    # document
-    fields = {}
-    for name, x in v.items():
-        if not values.is_valid_attr(name):
+def _doc_type(docs, where):
+    """The type of the documents `docs`: each attribute, in first-seen
+    order, typed by its non-null values in all of them. `where` is None for
+    lenient typing, else the documents' location for strict errors."""
+    attrs = {}  # name -> its non-null values
+    for d in docs:
+        for name, v in d.items():
+            vals = attrs.get(name)
+            if vals is None:
+                vals = attrs[name] = []
+            if v is not None:
+                vals.append(v)
+    fields = []
+    for name, vals in attrs.items():
+        if where is None:
+            t = _value_type(vals, None)
+            if t is not None:
+                fields.append((name, t))
+        elif not values.is_valid_attr(name):
             raise InvalidDocumentError(f"invalid attribute name at {where}: {name!r}")
-        fields[name] = _infer(x, f"{where}.{name}")
+        else:
+            fields.append((name, _value_type(vals, f"{where}.{name}")))
     return DocT(fields)
 
 
-def _unify(a, b, where):
-    if a is _UNKNOWN:
-        return b
-    if b is _UNKNOWN:
-        return a
-    if isinstance(a, ArrayT) and isinstance(b, ArrayT):
-        return ArrayT(_unify(a.elem, b.elem, where))
-    if isinstance(a, DocT) and isinstance(b, DocT):
-        fields = dict(a.fields)
-        for name, t in b.fields:
-            fields[name] = _unify(fields[name], t, f"{where}.{name}") if name in fields else t
-        return DocT(fields)
-    if a == b:
-        return a
-    raise HeterogeneousArrayError(f"conflicting types at {where}: {a} vs {b}")
+def _value_type(vals, where):
+    """The type of the non-null values `vals` of one attribute, or of the
+    elements of its arrays. They need exactly one kind; else lenient typing
+    (`where` None) returns None and strict typing raises."""
+    kinds = {kind_of(v) for v in vals}
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind == "doc":
+            return _doc_type(vals, where)
+        if kind == "array":
+            elems = [x for v in vals for x in v if x is not None]
+            if not elems and where is not None:
+                raise UntypableArrayError(
+                    f"array at {where} is empty or all-null; element type unknown")
+            elem = _value_type(elems, where)
+            return None if elem is None else ArrayT(elem)
+        return TYPE_OF_KIND[kind]
+    if where is None:
+        return None
+    if kinds:
+        a, b = list(dict.fromkeys(kind_of(v) for v in vals))[:2]
+        raise HeterogeneousArrayError(
+            f"conflicting types at {where}: {_KIND_NAME[a]} vs {_KIND_NAME[b]}")
+    raise UntypableNullError(f"only null values at {where}; type is undetermined")
 
 
-def _resolve(t, where):
-    if t is _UNKNOWN:
-        raise UntypableNullError(f"only null values at {where}; type is undetermined")
-    if isinstance(t, ArrayT):
-        if t.elem is _UNKNOWN:
-            raise UntypableArrayError(f"array at {where} is empty or all-null; element type unknown")
-        return ArrayT(_resolve(t.elem, where))
-    if isinstance(t, DocT):
-        return DocT({n: _resolve(x, f"{where}.{n}") for n, x in t.fields})
-    return t
+def lenient_doc_type(docs) -> DocT:
+    """The type of the documents `docs`, without the attributes whose
+    non-null values, at any depth, are not of exactly one kind."""
+    return _doc_type(docs, None)
 
 
 def infer_collection_type(docs, where="collection") -> DocT:
-    """Unified document type across a collection's documents."""
-    t = _UNKNOWN
+    """The type of the collection `docs`, named `where` in errors: the
+    lenient type, raising a TypeInferenceError where that drops an attribute."""
     for i, doc in enumerate(docs):
         if kind_of(doc) != "doc":
             raise InvalidDocumentError(f"{where}[{i}] is not a document")
-        t = _unify(t, _infer(doc, f"{where}[{i}]"), f"{where}[{i}]")
-    if t is _UNKNOWN:
+    if not docs:
         raise UntypableArrayError(f"{where} is empty; document type unknown")
-    return _resolve(t, where)
+    return _doc_type(docs, where)
 
 
 def compute_schema(db) -> dict:

@@ -2,7 +2,8 @@
 
 The example database is off, so every run draws from the strategies and the
 explicit @example cases only, and never replays a machine-local .hypothesis
-cache.
+cache. No test has a deadline: no test depends on wall time, and a slow
+machine must not fail an example that a fast one passes.
 
 The default-config search of tasks/reddit_posts.json is the slowest the
 repository ships, so the tests that only read its result share one run.
@@ -18,7 +19,7 @@ from hypothesis import settings
 from docsynth.synth import synthesize
 from docsynth.taskio import load_task
 
-settings.register_profile("docsynth", database=None)
+settings.register_profile("docsynth", database=None, deadline=None)
 settings.load_profile("docsynth")
 
 REDDIT_POSTS = Path(__file__).parent.parent / "tasks" / "reddit_posts.json"

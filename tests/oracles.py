@@ -124,6 +124,17 @@ def add_attrs(doc, pairs):
     return out
 
 
+def cut_to_type(v, tj):
+    """`v` without the attributes, at any depth, that the type `tj` does not
+    have. `tj` is a type in its JSON form ({"kind": "doc", "fields": ..},
+    {"kind": "array", "elem": ..}); each array element is cut by `elem`."""
+    if isinstance(v, dict) and tj["kind"] == "doc":
+        return {k: cut_to_type(x, tj["fields"][k]) for k, x in v.items() if k in tj["fields"]}
+    if isinstance(v, list) and tj["kind"] == "array":
+        return [cut_to_type(x, tj["elem"]) for x in v]
+    return v
+
+
 class _NaN:
     """Key of one NaN, equal to no other key: a NaN equals no value."""
 

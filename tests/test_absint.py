@@ -10,8 +10,9 @@ from docsynth.absint import AbsEvalContext, Sketch, abs_eval
 from docsynth.abstraction import concretizes
 from docsynth.errors import MalformedQueryError, UnknownCollectionError
 from docsynth.sizes import reachable
-from docsynth.synth import lenient_doc_type
-from docsynth.types import ArrayT, DocT, NUM, STRING, compute_schema, infer_collection_type
+from docsynth.types import (
+    ArrayT, DocT, NUM, STRING, compute_schema, infer_collection_type, lenient_doc_type,
+)
 from .generators import gen_pair
 from .oracles import skeleton
 from .test_lang import forum_query

@@ -236,7 +236,7 @@ def _join_cases(draw):
 class TestKeysAgainstReplay:
     """Lookup and Group key values as the nested scans of oracles.replay do."""
 
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(_join_cases())
     @example(([{"i": 0, "k": _NAN}, {"i": 1, "k": _NAN}], None))
     @example(([{"i": 0}, {"i": 1, "k": None}], [{"i": 2, "k": None}, {"i": 3}, {"i": 2, "k": None}]))
@@ -256,7 +256,7 @@ class TestKeysAgainstReplay:
             assert all(got[n] is d[n] for n in d)
         assert len({id(d["j"]) for d in out}) == len(out)  # no list is shared
 
-    @settings(deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(st.lists(st.fixed_dictionaries({"k": _KEYS, "i": st.integers(0, 3)}), max_size=8))
     @example([{"k": _NAN, "i": 0}, {"k": _NAN, "i": 1}])
     @example([{"k": 2**53, "i": 0}, {"k": 2**53 + 1, "i": 1}, {"k": float(2**53), "i": 2}])

@@ -14,8 +14,8 @@ from itertools import product
 from pathlib import Path
 
 from docsynth.absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
-from docsynth.synth import lenient_doc_type
 from docsynth.taskio import load_task
+from docsynth.types import lenient_doc_type
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden" / "lambda_depth2.json"

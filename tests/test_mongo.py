@@ -198,7 +198,7 @@ class TestOptimize:
         assert optimize(pipe) == [{"$addFields": {"a": "$x", "b": "$y", "c": "$z"}}]
 
     @given(queries())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_never_grows(self, q):
         _, pipe = translate(q)
         assert len(optimize(pipe)) <= len(pipe)
@@ -206,7 +206,7 @@ class TestOptimize:
 
 class TestReconstruction:
     @given(queries())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_reconstruct_inverts_translate(self, q):
         # Not(True) and False share an encoding; skip that corner
         if "!(true)" in _render(q):
@@ -248,6 +248,29 @@ class TestReconstruction:
         for spec in ({"a": 1}, {"_id": 0, "_id.title": 1}):
             with pytest.raises(MalformedQueryError):
                 reconstruct_query("c", [{"$project": spec}])
+
+    @pytest.mark.parametrize("stage", [
+        {"$group": {"_id": {"t": "$t"}, "n": {"$push": "$x"}}},
+        {"$match": {"a": {"$in": [1]}}},
+        {"$group": {"_id": {"t": {"$x": 1}}}},
+        {"$project": {"a": "x"}},
+        {"$project": {"_id": 0, "a": 0}},
+        {"$unwind": 5},
+        {"$unwind": "a"},
+        {"$match": {"$where": "x"}},
+        {"$match": {"$where": {"$eq": 1}}},
+        {"$match": {"a": {"$exists": "no"}}},
+        {"$match": {"$and": [{}, {}, {"a": {"$eq": 1}}]}},
+        {"$lookup": {"from": "b"}},
+        {"$lookup": {"from": "b", "localField": "k", "foreignField": "k", "as": "bs",
+                     "pipeline": []}},
+        {"$addFields": {"a": {"$add": ["$x"]}}},
+        {"$match": {}, "$unwind": "$a"},
+        5,
+    ])
+    def test_rejects_stage_bodies_it_does_not_know(self, stage):
+        with pytest.raises(MalformedQueryError):
+            reconstruct_query("c", [stage])
 
     def _assert_replay_equal(self, db, q):
         coll, pipe = translate(q)

@@ -25,7 +25,6 @@ from docsynth.synth import (
     constant_pool,
     deduce,
     enumerate_predicates,
-    lenient_doc_type,
     refine,
     synthesize,
 )
@@ -33,7 +32,7 @@ from docsynth import synth as synth_module
 from docsynth.taskio import load_task
 from docsynth.text import parse_query, render_pred, render_query
 from docsynth.types import (
-    ArrayT, BOOL, DATETIME, DocT, NUM, STRING, compute_schema, typed_paths,
+    ArrayT, BOOL, DATETIME, DocT, NUM, STRING, compute_schema, lenient_doc_type, typed_paths,
 )
 from docsynth.values import Datetime
 
@@ -182,7 +181,7 @@ def _enumeration_cases(draw):
 
 
 class TestEnumeratePredicatesOracle:
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(_enumeration_cases())
     @example(([{"arr": [1, 2], "n": 1, "doc": {"n": 1, "s": "x"}},
                 {"arr": [], "n": True, "doc": {"n": None}},
@@ -197,7 +196,7 @@ class TestEnumeratePredicatesOracle:
         want = predicates_by_enumeration(docs, in_type, constants)
         assert [render_pred(p) for p, _ in got] == [render_pred(p) for p in want]
 
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(_enumeration_cases())
     def test_vectors_are_eval_pred(self, case):
         # completion applies Match from these vectors, never through eval_pred
@@ -497,6 +496,12 @@ class TestValidation:
         db = {"a": [{"k": 1}], "b": [{"k": 1}]}
         with pytest.raises(TaskError, match=r"examples\[1\]\.input: missing collection 'b'"):
             SynthesisTask(compute_schema(db), "a", (Example(db, []), Example({"a": [{"k": 2}]}, [])))
+
+    @pytest.mark.parametrize("output", [[1], "x", [{"a": 1}, None]])
+    def test_output_that_is_not_a_list_of_documents(self, output):
+        db = {"c": [{"a": 1}]}
+        with pytest.raises(TaskError, match=r"examples\[1\]\.output"):
+            SynthesisTask(compute_schema(db), "c", (Example(db, []), Example(db, output)))
 
     def test_nonconforming_input(self):
         schema = compute_schema({"c": [{"a": 1}]})

@@ -4,10 +4,11 @@ from hypothesis import example, given, strategies as st
 from docsynth.errors import (
     HeterogeneousArrayError,
     InvalidDocumentError,
+    TaskError,
     UntypableArrayError,
     UntypableNullError,
 )
-from docsynth.synth import lenient_doc_type
+from docsynth.taskio import task_from_json
 from docsynth.types import (
     ArrayT,
     BOOL,
@@ -19,6 +20,7 @@ from docsynth.types import (
     compute_schema,
     conforms,
     infer_collection_type,
+    lenient_doc_type,
     schema_from_json,
     schema_to_json,
     type_from_json,
@@ -27,6 +29,8 @@ from docsynth.types import (
     type_to_json,
 )
 from docsynth.values import Datetime, ObjectId
+
+from .oracles import cut_to_type
 
 
 def test_infer_simple_document():
@@ -81,6 +85,39 @@ def test_compute_schema_tags_errors_with_collection():
     assert "'c'" in str(exc.value)
 
 
+# Each error names its class's fault, the collection and the attribute path
+# where the walk found it (not the index of a document).
+@pytest.mark.parametrize("docs, error, message", [
+    ([{"a": {"b": 1}}, {"a": {"b": "x"}}], HeterogeneousArrayError,
+     "collection 'posts': conflicting types at posts.a.b: Num vs String"),
+    ([{"a": [1]}, {"a": [{"b": 1}]}], HeterogeneousArrayError,
+     "collection 'posts': conflicting types at posts.a: Num vs {…}"),
+    ([{"a": {"b": 1}}, {"a": {"b": None, "c": None}}], UntypableNullError,
+     "collection 'posts': only null values at posts.a.c; type is undetermined"),
+    ([{"a": [{"b": []}]}, {"a": [{"b": [None]}, None]}], UntypableArrayError,
+     "collection 'posts': array at posts.a.b is empty or all-null; element type unknown"),
+    ([], UntypableArrayError, "collection 'posts': posts is empty; document type unknown"),
+    ([{"a": 1}, {"a": [{"b.c": 1}]}], HeterogeneousArrayError,
+     "collection 'posts': conflicting types at posts.a: Num vs Arr⟨…⟩"),
+    ([{"a": [{"b": 1}]}, {"a": [{"b.c": 1}]}], InvalidDocumentError,
+     "invalid attribute name at posts.a: 'b.c'"),
+    ([{"a": 1}, 2], InvalidDocumentError, "posts[1] is not a document"),
+])
+def test_inference_error_messages(docs, error, message):
+    with pytest.raises(error) as exc:
+        compute_schema({"posts": docs})
+    assert str(exc.value) == message
+
+
+def test_task_error_carries_the_inference_error():
+    task = {"collection": "c", "examples": [{"input": {"c": [{"a": 1}, {"a": None}, {"a": "x"}]},
+                                             "output": []}]}
+    with pytest.raises(TaskError) as exc:
+        task_from_json(task)
+    assert str(exc.value) == ("examples[0].input: cannot infer schema: "
+                              "collection 'c': conflicting types at c.a: Num vs String")
+
+
 def test_conforms():
     t = DocT({"a": NUM, "b": ArrayT(DocT({"c": STRING}))})
     assert conforms({"a": 1, "b": [{"c": "x"}]}, t)
@@ -132,8 +169,8 @@ def test_collection_conforms_to_its_inferred_type(docs):
     assert conforms(docs, ArrayT(infer_collection_type(docs)))
 
 
-# where schema inference succeeds, lenient typing (synth.lenient_doc_type)
-# finds the same type at every depth
+# where schema inference succeeds, lenient typing finds the same type at
+# every depth
 @given(_INFERABLE)
 @example([{"n": 1, "s": "x", "t": Datetime("2024-01-01"), "ns": [2],
            "d": {"n": 1, "b": True, "o": ObjectId("ab")},
@@ -178,3 +215,47 @@ def test_type_json_round_trip():
         type_from_json({"kind": "str"})
     with pytest.raises(InvalidDocumentError):
         type_from_json({"kind": "array"})
+
+
+# Collections that inference may reject: any attribute may mix kinds, hold
+# only nulls or empty arrays, or nest documents and arrays of arrays.
+_ANY_VALUE = st.recursive(
+    st.one_of(st.none(), *_LEAF.values()),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from("abc"), inner, max_size=3),
+    max_leaves=8,
+)
+_ANY_DOCS = st.lists(st.dictionaries(st.sampled_from("abc"), _ANY_VALUE, max_size=3), max_size=4)
+_PRIMITIVE = {bool: BOOL, int: NUM, float: NUM, str: STRING, Datetime: DATETIME, ObjectId: OBJECTID}
+
+
+def _assert_one_kind_attributes_kept(docs, t):
+    """Every attribute whose non-null values are of one primitive kind is
+    in `t` with that kind's type; so is every attribute whose non-null
+    values are all documents, and this holds again within them."""
+    by_name = {}
+    for d in docs:
+        for name, v in d.items():
+            vals = by_name.setdefault(name, [])
+            if v is not None:
+                vals.append(v)
+    for name, vals in by_name.items():
+        kinds = {_PRIMITIVE.get(type(v)) for v in vals}
+        if len(kinds) == 1 and None not in kinds:
+            assert t.get(name) == kinds.pop(), name
+        elif vals and all(isinstance(v, dict) for v in vals):
+            assert isinstance(t.get(name), DocT), name
+            _assert_one_kind_attributes_kept(vals, t.get(name))
+
+
+@given(_ANY_DOCS)
+@example([{"a": 1}, {"a": "x", "b": [[1], [None], []]}])  # mixed kinds, arrays of arrays
+@example([{"a": None, "b": []}, {"b": [None]}])  # only nulls, only empty arrays
+@example([{"a": {"b": 1, "c": [1]}}, {"a": {"b": "x", "c": ["y"]}}])  # nested conflicts
+@example([{"a": [{"b": 1}, {"b": [2]}, {"c": True}]}])  # a conflict inside an array
+def test_lenient_type_keeps_what_every_document_fits(docs):
+    t = lenient_doc_type(docs)
+    tj = type_to_json(t)
+    for d in docs:
+        assert conforms(cut_to_type(d, tj), t)
+    _assert_one_kind_attributes_kept(docs, t)
