@@ -186,18 +186,24 @@ def flatten(doc, path):
     return [add_attrs(doc, [path], [elem]) for elem in v]
 
 
+def group_by(docs, keys):
+    """The groups of `docs` by their values at `keys` (absent reads as Null),
+    newest first, as (key document, members): each key under its last segment."""
+    names = [k[-1] for k in keys]
+    groups = {}  # value_key tuple -> (key document, members)
+    for d in docs:
+        vals = [read_path(d, k) for k in keys]
+        gk = tuple(map(value_key, vals))
+        if gk in groups:
+            groups[gk][1].append(d)
+        else:
+            groups[gk] = (dict(zip(names, vals)), [d])
+    return list(reversed(groups.values()))
+
+
 def _group(db, src, q):
-    groups = {}  # value_key tuple -> (key_doc, [members])
-    for d in src:
-        vals = [read_path(d, k) for k in q.keys]
-        gk = tuple(value_key(v) for v in vals)
-        if gk not in groups:
-            key_doc = {k[-1]: v for k, v in zip(q.keys, vals)}
-            groups[gk] = (key_doc, [])
-        groups[gk][1].append(d)
     out = []
-    # newest group first
-    for key_doc, members in reversed(list(groups.values())):
+    for key_doc, members in group_by(src, q.keys):
         row = {"_id": key_doc}
         for name, agg in zip(q.names, q.aggs):
             row[name] = eval_agg(members, agg)

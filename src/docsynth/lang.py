@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedQueryError
-from .values import kind_of
+from .types import TYPE_OF_KIND
+from .values import is_valid_attr, kind_of
 
 CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 ARITH_OPS = ("+", "-", "*", "/", "%")
@@ -23,14 +24,28 @@ MATH_FNS = ("abs", "floor", "ceil")
 
 
 def _check_path(path, what="path"):
-    if not isinstance(path, tuple) or not path or not all(
-        isinstance(s, str) and s and "." not in s for s in path
-    ):
+    if not isinstance(path, tuple) or not path or not all(map(is_valid_attr, path)):
         raise MalformedQueryError(f"invalid {what}: {path!r}")
 
 
 def _const_ok(v):
-    return kind_of(v) in ("null", "num", "str", "bool", "datetime", "objectid")
+    return kind_of(v) in ("null", *TYPE_OF_KIND)
+
+
+@dataclass(frozen=True)
+class _OnePath:
+    """A node whose one argument is an access path."""
+
+    path: tuple
+
+    def __post_init__(self):
+        _check_path(self.path)
+
+
+@dataclass(frozen=True)
+class _Connective:
+    left: object
+    right: object
 
 
 # ---------------------------------------------------------------------------
@@ -72,24 +87,16 @@ class SizeEq:
             raise MalformedQueryError(f"SizeEq needs a nonnegative integer, got {self.size!r}")
 
 
-@dataclass(frozen=True)
-class Exists:
-    path: tuple
-
-    def __post_init__(self):
-        _check_path(self.path)
+class Exists(_OnePath):
+    pass
 
 
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
+class And(_Connective):
+    pass
 
 
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
+class Or(_Connective):
+    pass
 
 
 @dataclass(frozen=True)
@@ -105,12 +112,8 @@ FALSE = FalsePred()
 # Expressions (flat by design: operands are paths, not sub-expressions)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PathExpr:
-    path: tuple
-
-    def __post_init__(self):
-        _check_path(self.path)
+class PathExpr(_OnePath):
+    pass
 
 
 @dataclass(frozen=True)
@@ -141,36 +144,20 @@ class FnCall:
 # Aggregators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sum:
-    path: tuple
-
-    def __post_init__(self):
-        _check_path(self.path)
+class Sum(_OnePath):
+    pass
 
 
-@dataclass(frozen=True)
-class Avg:
-    path: tuple
-
-    def __post_init__(self):
-        _check_path(self.path)
+class Avg(_OnePath):
+    pass
 
 
-@dataclass(frozen=True)
-class Min:
-    path: tuple
-
-    def __post_init__(self):
-        _check_path(self.path)
+class Min(_OnePath):
+    pass
 
 
-@dataclass(frozen=True)
-class Max:
-    path: tuple
-
-    def __post_init__(self):
-        _check_path(self.path)
+class Max(_OnePath):
+    pass
 
 
 @dataclass(frozen=True)
@@ -246,7 +233,7 @@ class Group:
         if len(self.names) != len(self.aggs):
             raise MalformedQueryError("Group needs matching names and aggregators")
         for n in self.names:
-            if not isinstance(n, str) or not n or "." in n:
+            if not is_valid_attr(n):
                 raise MalformedQueryError(f"invalid aggregate name: {n!r}")
         if len(set(self.names)) != len(self.names):
             raise MalformedQueryError("duplicate aggregate names")
@@ -270,7 +257,7 @@ class Lookup:
         _check_path(self.foreign_path, "foreign path")
         if not isinstance(self.foreign_coll, str) or not self.foreign_coll:
             raise MalformedQueryError("invalid foreign collection name")
-        if not isinstance(self.as_attr, str) or not self.as_attr or "." in self.as_attr:
+        if not is_valid_attr(self.as_attr):
             raise MalformedQueryError(f"invalid lookup attribute: {self.as_attr!r}")
 
 
@@ -297,9 +284,7 @@ def stages(q):
 def pred_size(p) -> int:
     if isinstance(p, (TruePred, FalsePred)):
         return 1
-    if isinstance(p, Cmp):
-        return 3
-    if isinstance(p, SizeEq):
+    if isinstance(p, (Cmp, SizeEq)):
         return 3
     if isinstance(p, Exists):
         return 2

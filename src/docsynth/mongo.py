@@ -40,6 +40,8 @@ _ARITH_TO_MONGO = {"+": "$add", "-": "$subtract", "*": "$multiply", "/": "$divid
 _MONGO_TO_ARITH = {v: k for k, v in _ARITH_TO_MONGO.items()}
 _FN_TO_MONGO = {"abs": "$abs", "floor": "$floor", "ceil": "$ceil"}
 _MONGO_TO_FN = {v: k for k, v in _FN_TO_MONGO.items()}
+_AGG_TO_MONGO = {Count: "$count", Sum: "$sum", Avg: "$avg", Min: "$min", Max: "$max"}
+_MONGO_TO_AGG = {v: k for k, v in _AGG_TO_MONGO.items()}
 
 
 def _ref(path) -> str:
@@ -85,10 +87,7 @@ def _expr_doc(e):
 
 
 def _agg_doc(a):
-    if isinstance(a, Count):
-        return {"$count": {}}
-    tag = {Sum: "$sum", Avg: "$avg", Min: "$min", Max: "$max"}[type(a)]
-    return {tag: _ref(a.path)}
+    return {_AGG_TO_MONGO[type(a)]: {} if isinstance(a, Count) else _ref(a.path)}
 
 
 def _project_spec(paths):
@@ -262,10 +261,8 @@ def _expr_from_doc(doc):
 
 def _agg_from_doc(doc):
     (op, arg), = doc.items()
-    if op == "$count":
-        return Count()
-    make = {"$sum": Sum, "$avg": Avg, "$min": Min, "$max": Max}[op]
-    return make(_path_of_ref(arg))
+    make = _MONGO_TO_AGG[op]
+    return Count() if make is Count else make(_path_of_ref(arg))
 
 
 def _op_from_doc(q, stage):

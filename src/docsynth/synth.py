@@ -107,18 +107,18 @@ from itertools import combinations, product
 
 from .absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
 from .abstraction import concretizes
-from .errors import EvalError, TaskError
-from .interp import HOLDS_ON, apply_stage, eval_agg, eval_expr, read_path
+from .errors import EvalError, InvalidDocumentError, TaskError
+from .interp import HOLDS_ON, apply_stage, eval_agg, eval_expr, group_by
 from .lang import (
-    AddFields, And, Arith, Avg, Cmp, CollectionRef, Count, Exists, FalsePred,
-    FnCall, Group, Lookup, MATH_FNS, Match, Max, Min, Not, Or, PathExpr,
-    Project, SizeEq, Sum, TruePred, Unwind, ast_size,
+    ARITH_OPS, AddFields, And, Arith, Avg, Cmp, CollectionRef, Count, Exists,
+    FalsePred, FnCall, Group, Lookup, MATH_FNS, Match, Max, Min, Not, Or,
+    PathExpr, Project, SizeEq, Sum, TruePred, Unwind, ast_size,
 )
 from .sizes import reachable
 from .types import (
-    KIND_OF_TYPE, NUM, ArrayT, DocT, conforms, lenient_doc_type, type_of_path, typed_paths,
+    NUM, ArrayT, DocT, PrimT, conforms, lenient_doc_type, type_of_path, typed_paths,
 )
-from .values import ABSENT, collection_eq, get_path, kind_of, value_cmp, value_key
+from .values import ABSENT, check_value, collection_eq, get_path, kind_of, value_cmp, value_key
 
 _CMP_ORDER = ("=", "<", "<=", ">", ">=", "!=")
 
@@ -162,12 +162,20 @@ class SynthesisTask:
         for i, ex in enumerate(self.examples):
             if not isinstance(ex.output, list) or not all(isinstance(d, dict) for d in ex.output):
                 raise TaskError(f"examples[{i}].output must be a list of documents")
+            try:
+                check_value(ex.output)
+            except InvalidDocumentError as e:
+                raise TaskError(f"examples[{i}].output: {e}") from None
             for name, coll_type in self.schema.items():
                 docs = ex.input.get(name)
                 if docs is None:
                     # the search reads every schema collection, through Lookup
                     raise TaskError(f"examples[{i}].input: missing collection {name!r}")
-                if not conforms(docs, coll_type):
+                try:
+                    ok = conforms(docs, coll_type)
+                except InvalidDocumentError as e:
+                    raise TaskError(f"examples[{i}].input[{name!r}]: {e}") from None
+                if not ok:
                     raise TaskError(f"examples[{i}].input[{name!r}] does not conform to the schema")
 
 
@@ -360,7 +368,7 @@ def _atom_vectors(docs, paths, constants):
                     yield sum(1 << i for i, f in enumerate(sized) if f), SizeEq, (h, c)
     # comparisons read an absent path as Null and skip paths of another kind
     compared = [
-        (h, KIND_OF_TYPE.get(type(t)), [None if v is ABSENT else v for v in col])
+        (h, t.kind if isinstance(t, PrimT) else None, [None if v is ABSENT else v for v in col])
         for h, t, col in columns
     ]
     for c in constants:
@@ -388,22 +396,28 @@ def _atom_vectors(docs, paths, constants):
 _HOLE = CollectionRef("_")
 
 
-def _common_paths(tin: DocT, tout: DocT, prefix=()):
-    out = []
-    for name, ot in tout.fields:
-        it = tin.get(name)
-        if it is None:
-            continue
-        path = prefix + (name,)
-        if it == ot:
-            out.append(path)
-        elif isinstance(it, DocT) and isinstance(ot, DocT):
-            out.extend(_common_paths(it, ot, path))
-    return sorted(out)
+def _line_up(tin: DocT, tout: DocT):
+    """The sorted paths of `tout` that `tin` types alike, and those it lacks.
+    Only documents whose types differ are entered: alike ones lack nothing."""
+    common, absent = [], []
+
+    def walk(it_doc, ot_doc, prefix):
+        for name, ot in ot_doc.fields:
+            path = prefix + (name,)
+            it = it_doc.get(name)
+            if it is None:
+                absent.append(path)
+            elif it == ot:
+                common.append(path)
+            elif isinstance(it, DocT) and isinstance(ot, DocT):
+                walk(it, ot, path)
+
+    walk(tin, tout, ())
+    return sorted(common), sorted(absent)
 
 
 def _gen_project(state):
-    paths = _common_paths(state.in_type, state.search.out_type)
+    paths, _ = _line_up(state.in_type, state.search.out_type)
     if paths:
         yield Project(_HOLE, tuple(paths)), None
 
@@ -420,58 +434,28 @@ def _gen_unwind(state):
             yield Unwind(_HOLE, path), None
 
 
-def _absent_targets(tin: DocT, tout: DocT, prefix=()):
-    out = []
-    for name, ot in tout.fields:
-        path = prefix + (name,)
-        it = tin.get(name)
-        if it is None:
-            out.append(path)
-        elif isinstance(it, DocT) and isinstance(ot, DocT):
-            out.extend(_absent_targets(it, ot, path))
-    return sorted(out)
-
-
 def _expr_candidates(state, paths, target):
-    """Type-correct expressions for one new attribute, deduped by values."""
+    """Type-correct expressions for one new attribute, the first per vector of values."""
     want = type_of_path(state.search.out_type, target)
-    num_paths = [p for p, t in paths if t == NUM]
-    seen = {}
-
-    def emit(e):
-        vec = tuple(value_key(eval_expr(d, e)) for d in state.docs)
-        if vec in seen:
-            return None
-        seen[vec] = e
-        return e
-
-    for p, t in paths:
-        if t == want:
-            e = emit(PathExpr(p))
-            if e is not None:
-                yield e
+    exprs = [PathExpr(p) for p, t in paths if t == want]
     if want == NUM:
-        for p1 in num_paths:
-            for op in ("+", "-", "*", "/", "%"):
-                for p2 in num_paths:
-                    e = emit(Arith(p1, op, p2))
-                    if e is not None:
-                        yield e
-        for fn in MATH_FNS:
-            for p in num_paths:
-                e = emit(FnCall(fn, p))
-                if e is not None:
-                    yield e
+        num_paths = [p for p, t in paths if t == NUM]
+        exprs += [Arith(p1, op, p2) for p1 in num_paths for op in ARITH_OPS for p2 in num_paths]
+        exprs += [FnCall(fn, p) for fn in MATH_FNS for p in num_paths]
+    kept = {}  # vector of values -> its first expression
+    for e in exprs:
+        kept.setdefault(tuple(value_key(eval_expr(d, e)) for d in state.docs), e)
+    return list(kept.values())
 
 
 def _gen_add_fields(state):
-    targets = _absent_targets(state.in_type, state.search.out_type)
+    _, targets = _line_up(state.in_type, state.search.out_type)
     paths = typed_paths(state.in_type)
     built = {}  # target -> its expression pool, built on first use
 
     def pool_of(target):
         if target not in built:
-            built[target] = list(_expr_candidates(state, paths, target))
+            built[target] = _expr_candidates(state, paths, target)
         return built[target]
 
     for size in range(1, len(targets) + 1):
@@ -506,10 +490,10 @@ def _gen_group(state):
             # grouping must merge something in every non-empty example, as
             # the size images (sizes.reachable) that admitted this spine and
             # prefix assume: n >= 1 documents group into 1..n - 1
-            members = [_group_members(coll, keys) for coll in colls]
-            if any(coll and len(g) >= len(coll) for coll, g in zip(colls, members)):
+            groups = [group_by(coll, keys) for coll in colls]
+            if any(coll and len(g) >= len(coll) for coll, g in zip(colls, groups)):
                 continue
-            kept = [a for a in agg_pool if _agg_plausible(a, members[0], output_nums)]
+            kept = [a for a in agg_pool if _agg_plausible(a, groups[0], output_nums)]
             for nsize in range(0, len(num_out_attrs) + 1):
                 for names in combinations(num_out_attrs, nsize):
                     if not names:
@@ -521,19 +505,11 @@ def _gen_group(state):
                         yield Group(_HOLE, keys, names, aggs), None
 
 
-def _group_members(docs, keys):
-    groups = {}
-    for d in docs:
-        gk = tuple(value_key(read_path(d, k)) for k in keys)
-        groups.setdefault(gk, []).append(d)
-    return list(groups.values())
-
-
 def _agg_plausible(agg, groups, output_nums):
     """Keep an accumulator only if one of its group values shows up in the output."""
     if not groups:
         return True
-    for members in groups:
+    for _, members in groups:
         v = eval_agg(members, agg)
         if v is not None and kind_of(v) == "num" and value_key(v) in output_nums:
             return True
@@ -551,7 +527,7 @@ def _gen_lookup(state):
                 continue
             fpaths = typed_paths(ftype)
             for local, lt in in_paths:
-                if type(lt) not in KIND_OF_TYPE:
+                if not isinstance(lt, PrimT):
                     continue
                 for foreign, ft in fpaths:
                     if ft == lt:

@@ -89,7 +89,7 @@ def task_from_json(obj) -> SynthesisTask:
     else:
         try:
             schema = compute_schema(examples[0].input)
-        except TypeInferenceError as e:
+        except (TypeInferenceError, InvalidDocumentError) as e:
             _fail("examples[0].input", f"cannot infer schema: {e}")
 
     return SynthesisTask(schema, collection, tuple(examples), tuple(constants))

@@ -1,5 +1,8 @@
 """Value types, type inference, and schemas.
 
+The primitive types are `PrimT` instances, one per kind of value (NUM,
+STRING, BOOL, DATETIME, OBJECTID), so they compare by identity.
+
 Document types are insertion-ordered but compare order-insensitively. Null is
 a value of every type, so one walk types a collection: each attribute, across
 all the documents, is typed by its non-null values, which must be of one
@@ -18,8 +21,6 @@ harmless, because every candidate query is verified exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     HeterogeneousArrayError,
     InvalidDocumentError,
@@ -31,46 +32,27 @@ from . import values
 from .values import kind_of
 
 
-@dataclass(frozen=True)
-class NumT:
-    def __str__(self):
-        return "Num"
+class PrimT:
+    """The type of the values of one primitive `values.kind_of` kind; one instance each."""
+
+    __slots__ = ("kind", "name")
+
+    def __init__(self, kind, name):
+        self.kind = kind
+        self.name = name
+
+    def __repr__(self):
+        return self.name
 
 
-@dataclass(frozen=True)
-class StringT:
-    def __str__(self):
-        return "String"
+NUM = PrimT("num", "Num")
+STRING = PrimT("str", "String")
+BOOL = PrimT("bool", "Bool")
+DATETIME = PrimT("datetime", "Datetime")
+OBJECTID = PrimT("objectid", "ObjectId")
 
-
-@dataclass(frozen=True)
-class BoolT:
-    def __str__(self):
-        return "Bool"
-
-
-@dataclass(frozen=True)
-class DatetimeT:
-    def __str__(self):
-        return "Datetime"
-
-
-@dataclass(frozen=True)
-class ObjectIdT:
-    def __str__(self):
-        return "ObjectId"
-
-
-NUM = NumT()
-STRING = StringT()
-BOOL = BoolT()
-DATETIME = DatetimeT()
-OBJECTID = ObjectIdT()
-
-# Each primitive type and the kind of its values (values.kind_of), both ways.
-# The inverse is keyed by the type's class, which hashes cheaply.
-TYPE_OF_KIND = {"num": NUM, "str": STRING, "bool": BOOL, "datetime": DATETIME, "objectid": OBJECTID}
-KIND_OF_TYPE = {type(t): k for k, t in TYPE_OF_KIND.items()}
+# each primitive type by the kind of its values
+TYPE_OF_KIND = {t.kind: t for t in (NUM, STRING, BOOL, DATETIME, OBJECTID)}
 
 
 class ArrayT:
@@ -214,12 +196,13 @@ def infer_collection_type(docs, where="collection") -> DocT:
 
 
 def compute_schema(db) -> dict:
-    """Infer {collection name -> ArrayT(DocT(...))} for a whole database."""
+    """Infer {collection name -> ArrayT(DocT(...))} for a whole database.
+    Every error is prefixed with `collection '<name>': `."""
     schema = {}
     for name, docs in db.items():
         try:
             schema[name] = ArrayT(infer_collection_type(docs, where=name))
-        except TypeInferenceError as e:
+        except (TypeInferenceError, InvalidDocumentError) as e:
             raise type(e)(f"collection {name!r}: {e}") from None
     return schema
 
@@ -241,7 +224,7 @@ def conforms(v, t) -> bool:
             return False
         attrs = t.attrs
         return all(n in attrs and conforms(x, attrs[n]) for n, x in v.items())
-    return k == KIND_OF_TYPE[type(t)]
+    return k == t.kind
 
 
 def type_of_path(doct: DocT, path) -> object:
@@ -333,7 +316,7 @@ def type_to_json(t):
         return {"kind": "array", "elem": type_to_json(t.elem)}
     if isinstance(t, DocT):
         return {"kind": "doc", "fields": {n: type_to_json(x) for n, x in t.fields}}
-    return {"kind": _json_kind(KIND_OF_TYPE[type(t)])}
+    return {"kind": _json_kind(t.kind)}
 
 
 def schema_from_json(obj):

@@ -27,17 +27,18 @@ from .errors import InvalidDocumentError
 
 
 @dataclass(frozen=True, order=True)
-class Datetime:
+class _Opaque:
+    """A value known by its rendering alone; two subclasses' values are unequal, unordered."""
+
+    value: str
+
+
+class Datetime(_Opaque):
     """An opaque timestamp carrying its ISO-8601 rendering."""
 
-    value: str
 
-
-@dataclass(frozen=True, order=True)
-class ObjectId:
+class ObjectId(_Opaque):
     """An opaque object identifier carrying its hex rendering."""
-
-    value: str
 
 
 class _Absent:
@@ -178,6 +179,19 @@ def is_valid_attr(name) -> bool:
     return isinstance(name, str) and name != "" and "." not in name
 
 
+def check_value(v):
+    """Raise InvalidDocumentError at an unsupported value or attribute name in `v`."""
+    k = kind_of(v)
+    if k == "doc":
+        for name, x in v.items():
+            if not is_valid_attr(name):
+                raise InvalidDocumentError(f"invalid attribute name: {name!r}")
+            check_value(x)
+    elif k == "array":
+        for x in v:
+            check_value(x)
+
+
 def parse_path(text: str) -> Path:
     """Split a dotted path string into a path tuple."""
     parts = tuple(text.split("."))
@@ -247,6 +261,10 @@ def add_attrs(doc, paths, values) -> dict:
 # JSON codec. Datetime and ObjectId travel as {"$date": ...} / {"$oid": ...}.
 # ---------------------------------------------------------------------------
 
+_TAG_OF_KIND = {"datetime": "$date", "objectid": "$oid"}
+_OPAQUE_OF_TAG = {"$date": Datetime, "$oid": ObjectId}
+
+
 def value_from_json(obj):
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -254,16 +272,11 @@ def value_from_json(obj):
         return [value_from_json(x) for x in obj]
     if isinstance(obj, dict):
         if len(obj) == 1:
-            if "$date" in obj:
-                tag = obj["$date"]
-                if not isinstance(tag, str):
-                    raise InvalidDocumentError(f"$date expects a string, got {tag!r}")
-                return Datetime(tag)
-            if "$oid" in obj:
-                tag = obj["$oid"]
-                if not isinstance(tag, str):
-                    raise InvalidDocumentError(f"$oid expects a string, got {tag!r}")
-                return ObjectId(tag)
+            (tag, body), = obj.items()
+            if tag in _OPAQUE_OF_TAG:
+                if not isinstance(body, str):
+                    raise InvalidDocumentError(f"{tag} expects a string, got {body!r}")
+                return _OPAQUE_OF_TAG[tag](body)
         out = {}
         for name, val in obj.items():
             if not is_valid_attr(name):
@@ -275,10 +288,8 @@ def value_from_json(obj):
 
 def value_to_json(v):
     k = kind_of(v)
-    if k == "datetime":
-        return {"$date": v.value}
-    if k == "objectid":
-        return {"$oid": v.value}
+    if k in _TAG_OF_KIND:
+        return {_TAG_OF_KIND[k]: v.value}
     if k == "array":
         return [value_to_json(x) for x in v]
     if k == "doc":

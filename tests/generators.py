@@ -8,13 +8,17 @@ exact and the completer's candidate grammar can express the query:
   - every Group stage merges something (strictly fewer rows out than in)
     and produces at least two groups; keys are top-level attributes the
     query itself did not mint (added fields, join arrays and earlier
-    aggregates live behind placeholders, where grouping cannot see them);
-    accumulator arguments are top-level numeric attributes present in
-    every document; aggregate names are fresh
+    aggregates live behind placeholders, where grouping cannot see them,
+    and deduction's Group step builds key documents from top-level
+    attributes only, so the type half prunes a spine whose Group needs a
+    nested key); accumulator arguments are top-level numeric attributes
+    present in every document; aggregate names are fresh
   - Project appears only as the final stage and keeps only paths present
     in every document
   - AddFields writes fresh top-level attributes with total expressions
-    (no division or modulus, so no null results)
+    (no division or modulus, so no null results); deduction's AddFields
+    step adds a top-level placeholder only, so the type half prunes a
+    spine whose AddFields writes a nested path
   - predicates are single atoms whose constants are recorded on the task
   - no stage result leaves an array attribute empty in every document
     (such an attribute has no inferable element type, so output typing

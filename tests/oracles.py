@@ -346,7 +346,7 @@ def predicates_by_enumeration(docs, in_type, constants):
     """
     from docsynth.interp import eval_pred
     from docsynth.lang import FALSE, TRUE, And, Cmp, Exists, Not, Or, SizeEq
-    from docsynth.types import KIND_OF_TYPE, ArrayT, DocT
+    from docsynth.types import ArrayT, DocT, PrimT
     from docsynth.values import kind_of
 
     typed = []  # (path, type) for every path that does not enter an array
@@ -368,7 +368,7 @@ def predicates_by_enumeration(docs, in_type, constants):
         for h, t in typed:
             if c is None:
                 ops = ("=", "!=")
-            elif KIND_OF_TYPE.get(type(t)) == kind_of(c):
+            elif isinstance(t, PrimT) and t.kind == kind_of(c):
                 ops = ("=", "<", "<=", ">", ">=", "!=")
             else:
                 continue

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from docsynth.errors import UnknownCollectionError, UnwindNonArrayError
-from docsynth.interp import compare, eval_agg, eval_expr, eval_pred, eval_query, flatten
+from docsynth.interp import (
+    apply_stage, compare, eval_agg, eval_expr, eval_pred, eval_query, flatten, group_by,
+)
 from docsynth.lang import (
     AddFields, Arith, Avg, CollectionRef, Cmp, Count, Exists, FALSE, FnCall,
     Group, Lookup, Match, Max, Min, Not, PathExpr, Project, SizeEq, Sum, TRUE,
@@ -189,6 +191,17 @@ class TestStages:
         db = {"c": [{"u": {"name": "x"}}]}
         q = Group(CollectionRef("c"), (("u", "name"),), ("n",), (Count(),))
         assert eval_query(db, q) == [{"_id": {"name": "x"}, "n": 1}]
+
+    def test_group_by_is_the_stage_partition(self):
+        # completion screens Group candidates with the groups the stage aggregates
+        docs = [{"t": "a", "u": {"v": 1}}, {"t": "b"}, {"t": "a", "u": {"v": 1}},
+                {"t": "a", "u": {"v": 2}}]
+        keys = (("t",), ("u", "v"))
+        groups = group_by(docs, keys)
+        rows = apply_stage({}, docs, Group(CollectionRef("c"), keys, ("n",), (Count(),)))
+        assert [key_doc for key_doc, _ in groups] == [r["_id"] for r in rows]
+        assert [len(members) for _, members in groups] == [r["n"] for r in rows]
+        assert groups[-1][1] == [docs[0], docs[2]]
 
     def test_lookup(self):
         db = {

@@ -1,5 +1,6 @@
 """Query AST construction, metrics, and text syntax tests."""
 
+import dataclasses
 import re
 
 import pytest
@@ -191,6 +192,26 @@ class TestValidation:
             SizeEq(("a",), True)
         with pytest.raises(MalformedQueryError):
             SizeEq(("a",), -1)
+
+    def test_attribute_names_checked(self):
+        for make in (Exists, PathExpr, Sum, Avg, Min, Max):
+            with pytest.raises(MalformedQueryError):
+                make(("a.b",))
+        with pytest.raises(MalformedQueryError):
+            Group(CollectionRef("c"), (("k",),), ("n.m",), (Count(),))
+        with pytest.raises(MalformedQueryError):
+            Lookup(CollectionRef("c"), ("a",), ("b",), "d", "")
+
+    def test_nodes_sharing_a_layout_stay_apart(self):
+        p = ("a",)
+        assert Sum(p) != Avg(p) and Min(p) != Max(p) and Exists(p) != PathExpr(p)
+        assert And(TRUE, FALSE) != Or(TRUE, FALSE)
+        assert repr(Sum(p)) == "Sum(path=('a',))"
+        assert repr(Or(TRUE, FALSE)) == "Or(left=TruePred(), right=FalsePred())"
+        moved = dataclasses.replace(Max(p), path=("b",))
+        assert type(moved) is Max and moved == Max(("b",))
+        joined = dataclasses.replace(And(TRUE, FALSE), right=TRUE)
+        assert type(joined) is And and joined == And(TRUE, TRUE)
 
     def test_arith_and_fn_ops_checked(self):
         with pytest.raises(MalformedQueryError):

@@ -497,7 +497,10 @@ class TestValidation:
         with pytest.raises(TaskError, match=r"examples\[1\]\.input: missing collection 'b'"):
             SynthesisTask(compute_schema(db), "a", (Example(db, []), Example({"a": [{"k": 2}]}, [])))
 
-    @pytest.mark.parametrize("output", [[1], "x", [{"a": 1}, None]])
+    @pytest.mark.parametrize("output", [
+        [1], "x", [{"a": 1}, None],
+        [{"a.b": 1}], [{"a": {1, 2}}], [{"a": [{"b": {"": 1}}]}], [{"a": 1}, {"a": [{"b": {1}}]}],
+    ])
     def test_output_that_is_not_a_list_of_documents(self, output):
         db = {"c": [{"a": 1}]}
         with pytest.raises(TaskError, match=r"examples\[1\]\.output"):
@@ -507,6 +510,11 @@ class TestValidation:
         schema = compute_schema({"c": [{"a": 1}]})
         with pytest.raises(TaskError):
             SynthesisTask(schema, "c", (Example({"c": [{"a": "str"}]}, []),))
+
+    def test_input_holding_an_unsupported_value(self):
+        schema = compute_schema({"c": [{"a": 1}]})
+        with pytest.raises(TaskError, match=r"examples\[0\]\.input\['c'\]: unsupported value"):
+            SynthesisTask(schema, "c", (Example({"c": [{"a": {1}}]}, []),))
 
     def test_config_bounds(self):
         with pytest.raises(TaskError):

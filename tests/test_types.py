@@ -100,8 +100,8 @@ def test_compute_schema_tags_errors_with_collection():
     ([{"a": 1}, {"a": [{"b.c": 1}]}], HeterogeneousArrayError,
      "collection 'posts': conflicting types at posts.a: Num vs Arr⟨…⟩"),
     ([{"a": [{"b": 1}]}, {"a": [{"b.c": 1}]}], InvalidDocumentError,
-     "invalid attribute name at posts.a: 'b.c'"),
-    ([{"a": 1}, 2], InvalidDocumentError, "posts[1] is not a document"),
+     "collection 'posts': invalid attribute name at posts.a: 'b.c'"),
+    ([{"a": 1}, 2], InvalidDocumentError, "collection 'posts': posts[1] is not a document"),
 ])
 def test_inference_error_messages(docs, error, message):
     with pytest.raises(error) as exc:
@@ -208,7 +208,7 @@ def test_type_json_round_trip():
     j = type_to_json(DocT({"a": NUM}))
     assert j == {"kind": "doc", "fields": {"a": {"kind": "num"}}}
     for t in (NUM, STRING, BOOL, DATETIME, OBJECTID):
-        assert type_from_json(type_to_json(t)) == t
+        assert type_from_json(type_to_json(t)) is t
     # the codec spells the value kind "str" as "string", and only so
     assert type_to_json(STRING) == {"kind": "string"}
     with pytest.raises(InvalidDocumentError):

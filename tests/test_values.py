@@ -27,6 +27,14 @@ from docsynth.values import (
 )
 
 
+def test_opaque_values_of_two_kinds_stay_apart():
+    assert Datetime("x") != ObjectId("x")
+    assert repr(Datetime("x")) == "Datetime(value='x')"
+    assert Datetime("a") < Datetime("b") and ObjectId("b") > ObjectId("a")
+    with pytest.raises(TypeError):
+        Datetime("a") < ObjectId("b")
+
+
 def test_kind_of_separates_bool_from_num():
     assert kind_of(True) == "bool"
     assert kind_of(1) == "num"
