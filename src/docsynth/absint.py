@@ -7,34 +7,35 @@ synthesizer prunes a sketch when the observed output matches none of them.
 The size half of the abstraction needs no evaluation: deduction folds each
 example's input size through the spine's stage kinds (`sizes.reachable`).
 
-Stage ids count outward from the leaf (leaf = 0), and stage j contributes
-its type successors. An abstract type is a `DocT` of named attributes plus
-top-level placeholders (`abstraction.AugmentedType`), and each successor
-builds its result from those two parts directly:
+Each stage contributes its type successors. An abstract type is a `DocT` of
+named attributes plus top-level placeholders (`abstraction.AugmentedType`),
+and each successor builds its result from those two parts directly:
 
   match       the type itself.
   project     the named attributes the example's output type has with an
               equal type (`types.doc_intersect`), and every placeholder.
-  add_fields  ?⁺₀: Any appended, unless it is already there.
-  lookup      ?¹ⱼ appended, typed by one collection of the schema, one
+  add_fields  ?⁺: Any appended, unless it is already there.
+  lookup      ?¹ appended, typed by one collection of the schema, one
               successor per collection.
   unwind      the array at one path that crosses no array replaced by its
               element type, one successor per such path, in lexicographic
               order (`types.typed_paths`).
   group       {_id: a set of at most max_group_keys named attributes}, with
-              and without ?⁺ⱼ: Num, per key set.
+              and without ?⁺: Num, per key set.
 
 Evaluation is a left fold from the leaf outward: Λ starts from one interned
 root tuple per collection, and each stage takes one successor step.
 `AbsEvalContext` holds the schema and one example's output type, interns
-types and tuples of types, and computes each (operator, parent tuple, stage)
-step once, so Λ of a spine costs one table lookup per stage and memo entries
-share their objects. A type is interned by one exact structural key, which
-reads attribute order and placeholder labels, because the successors of a
-type depend on both; `AugmentedType.__eq__` ignores them. The synthesizer
-refines a spine by prepending a stage at the leaf, so `ops[:-1]` of a
-depth-d+1 spine is a depth-d spine, and breadth-first search has taken every
-step but the last already.
+types and tuples of types, and computes each (operator, parent tuple) step
+once, so Λ of a spine costs one table lookup per stage and memo entries
+share their objects. A type is interned by its one equality, which ignores
+attribute order and placeholder order. Verdicts are safe under that, since
+`matches` reads attributes by name. So are renders: every type of a context
+comes from the schema roots through steps that keep the relative order of
+attributes, so equal types in one context list their attributes alike. The
+synthesizer refines a spine by prepending a stage at the leaf, so
+`ops[:-1]` of a depth-d+1 spine is a depth-d spine, and breadth-first search
+has taken every step but the last already.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .abstraction import ANY, AugmentedType, Placeholder
+from .abstraction import ANY, AugmentedType
 from .errors import MalformedQueryError, UnknownCollectionError
 from .types import NUM, ArrayT, DocT, doc_intersect, doc_replace_path, typed_paths
 
@@ -70,14 +71,14 @@ class Sketch:
         return out
 
 
-def _successors(tag, t: AugmentedType, j: int, out_type: DocT, schema, max_group_keys):
+def _successors(tag, t: AugmentedType, out_type: DocT, schema, max_group_keys):
     doc, phs = t.doc, t.placeholders
     if tag == "match":
         return [t]
     if tag == "project":
         return [AugmentedType(doc_intersect(doc, out_type), phs)]
     if tag == "add_fields":
-        new = (Placeholder("many", 0), ANY)
+        new = ("many", ANY)
         return [t if new in phs else AugmentedType(doc, phs + (new,))]
     if tag == "unwind":
         return [
@@ -85,46 +86,16 @@ def _successors(tag, t: AugmentedType, j: int, out_type: DocT, schema, max_group
             for path, vt in typed_paths(doc) if isinstance(vt, ArrayT)
         ]
     if tag == "lookup":
-        return [AugmentedType(doc, phs + ((Placeholder("one", j), foreign),)) for foreign in schema.values()]
+        return [AugmentedType(doc, phs + (("one", foreign),)) for foreign in schema.values()]
     # group: the key document is {_id: a subset of the named attributes},
     # with or without the aggregates
     out = []
     for size in range(1, min(max_group_keys, len(doc.fields)) + 1):
         for keys in combinations(doc.fields, size):
             key_doc = DocT([("_id", DocT(keys))])
-            out.append(AugmentedType(key_doc, [(Placeholder("many", j), NUM)]))
+            out.append(AugmentedType(key_doc, [("many", NUM)]))
             out.append(AugmentedType(key_doc))
     return out
-
-
-def _exact_key(t: AugmentedType) -> tuple:
-    """A key equal for two types exactly when they agree in placeholder
-    kinds, labels and order, and in `DocT` field order at every depth.
-
-    The key is one flat tuple of tokens: a tuple per nested document raised
-    the tracemalloc peak of the reddit_posts search from 7.4 to 9.1 MB. The
-    placeholder count comes first and each document token is followed by its
-    field count, so a token sequence parses back one way.
-    """
-    out = [len(t.placeholders)]
-
-    def walk(v):
-        if isinstance(v, DocT):
-            out.extend(("doc", len(v.fields)))
-            for n, x in v.fields:
-                out.append(n)
-                walk(x)
-        elif isinstance(v, ArrayT):
-            out.append("arr")
-            walk(v.elem)
-        else:
-            out.append(v)
-
-    for p, v in t.placeholders:
-        out.append(p)
-        walk(v)
-    walk(t.doc)
-    return tuple(out)
 
 
 class AbsEvalContext:
@@ -137,9 +108,9 @@ class AbsEvalContext:
         self.out_type = out_type
         self.max_group_keys = max_group_keys
         self.typed = {}      # document type -> whether out_type matches it
-        self._types = {}     # exact key of a type -> the one type with that key
+        self._types = {}     # abstract type -> the one equal type interned
         self._tuples = {}    # ids of interned types -> the one tuple of them
-        self._steps = {}     # (tag, id(parent types), stage) -> the types after it
+        self._steps = {}     # (tag, id(parent types)) -> the types after it
         # Types and type tuples are interned, and the intern tables keep them
         # alive as long as the context, so an id names one of them.
         self._roots = {      # collection -> the types of Λ for the bare spine
@@ -150,19 +121,19 @@ class AbsEvalContext:
     def types(self, collection: str, ops: tuple) -> tuple:
         """The document types of Λ for the spine `ops` over `collection`."""
         types = self._roots[collection]
-        for j, tag in enumerate(ops, start=1):
-            types = self._step(types, tag, j)
+        for tag in ops:
+            types = self._step(types, tag)
         return types
 
-    def _step(self, parent: tuple, tag: str, j: int) -> tuple:
+    def _step(self, parent: tuple, tag: str) -> tuple:
         if not parent:
             return ()
-        key = (tag, id(parent), j)
+        key = (tag, id(parent))
         types = self._steps.get(key)
         if types is None:
             nxt = {}
             for t in parent:
-                for s in _successors(tag, t, j, self.out_type, self.schema, self.max_group_keys):
+                for s in _successors(tag, t, self.out_type, self.schema, self.max_group_keys):
                     nxt.setdefault(self._intern(s), None)
             types = self._steps[key] = self._intern_tuple(tuple(nxt))
         return types
@@ -171,7 +142,7 @@ class AbsEvalContext:
         return self._tuples.setdefault(tuple(map(id, types)), types)
 
     def _intern(self, t: AugmentedType) -> AugmentedType:
-        return self._types.setdefault(_exact_key(t), t)
+        return self._types.setdefault(t, t)
 
 
 def abs_eval(ctx: AbsEvalContext, sk: Sketch) -> tuple:

@@ -7,18 +7,15 @@ a named attribute's, may also be Any, which matches every value type.
 Nested values are plain `DocT`, `ArrayT` and primitive types, so
 placeholders occur only at the top level by construction.
 
-Equality (and hence deduplication) treats attribute order as irrelevant and
-placeholder labels as meaningful only up to bijective renaming: two augmented
-types are interchangeable when their named parts are equal and their
-placeholders pair up by kind and value type.
+Equality (and hence deduplication) treats attribute order and placeholder
+order as irrelevant: two augmented types are interchangeable when their named
+parts are equal and their placeholders pair up by kind and value type.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .errors import MalformedQueryError
 from .types import DocT
 
 
@@ -36,40 +33,21 @@ class AnyType:
 
 ANY = AnyType()
 
-_SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
-
-
-@dataclass(frozen=True)
-class Placeholder:
-    kind: str  # "one" | "many"
-    label: int
-
-    def __post_init__(self):
-        if self.kind not in ("one", "many"):
-            raise MalformedQueryError(f"placeholder kind must be 'one' or 'many': {self.kind!r}")
-
-    def render(self) -> str:
-        mark = "¹" if self.kind == "one" else "⁺"
-        return "?" + mark + str(self.label).translate(_SUBSCRIPTS)
-
-
 class AugmentedType:
     """A `DocT` of named attributes plus a tuple of top-level placeholder
-    entries, each a (Placeholder, value type) pair with a unique label."""
+    entries, each a (kind, value type) pair with kind "one" (?¹) or
+    "many" (?⁺)."""
 
     __slots__ = ("doc", "placeholders", "_canon")
 
     def __init__(self, doc: DocT, placeholders=()):
-        placeholders = tuple(placeholders)
-        if len({p.label for p, _ in placeholders}) != len(placeholders):
-            raise MalformedQueryError("placeholder labels must be unique")
         self.doc = doc
-        self.placeholders = placeholders
+        self.placeholders = tuple(placeholders)
         self._canon = None
 
     def _canonical(self):
         if self._canon is None:
-            phs = Counter((p.kind, v) for p, v in self.placeholders)
+            phs = Counter(self.placeholders)
             self._canon = (self.doc, frozenset(phs.items()))
         return self._canon
 
@@ -81,8 +59,7 @@ class AugmentedType:
 
     def render(self) -> str:
         parts = [f"{k}: {v}" for k, v in self.doc.fields]
-        for p, v in sorted(self.placeholders, key=lambda e: e[0].label):
-            parts.append(f"{p.render()}: {v}")
+        parts += sorted(f"?{'¹' if kind == 'one' else '⁺'}: {v}" for kind, v in self.placeholders)
         return "{" + ", ".join(parts) + "}"
 
     def __repr__(self):
@@ -105,7 +82,7 @@ def matches(t: DocT, aug: AugmentedType) -> bool:
         if name not in t.attrs or not (av is ANY or t.attrs[name] == av):
             return False
     remaining = sorted(name for name in t.attrs if name not in named)
-    phs = sorted(aug.placeholders, key=lambda e: (0 if e[0].kind == "one" else 1, e[0].label))
+    phs = sorted(aug.placeholders, key=lambda e: e[0] != "one")
     if not phs:
         return not remaining
     if len(remaining) < len(phs):
@@ -116,12 +93,12 @@ def matches(t: DocT, aug: AugmentedType) -> bool:
     def assign(i):
         if i == len(remaining):
             return all(
-                c == 1 if p.kind == "one" else c >= 1
-                for (p, _), c in zip(phs, counts)
+                c == 1 if kind == "one" else c >= 1
+                for (kind, _), c in zip(phs, counts)
             )
         pt = t.attrs[remaining[i]]
-        for k, (p, av) in enumerate(phs):
-            if p.kind == "one" and counts[k] >= 1:
+        for k, (kind, av) in enumerate(phs):
+            if kind == "one" and counts[k] >= 1:
                 continue
             if not (av is ANY or pt == av):
                 continue
@@ -146,4 +123,4 @@ def concretizes(coll, aug: AugmentedType, *, doc_type: DocT) -> bool:
     return not coll or matches(doc_type, aug)
 
 
-__all__ = ["ANY", "AnyType", "Placeholder", "AugmentedType", "matches", "concretizes"]
+__all__ = ["ANY", "AnyType", "AugmentedType", "matches", "concretizes"]

@@ -165,6 +165,9 @@ class Count:
     pass
 
 
+AGGREGATORS = (Count, Sum, Avg, Min, Max)  # in the synthesizer's enumeration order
+
+
 # ---------------------------------------------------------------------------
 # Query operators
 # ---------------------------------------------------------------------------
@@ -237,11 +240,16 @@ class Group:
                 raise MalformedQueryError(f"invalid aggregate name: {n!r}")
         if len(set(self.names)) != len(self.names):
             raise MalformedQueryError("duplicate aggregate names")
-        # each key shows in the output `_id` document under its last segment
-        if len({k[-1] for k in self.keys}) != len(self.keys):
+        if keys_share_a_name(self.keys):
             raise MalformedQueryError("group keys share a last segment")
         if "_id" in self.names:
             raise MalformedQueryError("an aggregate cannot be named _id")
+
+
+def keys_share_a_name(keys) -> bool:
+    """Whether two Group keys share a last segment, the name each shows
+    under in the output `_id` document."""
+    return len({k[-1] for k in keys}) != len(keys)
 
 
 @dataclass(frozen=True)

@@ -110,9 +110,9 @@ from .abstraction import concretizes
 from .errors import EvalError, InvalidDocumentError, TaskError
 from .interp import HOLDS_ON, apply_stage, eval_agg, eval_expr, group_by
 from .lang import (
-    ARITH_OPS, AddFields, And, Arith, Avg, Cmp, CollectionRef, Count, Exists,
-    FalsePred, FnCall, Group, Lookup, MATH_FNS, Match, Max, Min, Not, Or,
-    PathExpr, Project, SizeEq, Sum, TruePred, Unwind, ast_size,
+    AGGREGATORS, ARITH_OPS, AddFields, And, Arith, Cmp, CollectionRef, Count,
+    Exists, FalsePred, FnCall, Group, Lookup, MATH_FNS, Match, Not, Or,
+    PathExpr, Project, SizeEq, TruePred, Unwind, ast_size, keys_share_a_name,
 )
 from .sizes import reachable
 from .types import (
@@ -478,15 +478,15 @@ def _gen_group(state):
     # matching the top-level rule Unwind already follows
     num_paths = [(name,) for name, t in state.in_type.fields if t == NUM]
     agg_pool = [Count()]
-    agg_pool += [make(p) for make in (Sum, Avg, Min, Max) for p in num_paths]
+    agg_pool += [make(p) for make in AGGREGATORS if make is not Count for p in num_paths]
     colls = state.colls
     output_nums = state.search.output_nums
 
     max_size = min(state.search.cfg.max_group_keys, len(paths))
     for size in range(max_size, 0, -1):
         for keys in combinations(paths, size):
-            if len({k[-1] for k in keys}) != size:
-                continue  # lang.Group refuses keys that share a last segment
+            if keys_share_a_name(keys):
+                continue  # lang.Group refuses them
             # grouping must merge something in every non-empty example, as
             # the size images (sizes.reachable) that admitted this spine and
             # prefix assume: n >= 1 documents group into 1..n - 1

@@ -22,7 +22,6 @@ from .lang import (
     AddFields,
     And,
     Arith,
-    Avg,
     CollectionRef,
     Cmp,
     Count,
@@ -33,14 +32,11 @@ from .lang import (
     Group,
     Lookup,
     Match,
-    Max,
-    Min,
     Not,
     Or,
     PathExpr,
     Project,
     SizeEq,
-    Sum,
     TRUE,
     TruePred,
     Unwind,
@@ -74,10 +70,8 @@ def render_const(v) -> str:
     if k == "str":
         out = v.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
-    if k == "datetime":
-        return f'Datetime("{v.value}")'
-    if k == "objectid":
-        return f'ObjectId("{v.value}")'
+    if k in ("datetime", "objectid"):
+        return f"{type(v).__name__}({render_const(v.value)})"
     raise ParseError(f"constant of kind {k} is not representable")
 
 
@@ -161,7 +155,7 @@ _TOKEN = re.compile(
 _OP_CANON = {"≤": "<=", "≥": ">=", "≠": "!=", "∧": "&&", "∨": "||", "¬": "!"}
 
 _QUERY_OPS = {"Project", "Match", "AddFields", "Unwind", "Group", "Lookup"}
-_AGG_OPS = {"Sum": Sum, "Avg": Avg, "Min": Min, "Max": Max}
+_AGGREGATORS = {agg.__name__: agg for agg in lang.AGGREGATORS}
 
 
 class _Parser:
@@ -331,14 +325,15 @@ class _Parser:
     def agg(self):
         name = self.ident("aggregator")
         self.expect("(")
-        if name == "Count":
+        agg = _AGGREGATORS.get(name)
+        if agg is None:
+            raise ParseError(f"unknown aggregator {name!r}")
+        if agg is Count:
             self.expect(")")
             return Count()
-        if name not in _AGG_OPS:
-            raise ParseError(f"unknown aggregator {name!r}")
         path = self.path()
         self.expect(")")
-        return _AGG_OPS[name](path)
+        return agg(path)
 
     # -- queries ------------------------------------------------------------
 

@@ -4,11 +4,9 @@ the match relation, and concretization tests."""
 import json
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from docsynth.abstraction import ANY, AugmentedType, Placeholder, concretizes, matches
-from docsynth.errors import MalformedQueryError
+from docsynth.abstraction import ANY, AugmentedType, concretizes, matches
 from docsynth.sizes import reachable
 from docsynth.types import (
     ArrayT, BOOL, DocT, NUM, STRING, compute_schema, doc_intersect, doc_replace_path,
@@ -19,31 +17,32 @@ from .oracles import match_by_enumeration
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "replay_stages.json").read_text())
 
 
+PLACEHOLDER_KINDS = ("one", "many")
+
+
 def aug(*entries):
-    """The augmented type of named and placeholder entries, in any order."""
-    named = [(k, v) for k, v in entries if not isinstance(k, Placeholder)]
-    return AugmentedType(DocT(named), [(k, v) for k, v in entries if isinstance(k, Placeholder)])
+    """The augmented type of named and placeholder entries, in any order; no
+    named attribute here is called "one" or "many"."""
+    phs = [e for e in entries if e[0] in PLACEHOLDER_KINDS]
+    return AugmentedType(DocT([e for e in entries if e[0] not in PLACEHOLDER_KINDS]), phs)
 
 
-def many(label, value=ANY):
-    return (Placeholder("many", label), value)
+def many(value=ANY):
+    return ("many", value)
 
 
-def one(label, value=ANY):
-    return (Placeholder("one", label), value)
+def one(value=ANY):
+    return ("one", value)
 
 
 class TestRendering:
-    def test_placeholder_keys(self):
-        assert Placeholder("many", 0).render() == "?⁺₀"
-        assert Placeholder("one", 3).render() == "?¹₃"
-        assert Placeholder("many", 12).render() == "?⁺₁₂"
-
     def test_display_order_named_then_labels(self):
-        t = aug(many(3, NUM), many(0, ANY))
-        assert t.render() == "{?⁺₀: Any, ?⁺₃: Num}"
-        t2 = aug(many(0, ANY), ("a", NUM))
-        assert t2.render() == "{a: Num, ?⁺₀: Any}"
+        # named fields in order, then the placeholders as ?¹: T / ?⁺: T, sorted
+        t = aug(many(NUM), many(ANY))
+        assert t.render() == "{?⁺: Any, ?⁺: Num}"
+        t2 = aug(many(ANY), ("a", NUM))
+        assert t2.render() == "{a: Num, ?⁺: Any}"
+        assert aug(many(ANY), one(NUM)).render() == "{?¹: Num, ?⁺: Any}"
 
     def test_nested_and_arrays(self):
         t = AugmentedType(DocT({"_id": STRING, "replies": ArrayT(DocT({"depth": NUM}))}))
@@ -51,16 +50,12 @@ class TestRendering:
 
 
 class TestInvariants:
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(MalformedQueryError):
-            aug(many(0), one(0))
-
-    def test_label_insensitive_equality(self):
-        assert aug(many(0, NUM)) == aug(many(7, NUM))
-        assert aug(one(1, NUM), many(2, ANY)) == aug(many(9, ANY), one(4, NUM))
-        assert aug(many(0, NUM)) != aug(one(0, NUM))
-        assert aug(many(0, NUM)) != aug(many(0, STRING))
-        assert hash(aug(many(0, NUM))) == hash(aug(many(7, NUM)))
+    def test_placeholders_compare_as_a_multiset(self):
+        assert aug(one(NUM), many(ANY)) == aug(many(ANY), one(NUM))
+        assert hash(aug(one(NUM), many(ANY))) == hash(aug(many(ANY), one(NUM)))
+        assert aug(one(NUM), one(NUM)) != aug(one(NUM))
+        assert aug(many(NUM)) != aug(one(NUM))
+        assert aug(many(NUM)) != aug(many(STRING))
 
     def test_order_insensitive_equality(self):
         assert aug(("a", NUM), ("b", STRING)) == aug(("b", STRING), ("a", NUM))
@@ -93,20 +88,20 @@ class TestAlgebra:
 class TestMatches:
     def test_forum_output_matches(self):
         t = DocT({"reply_count": NUM, "title": STRING})
-        assert matches(t, aug(many(0, ANY), many(2, NUM)))
+        assert matches(t, aug(many(ANY), many(NUM)))
 
     def test_plus_needs_at_least_one(self):
-        assert not matches(DocT({"a": NUM}), aug(("a", NUM), many(1, NUM)))
+        assert not matches(DocT({"a": NUM}), aug(("a", NUM), many(NUM)))
 
     def test_one_needs_exactly_one(self):
-        assert matches(DocT({"a": NUM}), aug(one(0, NUM)))
-        assert not matches(DocT({"a": NUM, "b": NUM}), aug(one(0, NUM)))
+        assert matches(DocT({"a": NUM}), aug(one(NUM)))
+        assert not matches(DocT({"a": NUM, "b": NUM}), aug(one(NUM)))
 
     def test_lookup_shape(self):
         inner = ArrayT(DocT({"name": STRING}))
         t = DocT({"name": STRING, "profs": inner})
-        assert matches(t, aug(("name", STRING), one(1, inner)))
-        assert not matches(t, aug(("name", STRING), one(1, ArrayT(NUM))))
+        assert matches(t, aug(("name", STRING), one(inner)))
+        assert not matches(t, aug(("name", STRING), one(ArrayT(NUM))))
 
     def test_degenerates_to_equality_without_placeholders(self):
         t = DocT({"a": NUM, "d": DocT({"x": STRING})})
@@ -116,15 +111,15 @@ class TestMatches:
 
     def test_backtracking(self):
         t = DocT({"a": NUM, "b": STRING})
-        assert matches(t, aug(one(0, STRING), many(1, ANY)))
-        assert matches(t, aug(one(0, ANY), many(1, STRING)))
-        assert not matches(t, aug(one(0, STRING), many(1, STRING)))
+        assert matches(t, aug(one(STRING), many(ANY)))
+        assert matches(t, aug(one(ANY), many(STRING)))
+        assert not matches(t, aug(one(STRING), many(STRING)))
 
     def test_any_monotone(self):
         t = DocT({"a": NUM, "b": STRING})
-        assert matches(t, aug(("a", NUM), many(0, STRING)))
-        assert matches(t, aug(("a", ANY), many(0, STRING)))
-        assert matches(t, aug(("a", NUM), many(0, ANY)))
+        assert matches(t, aug(("a", NUM), many(STRING)))
+        assert matches(t, aug(("a", ANY), many(STRING)))
+        assert matches(t, aug(("a", NUM), many(ANY)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +148,7 @@ def match_cases(draw):
 def test_matches_agrees_with_oracle(case):
     doc_attrs, named, ones, manys = case
     t = DocT(doc_attrs)
-    placeholders = []
-    label = 0
-    for tok in ones:
-        placeholders.append((Placeholder("one", label), tok))
-        label += 1
-    for tok in manys:
-        placeholders.append((Placeholder("many", label), tok))
-        label += 1
+    placeholders = [one(tok) for tok in ones] + [many(tok) for tok in manys]
     expected = match_by_enumeration(
         doc_attrs, named, ones, manys,
         accepts=lambda concrete, want: want is ANY or concrete == want,
@@ -198,7 +186,7 @@ class TestConcretizes:
     def setup_method(self):
         self.output = GOLDEN["stages"][5]  # two rows: reply_count, title
         self.out_t = infer_collection_type(self.output)
-        self.c3 = aug(many(0, ANY), many(3, NUM))
+        self.c3 = aug(many(ANY), many(NUM))
         self.ops3 = ("unwind", "match", "group", "add_fields", "match", "project")
         self.c1 = AugmentedType(compute_schema(GOLDEN["input"])["posts"].elem)
 
@@ -219,5 +207,5 @@ class TestConcretizes:
         assert not reachable(3, ("project",), 0)
 
     def test_render(self):
-        assert self.c3.render() == "{?⁺₀: Any, ?⁺₃: Num}"
+        assert self.c3.render() == "{?⁺: Any, ?⁺: Num}"
 

@@ -9,6 +9,12 @@ a package re-exports. `from __future__` imports are directives, not names.
 shares none with what produced them. The oracles' docstring excepts two
 test helpers, `skeleton` and `predicates_by_enumeration`; the checker has
 no exception.
+
+Every top-level function, class and assignment of `src/docsynth/*.py` is
+read by some module of `src/`, `scripts/` or `perfbench/` outside its own
+definition, so no library code lives for its unit tests alone. A name is
+read as a name, as an attribute, or in a `from ... import`, which is how
+`docsynth/__init__.py` re-exports. Dunders are exempt.
 """
 
 import ast
@@ -17,6 +23,12 @@ from pathlib import Path
 ROOT = Path(__file__).parent.parent
 SCANNED = ("src", "tests", "scripts")
 ORACLE_EXCEPTIONS = {"skeleton", "predicates_by_enumeration"}
+LIBRARY_READERS = ("src", "scripts", "perfbench")
+TEST_ONLY = {
+    # only tests call it, to replay pinned pipelines; ROADMAP item 1 decides
+    # whether perfbench/checker.py calls it or it moves out of the library
+    "mongo.reconstruct_query",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -85,3 +97,66 @@ def test_oracles_import_nothing_of_the_package():
     assert [(line, owner) for line, owner in package_imports(oracles)
             if owner not in ORACLE_EXCEPTIONS] == []
     assert package_imports(checker) == []
+
+
+def top_level_definitions(tree) -> list:
+    """(name, defining statement) of each top-level def, class and assignment."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(n.id, node) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return found
+
+
+def names_read(tree, skip=None) -> set:
+    """Names `tree` reads, outside the statement `skip`."""
+    read = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return read
+
+
+def unread_definitions(modules: dict) -> list:
+    """`module.name` of each top-level definition of a `modules` entry marked
+    as library (`(tree, True)`) that no module reads outside its definition."""
+    others = {path: names_read(tree) for path, (tree, _) in modules.items()}
+    found = []
+    for path, (tree, library) in modules.items():
+        if not library:
+            continue
+        for name, node in top_level_definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in names_read(tree, skip=node):
+                continue
+            if not any(name in read for other, read in others.items() if other != path):
+                found.append(f"{Path(path).stem}.{name}")
+    return found
+
+
+def test_unread_definitions_are_reported():
+    lib = ast.parse("def f():\n    return f()\ndef g(): pass\nh = 1\n__all__ = []\ndef k(): return g\n")
+    user = ast.parse("from lib import k\nimport lib\nlib.h\n")
+    assert unread_definitions({"lib.py": (lib, True), "user.py": (user, False)}) == ["lib.f"]
+
+
+def test_library_definitions_are_read_outside_tests():
+    modules = {
+        str(path): (ast.parse(path.read_text(encoding="utf-8")), path.parent.name == "docsynth")
+        for top in LIBRARY_READERS
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    assert sorted(unread_definitions(modules)) == sorted(TEST_ONLY)

@@ -84,6 +84,8 @@ class TestRender:
             ('say "hi"', 'x = "say \\"hi\\""'),
             (Datetime("2020-01-01"), 'x = Datetime("2020-01-01")'),
             (ObjectId("abc123"), 'x = ObjectId("abc123")'),
+            (Datetime('2020"x'), 'x = Datetime("2020\\"x")'),
+            (ObjectId("ab\\"), 'x = ObjectId("ab\\\\")'),
         ]
         for value, text in cases:
             p = Cmp(("x",), "=", value)
@@ -228,14 +230,15 @@ idents = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True).filter(
     lambda s: s not in ("true", "false", "null")
 )
 paths = st.lists(idents, min_size=1, max_size=3).map(tuple)
+texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 consts = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-100, 100),
     st.floats(allow_nan=False, allow_infinity=False, width=32).map(float),
-    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters='"\\'), max_size=8),
-    st.builds(Datetime, st.from_regex(r"[0-9:TZ-]{1,12}", fullmatch=True)),
-    st.builds(ObjectId, st.from_regex(r"[0-9a-f]{1,12}", fullmatch=True)),
+    texts,
+    st.builds(Datetime, texts),
+    st.builds(ObjectId, texts),
 )
 
 atoms = st.one_of(
