@@ -201,11 +201,13 @@ def group_by(docs, keys):
     return list(reversed(groups.values()))
 
 
-def _group(db, src, q):
+def group_rows(groups, names, aggs):
+    """A Group's output from its partition `groups` (see `group_by`): per
+    group, its key document under `_id`, then each named aggregate."""
     out = []
-    for key_doc, members in group_by(src, q.keys):
+    for key_doc, members in groups:
         row = {"_id": key_doc}
-        for name, agg in zip(q.names, q.aggs):
+        for name, agg in zip(names, aggs):
             row[name] = eval_agg(members, agg)
         out.append(row)
     return out
@@ -249,7 +251,7 @@ def apply_stage(db, src, q):
             out.extend(flatten(d, q.path))
         return out
     if isinstance(q, Group):
-        return _group(db, src, q)
+        return group_rows(group_by(src, q.keys), q.names, q.aggs)
     if isinstance(q, Lookup):
         return _lookup(db, src, q)
     raise TypeError(f"not an operator: {q!r}")

@@ -162,10 +162,11 @@ def _overlaps(p, q) -> bool:
 def _merge_pair(a, b):
     if "$addFields" in a and "$addFields" in b:
         # all expressions of one stage see the pre-stage document, so the
-        # second stage must not read anything the first created
-        targets = list(a["$addFields"])
+        # second stage must not read anything the first created; nor may it
+        # set a path that overlaps one the first sets, since one stage
+        # setting a path and its prefix is a path collision
         refs = [r for v in b["$addFields"].values() for r in _expr_refs(v)]
-        if any(_overlaps(t, r) for t in targets for r in refs):
+        if any(_overlaps(t, r) for t in a["$addFields"] for r in [*refs, *b["$addFields"]]):
             return None
         merged = dict(a["$addFields"])
         merged.update(b["$addFields"])

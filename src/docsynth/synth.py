@@ -12,24 +12,23 @@ sketches are handed to an enumerative completer that instantiates arguments
 stage by stage, evaluating concretely on every example as it goes and
 accepting the first full query that reproduces every output exactly.
 
-Completion carries the size half down to partial programs. Once stage k's
-candidate is applied, every example's collection has a concrete size, and
-`sizes.reachable` folds it through the operator kinds still to be chosen;
-when some example's output size is out of reach, the partial program is
-dropped with everything below it, before its collection is typed. Spines
-and prefixes read the same per-kind images, those of the interpreter and
-the candidate generators (see `sizes`): Unwind may drop documents whose
-array is empty or absent, and Group keeps an empty example empty and has no
-candidate on a one-document collection. The check only drops partial
-programs that have no satisfying completion, so it never changes which
-query comes first. `disable_size_abstraction` turns it off with the
-spine-level size half, so the ablations measure both.
-
-A Match candidate is applied from its truth vector, which predicate
-enumeration already holds over the concatenated documents of all examples.
-Each example's slice of the vector gives the child's size by popcount, the
-size check runs on those counts, and only a child that passes is built, by
-bit selection; no Match runs through `eval_pred` during the search.
+Completion carries the size half down to partial programs, by one rule: a
+candidate's sizes are checked before its children are built or typed
+(`_StageState.fits`). Before the last stage, `sizes.reachable` folds every
+example's size through the kinds still to be chosen, and a miss drops the
+partial program and everything below it as one pruned prefix; at the last
+stage the sizes must equal the output sizes, and a miss counts one
+completion. A Match is sized by the popcounts of its truth vector's
+per-example slices and built by bit selection, so none runs through
+`eval_pred`; a Group is sized by the key partition its merge check made,
+and its rows are built from that partition (`interp.group_rows`); the other
+kinds are applied, then sized. Spines and prefixes read the same per-kind
+images (see `sizes`): Unwind may drop documents whose array is empty or
+absent, and Group keeps an empty example empty and has no candidate on a
+one-document collection. The check only drops partial programs that have
+no satisfying completion, so it never changes which query comes first.
+`disable_size_abstraction` turns off the prefix check with the spine-level
+size half, so the ablations measure both.
 
 Completion also remembers where it failed, by the observed state rather
 than by the program that reached it. What `_fill` finds from stage k depends
@@ -108,7 +107,7 @@ from itertools import combinations, product
 from .absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
 from .abstraction import concretizes
 from .errors import EvalError, InvalidDocumentError, TaskError
-from .interp import HOLDS_ON, apply_stage, eval_agg, eval_expr, group_by
+from .interp import HOLDS_ON, apply_stage, eval_agg, eval_expr, group_by, group_rows
 from .lang import (
     AGGREGATORS, ARITH_OPS, AddFields, And, Arith, Cmp, CollectionRef, Count,
     Exists, FalsePred, FnCall, Group, Lookup, MATH_FNS, Match, Not, Or,
@@ -387,13 +386,27 @@ def _atom_vectors(docs, paths, constants):
 
 
 # ---------------------------------------------------------------------------
-# Per-operator candidate generators. Each yields (operator node, truth vector)
-# pairs. A node's source is a dummy reference, which the completer rebinds
-# during assembly. The vector is a Match predicate's over the stage's
-# documents, bit i for docs[i], and None for the other operators.
+# Per-operator candidate generators. Each yields (operator node, children)
+# for the nodes whose sizes fit, the children being every example's
+# collection after the node. A node's source is a dummy reference, which the
+# completer rebinds during assembly.
 # ---------------------------------------------------------------------------
 
 _HOLE = CollectionRef("_")
+
+
+def _applied(gen):
+    """A generator of bare nodes made one of (node, children) pairs: each
+    node is run on every example and kept if it runs and its sizes fit."""
+    def generate(state):
+        for cand in gen(state):
+            try:
+                nxt = [apply_stage(db, c, cand) for db, c in zip(state.search.inputs, state.colls)]
+            except EvalError:
+                continue
+            if state.fits([len(c) for c in nxt]):
+                yield cand, nxt
+    return generate
 
 
 def _line_up(tin: DocT, tout: DocT):
@@ -416,22 +429,26 @@ def _line_up(tin: DocT, tout: DocT):
     return sorted(common), sorted(absent)
 
 
+@_applied
 def _gen_project(state):
     paths, _ = _line_up(state.in_type, state.search.out_type)
     if paths:
-        yield Project(_HOLE, tuple(paths)), None
+        yield Project(_HOLE, tuple(paths))
 
 
 def _gen_match(state):
     paths = typed_paths(state.in_type)
     for pred, bits in enumerate_predicates(state.docs, paths, state.search.pool):
-        yield Match(_HOLE, pred), bits
+        slices = _split_bits(bits, state.colls)
+        if state.fits([b.bit_count() for b in slices]):
+            yield Match(_HOLE, pred), [_select(c, b) for c, b in zip(state.colls, slices)]
 
 
+@_applied
 def _gen_unwind(state):
     for path, t in typed_paths(state.in_type):
         if isinstance(t, ArrayT):
-            yield Unwind(_HOLE, path), None
+            yield Unwind(_HOLE, path)
 
 
 def _expr_candidates(state, paths, target):
@@ -448,6 +465,7 @@ def _expr_candidates(state, paths, target):
     return list(kept.values())
 
 
+@_applied
 def _gen_add_fields(state):
     _, targets = _line_up(state.in_type, state.search.out_type)
     paths = typed_paths(state.in_type)
@@ -464,7 +482,7 @@ def _gen_add_fields(state):
             if any(not pool for pool in pools):
                 continue
             for combo in product(*pools):
-                yield AddFields(_HOLE, subset, combo), None
+                yield AddFields(_HOLE, subset, combo)
 
 
 def _gen_group(state):
@@ -487,22 +505,17 @@ def _gen_group(state):
         for keys in combinations(paths, size):
             if keys_share_a_name(keys):
                 continue  # lang.Group refuses them
-            # grouping must merge something in every non-empty example, as
-            # the size images (sizes.reachable) that admitted this spine and
-            # prefix assume: n >= 1 documents group into 1..n - 1
             groups = [group_by(coll, keys) for coll in colls]
-            if any(coll and len(g) >= len(coll) for coll, g in zip(colls, groups)):
+            if not all(reachable(len(c), ("group",), len(g)) for c, g in zip(colls, groups)):
                 continue
+            sizes = [len(g) for g in groups]
             kept = [a for a in agg_pool if _agg_plausible(a, groups[0], output_nums)]
-            for nsize in range(0, len(num_out_attrs) + 1):
+            for nsize in range(len(num_out_attrs) + 1):
                 for names in combinations(num_out_attrs, nsize):
-                    if not names:
-                        yield Group(_HOLE, keys, (), ()), None
-                        continue
-                    if not kept:
-                        continue
-                    for aggs in product(kept, repeat=len(names)):
-                        yield Group(_HOLE, keys, names, aggs), None
+                    for aggs in product(kept, repeat=nsize):
+                        if state.fits(sizes):
+                            rows = [group_rows(g, names, aggs) for g in groups]
+                            yield Group(_HOLE, keys, names, aggs), rows
 
 
 def _agg_plausible(agg, groups, output_nums):
@@ -516,6 +529,7 @@ def _agg_plausible(agg, groups, output_nums):
     return False
 
 
+@_applied
 def _gen_lookup(state):
     in_paths = typed_paths(state.in_type)
     for fname, coll_type in state.search.task.schema.items():
@@ -531,7 +545,7 @@ def _gen_lookup(state):
                     continue
                 for foreign, ft in fpaths:
                     if ft == lt:
-                        yield Lookup(_HOLE, local, foreign, fname, as_attr), None
+                        yield Lookup(_HOLE, local, foreign, fname, as_attr)
 
 
 _GENERATORS = {
@@ -550,6 +564,24 @@ class _StageState:
     in_type: DocT
     colls: list           # each example's current documents
     search: Search
+    rest: tuple           # the stage kinds after this one
+
+    def fits(self, sizes: list) -> bool:
+        """Whether children of these sizes, one per example, can still give
+        the outputs. A miss counts one completion at the last stage, where
+        the sizes must be the outputs', and one pruned prefix before it."""
+        search = self.search
+        search.check_deadline()
+        if not self.rest:
+            if sizes == search.out_sizes:
+                return True
+            search.completions += 1
+        elif search.cfg.disable_size_abstraction or all(
+                reachable(n, self.rest, m) for n, m in zip(sizes, search.out_sizes)):
+            return True
+        else:
+            search.prefixes_pruned += 1
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -562,33 +594,14 @@ def complete_sketch(search: Search, sk: Sketch):
     return _fill(search, sk, [None] * len(sk.ops), 0, colls)
 
 
-def _out_of_reach(search: Search, sizes, rest) -> bool:
-    """Whether some example's size cannot reach its output size through the
-    stage kinds `rest`, in which case one pruned prefix is counted.
-
-    A full program (no stage left) is not checked here: it is counted as a
-    completion and compared with the outputs.
-    """
-    if not rest or search.cfg.disable_size_abstraction:
-        return False
-    if all(reachable(n, rest, m) for n, m in zip(sizes, search.out_sizes)):
-        return False
-    search.prefixes_pruned += 1
-    return True
-
-
 def _fill(search: Search, sk: Sketch, chosen: list, k: int, colls: list):
     """Choose stages k.. of sk, given every example's collection before stage k.
 
     The prefix up to stage k has passed the size check, at stage 0 in
-    deduction and after that here. Each candidate's
-    output sizes are checked against the stages after it before anything
-    below it is typed or built. A Match candidate comes with its truth
-    vector over the concatenated documents, so its sizes are the popcounts
-    of the vector's per-example slices and its output is a bit selection;
-    a Match rejected by size is never applied. A call that finds nothing is
-    recorded by its stages left and its collections, and a later call equal
-    in both returns None before typing anything.
+    deduction and after that here; stage k's generator yields only the
+    candidates whose sizes fit, with their children. A call that finds
+    nothing is recorded by its stages left and its collections, and a later
+    call equal in both returns None before typing anything.
     """
     if k == len(sk.ops):
         search.completions += 1
@@ -604,26 +617,8 @@ def _fill(search: Search, sk: Sketch, chosen: list, k: int, colls: list):
         search.states_reused += 1
         return None
     docs = [d for c in colls for d in c]
-    state = _StageState(docs, lenient_doc_type(docs), colls, search)
-    rest = sk.ops[k + 1:]
-    for cand, bits in _GENERATORS[sk.ops[k]](state):
-        search.check_deadline()
-        if bits is None:
-            try:
-                nxt = [apply_stage(db, coll, cand) for db, coll in zip(search.inputs, colls)]
-            except EvalError:
-                continue
-            if _out_of_reach(search, [len(c) for c in nxt], rest):
-                continue
-        else:
-            slices = _split_bits(bits, colls)
-            sizes = [b.bit_count() for b in slices]
-            if _out_of_reach(search, sizes, rest):
-                continue
-            if not rest and sizes != search.out_sizes:
-                search.completions += 1  # a full program that cannot equal the outputs
-                continue
-            nxt = [_select(coll, b) for coll, b in zip(colls, slices)]
+    state = _StageState(docs, lenient_doc_type(docs), colls, search, sk.ops[k + 1:])
+    for cand, nxt in _GENERATORS[sk.ops[k]](state):
         chosen[k] = cand
         got = _fill(search, sk, chosen, k + 1, nxt)
         if got is not None:

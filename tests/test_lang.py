@@ -35,7 +35,7 @@ from docsynth.lang import (
     source_collection,
     stages,
 )
-from docsynth.text import parse_query, render_pred, render_query
+from docsynth.text import parse_query, render_const, render_pred, render_query
 from docsynth.values import Datetime, ObjectId
 
 
@@ -295,6 +295,19 @@ def queries(draw, max_depth=4):
         else:
             q = Lookup(q, draw(paths), draw(paths), draw(idents), draw(idents))
     return q
+
+
+# text made mostly of quotes and backslashes, which every string-bearing
+# constant form must escape
+quoted_texts = st.text(st.sampled_from('"\\a'), min_size=1, max_size=6)
+
+
+@given(st.one_of(quoted_texts, st.builds(Datetime, quoted_texts), st.builds(ObjectId, quoted_texts),
+                 consts))
+@settings(max_examples=300)
+def test_const_text_round_trip(value):
+    text = f"Match(c, x = {render_const(value)})"
+    assert parse_query(text) == Match(CollectionRef("c"), Cmp(("x",), "=", value))
 
 
 @given(preds)

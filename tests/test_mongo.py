@@ -162,6 +162,13 @@ class TestOptimize:
         pipe = [{"$addFields": {"a": "$x"}}, {"$addFields": {"b": "$a"}}]
         assert optimize(pipe) == pipe
 
+    @pytest.mark.parametrize("targets", [("x.y", "x"), ("x", "x.y")])
+    def test_add_fields_setting_overlapping_paths_not_merged(self, targets):
+        # one stage that sets both a path and its prefix is a path collision
+        first, second = targets
+        pipe = [{"$addFields": {first: "$p"}}, {"$addFields": {second: "$q"}}]
+        assert optimize(pipe) == pipe
+
     def test_adjacent_projects_compose(self):
         pipe = [{"$project": {"_id": 0, "a": 1, "b": 1}}, {"$project": {"_id": 0, "a": 1}}]
         assert optimize(pipe) == [{"$project": {"_id": 0, "a": 1}}]

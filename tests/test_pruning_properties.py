@@ -135,14 +135,18 @@ class TestBoundedCompleteness:
 
 
 class TestDeepCompleteness:
-    # seed -> (returned query, completions); the true queries have depth 4 to 6
+    # seed -> (returned query, completions, pruned prefixes, reused states);
+    # the true queries have depth 4 to 6
     PINNED = {
-        10: ("AddFields(Unwind(c6, arr5), [t7, t8, t9], [s3, n2, s3])", 114),
-        12: ("Match(Group(c6, [n1], [g7], [Count()]), _id.n1 = 2)", 252),
-        28: ("Match(AddFields(Unwind(c4, arr3), [t8, t9], [n1, n1]), n1 >= 6)", 1115),
-        34: ("Match(AddFields(c2, [t3, t4, t5, t6], [n1, n1, n1 + n1, n1]), n1 >= 4)", 10807),
-        35: ("AddFields(Lookup(c5, n1, k7, c6, j9), [t10, t11, t12], [s2, s2, s2])", 264),
-        37: ("Match(AddFields(Unwind(c9, arr5), [t10], [s2]), n1 = 7)", 124),
+        2: ("Match(AddFields(c3, [t4, t5, t6], [n1, n1, o2]), o2 < 4)", 5774, 32768, 0),
+        10: ("AddFields(Unwind(c6, arr5), [t7, t8, t9], [s3, n2, s3])", 114, 0, 0),
+        12: ("Match(Group(c6, [n1], [g7], [Count()]), _id.n1 = 2)", 252, 31, 8),
+        16: ("Match(AddFields(Unwind(c7, arr6), [t11], [n2 - n1]), o4 = 5)", 7938, 79007, 240),
+        28: ("Match(AddFields(Unwind(c4, arr3), [t8, t9], [n1, n1]), n1 >= 6)", 1115, 217, 150),
+        34: ("Match(AddFields(c2, [t3, t4, t5, t6], [n1, n1, n1 + n1, n1]), n1 >= 4)",
+             10807, 3125, 0),
+        35: ("AddFields(Lookup(c5, n1, k7, c6, j9), [t10, t11, t12], [s2, s2, s2])", 264, 31, 1),
+        37: ("Match(AddFields(Unwind(c9, arr5), [t10], [s2]), n1 = 7)", 124, 25, 7),
     }
 
     @pytest.mark.parametrize("seed", sorted(PINNED))
@@ -154,7 +158,9 @@ class TestDeepCompleteness:
         # replayed by the naive oracle, which shares no code with docsynth.interp
         example = {"input": task.examples[0].input, "output": output}
         assert accepts({"examples": [example]}, result.query)
-        assert (render_query(result.query), result.stats["programsCompleted"]) == self.PINNED[seed]
+        stats = result.stats
+        assert (render_query(result.query), stats["programsCompleted"], stats["prefixesPruned"],
+                stats["statesReused"]) == self.PINNED[seed]
 
 
 class TestDeterminism:

@@ -240,8 +240,28 @@ class TestCompleteSketch:
         search = Search(task, SynthesisConfig(max_group_keys=1))
         colls = [ex0["c"], ex1["c"]]
         docs = colls[0] + colls[1]
-        state = _StageState(docs=docs, in_type=lenient_doc_type(docs), colls=colls, search=search)
+        state = _StageState(docs=docs, in_type=lenient_doc_type(docs), colls=colls, search=search,
+                            rest=())
         assert {g.keys for g, _ in _gen_group(state)} == {(("m",),)}
+
+    def test_stage_work_on_hard_unwind_group(self, monkeypatch):
+        # wrap apply_stage through synth's global, as the benchmark tracer
+        # does: a Group is built from its key partition and a Match from its
+        # truth vector, and no candidate is run before its sizes fit
+        calls, docs_in, kinds = [0], [0], set()
+        real = synth_module.apply_stage
+
+        def counted(db, src, q):
+            calls[0] += 1
+            docs_in[0] += len(src)
+            kinds.add(type(q).__name__)
+            return real(db, src, q)
+
+        monkeypatch.setattr(synth_module, "apply_stage", counted)
+        result = synthesize(load_task(str(TASKS_DIR / "hard_unwind_group.json")))
+        assert result.status == "success"
+        assert (calls[0], docs_in[0]) == (87, 348)
+        assert not kinds & {"Group", "Match"}
 
     def test_memo_keeps_value_equal_states_apart(self):
         # value_eq calls these states equal, but Arith tells 2**60 + 1 from
