@@ -32,7 +32,7 @@ def _const_ok(v):
     return kind_of(v) in ("null", *TYPE_OF_KIND)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _OnePath:
     """A node whose one argument is an access path."""
 
@@ -42,7 +42,7 @@ class _OnePath:
         _check_path(self.path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Connective:
     left: object
     right: object
@@ -52,17 +52,17 @@ class _Connective:
 # Predicates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruePred:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalsePred:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cmp:
     path: tuple
     op: str
@@ -76,7 +76,7 @@ class Cmp:
             raise MalformedQueryError(f"comparison constant must be primitive or null: {self.value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SizeEq:
     path: tuple
     size: int
@@ -88,18 +88,18 @@ class SizeEq:
 
 
 class Exists(_OnePath):
-    pass
+    __slots__ = ()
 
 
 class And(_Connective):
-    pass
+    __slots__ = ()
 
 
 class Or(_Connective):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     pred: object
 
@@ -113,10 +113,10 @@ FALSE = FalsePred()
 # ---------------------------------------------------------------------------
 
 class PathExpr(_OnePath):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arith:
     left: tuple
     op: str
@@ -129,7 +129,7 @@ class Arith:
             raise MalformedQueryError(f"unknown arithmetic operator: {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FnCall:
     fn: str
     path: tuple
@@ -145,22 +145,22 @@ class FnCall:
 # ---------------------------------------------------------------------------
 
 class Sum(_OnePath):
-    pass
+    __slots__ = ()
 
 
 class Avg(_OnePath):
-    pass
+    __slots__ = ()
 
 
 class Min(_OnePath):
-    pass
+    __slots__ = ()
 
 
 class Max(_OnePath):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Count:
     pass
 
@@ -172,7 +172,7 @@ AGGREGATORS = (Count, Sum, Avg, Min, Max)  # in the synthesizer's enumeration or
 # Query operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollectionRef:
     name: str
 
@@ -181,7 +181,7 @@ class CollectionRef:
             raise MalformedQueryError(f"invalid collection name: {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Project:
     source: object
     paths: tuple
@@ -193,13 +193,13 @@ class Project:
             _check_path(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Match:
     source: object
     pred: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddFields:
     source: object
     paths: tuple
@@ -212,7 +212,7 @@ class AddFields:
             _check_path(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unwind:
     source: object
     path: tuple
@@ -221,7 +221,7 @@ class Unwind:
         _check_path(self.path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Group:
     source: object
     keys: tuple
@@ -252,7 +252,7 @@ def keys_share_a_name(keys) -> bool:
     return len({k[-1] for k in keys}) != len(keys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lookup:
     source: object
     local_path: tuple

@@ -14,39 +14,61 @@ accepting the first full query that reproduces every output exactly.
 
 Completion carries the size half down to partial programs, by one rule: a
 candidate's sizes are checked before its children are built or typed
-(`_StageState.fits`). Before the last stage, `sizes.reachable` folds every
+(`Search.fits`). Before the last stage, `sizes.reachable` folds every
 example's size through the kinds still to be chosen, and a miss drops the
 partial program and everything below it as one pruned prefix; at the last
 stage the sizes must equal the output sizes, and a miss counts one
 completion. A Match is sized by the popcounts of its truth vector's
 per-example slices and built by bit selection, so none runs through
-`eval_pred`; a Group is sized by the key partition its merge check made,
-and its rows are built from that partition (`interp.group_rows`); the other
-kinds are applied, then sized. Spines and prefixes read the same per-kind
-images (see `sizes`): Unwind may drop documents whose array is empty or
-absent, and Group keeps an empty example empty and has no candidate on a
-one-document collection. The check only drops partial programs that have
-no satisfying completion, so it never changes which query comes first.
+`eval_pred`; a Group is sized by its key set's partition, and its rows are
+built from that partition (`interp.group_rows`); the other kinds are
+applied, then sized. Spines and prefixes read the same per-kind images (see
+`sizes`): Unwind may drop documents whose array is empty or absent, and
+Group keeps an empty example empty and has no candidate on a one-document
+collection. The check only drops partial programs that have no satisfying
+completion, so it never changes which query comes first.
 `disable_size_abstraction` turns off the prefix check with the spine-level
 size half, so the ablations measure both.
 
-Completion also remembers where it failed, by the observed state rather
-than by the program that reached it. What `_fill` finds from stage k depends
-only on the stage kinds still to choose, on every example's collection
-before stage k, and on the fixed facts in `Search`: the stages already
-chosen are read only to assemble a success, which ends the search, and a
-deadline raises rather than returns. So a call that finds nothing records
-the pair (stages left, collections), and a later call with an equal pair
-returns nothing at once. Equal states are common, since `Match(True)` or a
-Project that keeps every path gives back its input. The key holds the
-collections by value: each document is interned by its repr, which keeps 1,
-1.0 and True apart and reads the attribute order, and each example keeps its
-own tuple of document ints. No digest stands in for a value, so two states
-that a generator or the output check could tell apart never share a key.
-The memo lives in one `Search` under every ablation setting; it cannot
-change the first query found, the sketches visited or the `complete_sketch`
-calls, only lower `programsCompleted` and `prefixesPruned`, and
-`statesReused` counts its hits.
+Completion works on interned states. A state is every example's collection
+before some stage. Each document is interned by its repr, which keeps 1,
+1.0 and True apart and reads the attribute order, and each example keeps
+its own tuple of document ints; no digest stands in for a value, so two
+states that a generator or the output check could tell apart are never one
+state. A state gets its lenient type once, and equal types are shared. Per
+stage kind it gets a candidate table: the kind's candidates on that state,
+in enumeration order, which do not depend on the stages after it. The
+kind's generator fills the table lazily, once per search, from the first
+time any spine reaches the (state, kind) pair. Every later reader replays
+the table from the start under its own suffix and applies the size rule
+itself, so it sees the candidates, and charges the counters, exactly as a
+fresh run of the generator would. A nested reader of the same table, on a
+child equal to its parent (a `Match(True)`, or a Project that keeps every
+path), reads the entries made so far and then advances the same generator.
+Entries are compact. A Match is its truth vector; its predicate is found
+again only to assemble an answer, as the first class representative with
+that vector, which is exact because class order is fixed. A Group key set
+holds its sizes and aggregators, and its (names, aggregators) variants are
+enumerated only when the sizes fit; a miss charges every variant at once.
+Its partitions are not kept: a replay whose sizes fit partitions again.
+The other kinds hold their node and sizes. A candidate
+that fits keeps the id of its interned child, so a replay neither builds
+nor interns it again. The last stage's children are compared with the
+outputs and never interned.
+
+Completion also remembers where it failed, by the state rather than by the
+program that reached it. What `_fill` finds from stage k depends only on
+the stage kinds still to choose, on the state before stage k, and on the
+fixed facts in `Search`: the stages already chosen are read only to
+assemble a success, which ends the search, and a deadline raises rather
+than returns. So a call that finds nothing records the pair (state, stages
+left), and a later call with an equal pair returns nothing at once. The
+memo and the tables live in one `Search` under every ablation setting. They
+cannot change the first query found, the sketches visited or the
+`complete_sketch` calls. The tables change no counter; the memo only lowers
+`programsCompleted` and `prefixesPruned`, and `statesReused` counts its
+hits. `synthesize` drops the tables when it returns, since an unfinished
+one holds a generator that refers to the search.
 
 Enumeration order is load-bearing for reproducibility: candidates are tried
 in the documented tier order and the first satisfying query wins, so any
@@ -197,29 +219,40 @@ class Search:
         self.cfg = cfg
         self.start = time.monotonic()
         self.deadline = self.start + cfg.timeout_seconds
+        out_types = [lenient_doc_type(ex.output) for ex in task.examples]
         self.contexts = [  # one deduction context per example
-            AbsEvalContext(task.schema, lenient_doc_type(ex.output), cfg.max_group_keys)
-            for ex in task.examples
+            AbsEvalContext(task.schema, t, cfg.max_group_keys) for t in out_types
         ]
         self.inputs = [ex.input for ex in task.examples]
         self.outputs = [ex.output for ex in task.examples]
-        self.out_sizes = [len(out) for out in self.outputs]
-        self.out_type = lenient_doc_type([d for ex in task.examples for d in ex.output])
+        self.out_sizes = tuple(map(len, self.outputs))
+        # the type of every output together; one example's is typed already
+        self.out_type = out_types[0] if len(out_types) == 1 else lenient_doc_type(
+            [d for out in self.outputs for d in out])
         self.pool = constant_pool(task.constants, task.examples)
         self.output_nums = {
             value_key(v)
             for v in _primitive_leaves({"_": task.examples[0].output})
             if kind_of(v) == "num"
         }
+        # the names a Group may give its aggregates: the output's numeric ones
+        self.group_names = [name for name, t in self.out_type.fields if t == NUM and name != "_id"]
         self.sketches = 0
         self.completions = 0
         self.prefixes_pruned = 0
-        # completion's failure memo (see _fill). Documents, states and stage
-        # suffixes are interned as small ints, and `failed` holds each pair
-        # (state, stages left) from which nothing was found. It is a dict,
-        # not a set: at a few thousand keys its table is a third the size.
+        # completion's states, candidate tables and failure memo (see the
+        # module docstring). Documents, states and stage suffixes are
+        # interned as small ints; `states` holds each state's record by id,
+        # and `failed` each pair (state, stages left) from which nothing was
+        # found. It is a dict, not a set: at a few thousand keys its table is
+        # a third the size.
         self.doc_ids = {}     # repr of a document -> int
         self.state_ids = {}   # the document ints of each example -> int
+        self.states = []      # int -> _State
+        self.unkeyed = []     # input states not yet in state_ids (see _intern)
+        self.input_ids = {}   # collection name -> the int of its input state
+        self.tables = {}      # stage kind -> state int -> _Table
+        self.types = {}       # each state type, shared among equal ones
         self.suffix_ids = {}  # the stage kinds still to choose -> int
         self.failed = {}      # (state int, suffix int) -> None
         self.states_reused = 0
@@ -237,6 +270,24 @@ class Search:
             "astSize": ast_size(query) if query is not None else 0,
             "elapsedSeconds": time.monotonic() - self.start,
         })
+
+    def fits(self, sizes: tuple, rest: tuple, n: int = 1) -> bool:
+        """Whether children of these sizes, one per example, can still give
+        the outputs through the stage kinds `rest`. A miss counts `n`
+        completions at the last stage, where the sizes must be the
+        outputs', and `n` pruned prefixes before it: `n` candidates share
+        the sizes."""
+        self.check_deadline()
+        if not rest:
+            if sizes == self.out_sizes:
+                return True
+            self.completions += n
+        elif self.cfg.disable_size_abstraction or all(
+                reachable(s, rest, m) for s, m in zip(sizes, self.out_sizes)):
+            return True
+        else:
+            self.prefixes_pruned += n
+        return False
 
 
 def refine(sk: Sketch):
@@ -386,26 +437,67 @@ def _atom_vectors(docs, paths, constants):
 
 
 # ---------------------------------------------------------------------------
-# Per-operator candidate generators. Each yields (operator node, children)
-# for the nodes whose sizes fit, the children being every example's
-# collection after the node. A node's source is a dummy reference, which the
-# completer rebinds during assembly.
+# Candidate tables. A state's table for one stage kind lists that kind's
+# candidates on the state in enumeration order, whatever the stages after
+# it, so each generator below runs once per (state, kind) in a search. Each
+# yields (entry, made) for the nodes that run: the entry holds what the
+# size rule reads and goes into the table, while `made` is what the
+# generator built on the way, which only the reader that made the entry
+# sees: an applied node's children (every example's collection after it),
+# a Match's predicate, a Group key set's partitions. Entries are compact:
+#
+#   match                              the truth vector, an int
+#   group                              (keys, sizes, kept aggregators)
+#   project, add_fields, unwind, lookup  (node, sizes)
+#
+# A node's source is a dummy reference, which the completer rebinds during
+# assembly.
 # ---------------------------------------------------------------------------
 
 _HOLE = CollectionRef("_")
 
 
+class _State:
+    """An interned state: every example's collection before some stage, and
+    its lenient type, None until a table on it is made."""
+
+    __slots__ = ("id", "colls", "in_type")
+
+    def __init__(self, sid: int, colls: list):
+        self.id = sid
+        self.colls = colls
+        self.in_type = None
+
+    @property
+    def docs(self) -> list:
+        """All current documents across examples, in order."""
+        return [d for c in self.colls for d in c]
+
+
+class _Table(list):
+    """One kind's candidates on one state: the list of entries made so far,
+    the generator that makes the rest (None once drained), and `kids`,
+    which holds per entry the id of its interned child state, or None (for
+    a Group key set, a list of them per variant)."""
+
+    __slots__ = ("source", "kids")
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+        self.kids = []
+
+
 def _applied(gen):
-    """A generator of bare nodes made one of (node, children) pairs: each
-    node is run on every example and kept if it runs and its sizes fit."""
-    def generate(state):
-        for cand in gen(state):
+    """A generator of bare nodes made one of table entries: each node is
+    run on every example, and kept, with its sizes, if it runs."""
+    def generate(search, state):
+        for node in gen(search, state):
             try:
-                nxt = [apply_stage(db, c, cand) for db, c in zip(state.search.inputs, state.colls)]
+                nxt = [apply_stage(db, c, node) for db, c in zip(search.inputs, state.colls)]
             except EvalError:
                 continue
-            if state.fits([len(c) for c in nxt]):
-                yield cand, nxt
+            yield (node, tuple(map(len, nxt))), nxt
     return generate
 
 
@@ -430,30 +522,28 @@ def _line_up(tin: DocT, tout: DocT):
 
 
 @_applied
-def _gen_project(state):
-    paths, _ = _line_up(state.in_type, state.search.out_type)
+def _gen_project(search, state):
+    paths, _ = _line_up(state.in_type, search.out_type)
     if paths:
         yield Project(_HOLE, tuple(paths))
 
 
-def _gen_match(state):
-    paths = typed_paths(state.in_type)
-    for pred, bits in enumerate_predicates(state.docs, paths, state.search.pool):
-        slices = _split_bits(bits, state.colls)
-        if state.fits([b.bit_count() for b in slices]):
-            yield Match(_HOLE, pred), [_select(c, b) for c, b in zip(state.colls, slices)]
+def _gen_match(search, state):
+    # the predicate goes to the reader that made the entry, not into the table
+    for pred, bits in enumerate_predicates(state.docs, typed_paths(state.in_type), search.pool):
+        yield bits, pred
 
 
 @_applied
-def _gen_unwind(state):
+def _gen_unwind(search, state):
     for path, t in typed_paths(state.in_type):
         if isinstance(t, ArrayT):
             yield Unwind(_HOLE, path)
 
 
-def _expr_candidates(state, paths, target):
+def _expr_candidates(search, docs, paths, target):
     """Type-correct expressions for one new attribute, the first per vector of values."""
-    want = type_of_path(state.search.out_type, target)
+    want = type_of_path(search.out_type, target)
     exprs = [PathExpr(p) for p, t in paths if t == want]
     if want == NUM:
         num_paths = [p for p, t in paths if t == NUM]
@@ -461,19 +551,20 @@ def _expr_candidates(state, paths, target):
         exprs += [FnCall(fn, p) for fn in MATH_FNS for p in num_paths]
     kept = {}  # vector of values -> its first expression
     for e in exprs:
-        kept.setdefault(tuple(value_key(eval_expr(d, e)) for d in state.docs), e)
+        kept.setdefault(tuple(value_key(eval_expr(d, e)) for d in docs), e)
     return list(kept.values())
 
 
 @_applied
-def _gen_add_fields(state):
-    _, targets = _line_up(state.in_type, state.search.out_type)
+def _gen_add_fields(search, state):
+    _, targets = _line_up(state.in_type, search.out_type)
+    docs = state.docs
     paths = typed_paths(state.in_type)
     built = {}  # target -> its expression pool, built on first use
 
     def pool_of(target):
         if target not in built:
-            built[target] = _expr_candidates(state, paths, target)
+            built[target] = _expr_candidates(search, docs, paths, target)
         return built[target]
 
     for size in range(1, len(targets) + 1):
@@ -485,22 +576,20 @@ def _gen_add_fields(state):
                 yield AddFields(_HOLE, subset, combo)
 
 
-def _gen_group(state):
+def _gen_group(search, state):
+    """One entry per key set: its sizes and the aggregators worth trying,
+    made with every example's partition. The (names, aggregators) variants
+    are enumerated by `_read_group`, only when the sizes fit."""
     paths = [p for p, _ in typed_paths(state.in_type)]
     if not paths:
         return
-    num_out_attrs = [
-        name for name, t in state.search.out_type.fields if t == NUM and name != "_id"
-    ]
     # accumulator arguments range over top-level numeric attributes only,
     # matching the top-level rule Unwind already follows
     num_paths = [(name,) for name, t in state.in_type.fields if t == NUM]
     agg_pool = [Count()]
     agg_pool += [make(p) for make in AGGREGATORS if make is not Count for p in num_paths]
     colls = state.colls
-    output_nums = state.search.output_nums
-
-    max_size = min(state.search.cfg.max_group_keys, len(paths))
+    max_size = min(search.cfg.max_group_keys, len(paths))
     for size in range(max_size, 0, -1):
         for keys in combinations(paths, size):
             if keys_share_a_name(keys):
@@ -508,14 +597,8 @@ def _gen_group(state):
             groups = [group_by(coll, keys) for coll in colls]
             if not all(reachable(len(c), ("group",), len(g)) for c, g in zip(colls, groups)):
                 continue
-            sizes = [len(g) for g in groups]
-            kept = [a for a in agg_pool if _agg_plausible(a, groups[0], output_nums)]
-            for nsize in range(len(num_out_attrs) + 1):
-                for names in combinations(num_out_attrs, nsize):
-                    for aggs in product(kept, repeat=nsize):
-                        if state.fits(sizes):
-                            rows = [group_rows(g, names, aggs) for g in groups]
-                            yield Group(_HOLE, keys, names, aggs), rows
+            kept = tuple(a for a in agg_pool if _agg_plausible(a, groups[0], search.output_nums))
+            yield (keys, tuple(map(len, groups)), kept), groups
 
 
 def _agg_plausible(agg, groups, output_nums):
@@ -530,11 +613,11 @@ def _agg_plausible(agg, groups, output_nums):
 
 
 @_applied
-def _gen_lookup(state):
+def _gen_lookup(search, state):
     in_paths = typed_paths(state.in_type)
-    for fname, coll_type in state.search.task.schema.items():
+    for fname, coll_type in search.task.schema.items():
         ftype = coll_type.elem
-        for as_attr, ot in state.search.out_type.fields:
+        for as_attr, ot in search.out_type.fields:
             if not isinstance(ot, ArrayT) or ot.elem != ftype:
                 continue
             if state.in_type.get(as_attr) is not None:
@@ -558,30 +641,116 @@ _GENERATORS = {
 }
 
 
-@dataclass
-class _StageState:
-    docs: list            # all current documents across examples, in order
-    in_type: DocT
-    colls: list           # each example's current documents
-    search: Search
-    rest: tuple           # the stage kinds after this one
+def _table(search: Search, state: _State, kind: str) -> _Table:
+    """The state's table for `kind`, made on first use; the first table
+    made types the state, and equal types are shared."""
+    tables = search.tables.get(kind)
+    if tables is None:
+        tables = search.tables[kind] = {}
+    table = tables.get(state.id)
+    if table is None:
+        if state.in_type is None:
+            t = lenient_doc_type(state.docs)
+            state.in_type = search.types.setdefault(t, t)
+        table = tables[state.id] = _Table(_GENERATORS[kind](search, state))
+    return table
 
-    def fits(self, sizes: list) -> bool:
-        """Whether children of these sizes, one per example, can still give
-        the outputs. A miss counts one completion at the last stage, where
-        the sizes must be the outputs', and one pruned prefix before it."""
-        search = self.search
-        search.check_deadline()
-        if not self.rest:
-            if sizes == search.out_sizes:
-                return True
-            search.completions += 1
-        elif search.cfg.disable_size_abstraction or all(
-                reachable(n, self.rest, m) for n, m in zip(sizes, search.out_sizes)):
-            return True
+
+def _entries(table: _Table):
+    """Every entry of `table` from the first, as (position, entry, made):
+    what the generator built with a new entry (its children, a Match's
+    predicate or a Group's partitions), else None. A reader past the end
+    advances the shared generator, so a nested reader of the same table, on
+    a child equal to its parent, sees the same entries."""
+    i = 0
+    while True:
+        while i < len(table):
+            yield i, table[i], None
+            i += 1
+        if table.source is None:
+            return
+        for entry, made in table.source:
+            table.append(entry)
+            table.kids.append(None)
+            yield i, entry, made
+            i += 1
+            if i < len(table):
+                break  # a nested reader made entries meanwhile: read them first
         else:
-            search.prefixes_pruned += 1
-        return False
+            table.source = None
+            return
+
+
+# ---------------------------------------------------------------------------
+# Readers: each yields (node, child) for the candidates of one table whose
+# sizes fit the stages `rest` after it (`Search.fits`). The child is the
+# interned state after the node when stages remain, else every example's
+# collection, which is compared with the outputs and never interned. A
+# replayed Match's node is (state, truth vector), which `_assemble` resolves.
+# ---------------------------------------------------------------------------
+
+def _child(search: Search, kids: list, i: int, build, rest: tuple):
+    """The child of candidate i, whose state id `kids[i]` holds once it is
+    interned: its state if stages remain, else its collections. `build()`
+    makes the collections when the child has not been interned yet."""
+    sid = kids[i]
+    if sid is not None:
+        state = search.states[sid]
+        return state if rest else state.colls
+    colls = build()
+    if not rest:
+        return colls
+    state = _intern(search, colls)
+    kids[i] = state.id
+    return state
+
+
+def _read_applied(search, state, table, rest):
+    for i, (node, sizes), nxt in _entries(table):
+        if search.fits(sizes, rest):
+            yield node, _child(search, table.kids, i, lambda: nxt if nxt is not None else [
+                apply_stage(db, c, node) for db, c in zip(search.inputs, state.colls)], rest)
+
+
+def _read_match(search, state, table, rest):
+    colls = state.colls
+    for i, bits, pred in _entries(table):
+        slices = _split_bits(bits, colls)
+        if search.fits(tuple(map(int.bit_count, slices)), rest):
+            node = (state, bits) if pred is None else Match(_HOLE, pred)
+            yield node, _child(search, table.kids, i, lambda: [
+                _select(c, b) for c, b in zip(colls, slices)], rest)
+
+
+def _read_group(search, state, table, rest):
+    names_pool = search.group_names
+    for i, (keys, sizes, kept), groups in _entries(table):
+        # every variant of a key set has its sizes, so a miss is charged once per variant
+        variants = (1 + len(kept)) ** len(names_pool)
+        if not search.fits(sizes, rest, variants):
+            continue
+        if groups is None:  # a replay partitions again rather than keep every partition
+            groups = [group_by(c, keys) for c in state.colls]
+        kids = table.kids[i]
+        if kids is None:
+            kids = table.kids[i] = [None] * variants
+        variant = 0
+        for nsize in range(len(names_pool) + 1):
+            for names in combinations(names_pool, nsize):
+                for aggs in product(kept, repeat=nsize):
+                    yield Group(_HOLE, keys, names, aggs), _child(search, kids, variant, lambda: [
+                        group_rows(g, names, aggs) for g in groups], rest)
+                    variant += 1
+
+
+_READERS = {
+    "project": _read_applied,
+    "match": _read_match,
+    "add_fields": _read_applied,
+    "unwind": _read_applied,
+    "group": _read_group,
+    "lookup": _read_applied,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -590,61 +759,84 @@ class _StageState:
 
 def complete_sketch(search: Search, sk: Sketch):
     # deduction has folded the input sizes through the whole spine already
-    colls = [list(db[sk.collection]) for db in search.inputs]
-    return _fill(search, sk, [None] * len(sk.ops), 0, colls)
+    if not sk.ops:
+        colls = [db[sk.collection] for db in search.inputs]
+        return CollectionRef(sk.collection) if _reproduces(search, colls) else None
+    sid = search.input_ids.get(sk.collection)
+    if sid is None:
+        sid = search.input_ids[sk.collection] = len(search.states)
+        search.states.append(_State(sid, [db[sk.collection] for db in search.inputs]))
+        search.unkeyed.append(search.states[sid])
+    return _fill(search, sk, [None] * len(sk.ops), 0, search.states[sid])
 
 
-def _fill(search: Search, sk: Sketch, chosen: list, k: int, colls: list):
-    """Choose stages k.. of sk, given every example's collection before stage k.
+def _fill(search: Search, sk: Sketch, chosen: list, k: int, state: _State):
+    """Choose stages k.. of sk, given the state before stage k.
 
     The prefix up to stage k has passed the size check, at stage 0 in
-    deduction and after that here; stage k's generator yields only the
-    candidates whose sizes fit, with their children. A call that finds
-    nothing is recorded by its stages left and its collections, and a later
-    call equal in both returns None before typing anything.
+    deduction and after that here. Stage k's candidates are read from the
+    state's table for its kind, and only those whose sizes fit are tried.
+    A call that finds nothing is recorded by its state and its stages left,
+    and a later call equal in both returns None at once.
     """
-    if k == len(sk.ops):
-        search.completions += 1
-        if all(collection_eq(c, o) for c, o in zip(colls, search.outputs)):
-            return _assemble(sk.collection, chosen)
-        return None
     # breadth first, every spine completed earlier is another spine no
     # longer than this one, so no earlier failure had all of this spine's
     # stages left: the input state (k = 0) is never in the memo, and its key
     # is built only to record a failure
-    key = _memo_key(search, sk.ops[k:], colls) if k else None
+    key = _memo_key(search, state, sk.ops[k:]) if k else None
     if key in search.failed:
         search.states_reused += 1
         return None
-    docs = [d for c in colls for d in c]
-    state = _StageState(docs, lenient_doc_type(docs), colls, search, sk.ops[k + 1:])
-    for cand, nxt in _GENERATORS[sk.ops[k]](state):
-        chosen[k] = cand
-        got = _fill(search, sk, chosen, k + 1, nxt)
-        if got is not None:
-            return got
-    if key is None:
-        key = _memo_key(search, sk.ops, colls)
-    search.failed[key] = None
+    kind, rest = sk.ops[k], sk.ops[k + 1:]
+    for node, child in _READERS[kind](search, state, _table(search, state, kind), rest):
+        chosen[k] = node
+        if rest:
+            got = _fill(search, sk, chosen, k + 1, child)
+            if got is not None:
+                return got
+        elif _reproduces(search, child):
+            return _assemble(search, sk.collection, chosen)
+    search.failed[key or _memo_key(search, state, sk.ops)] = None
     return None
 
 
-def _memo_key(search: Search, ops_left: tuple, colls: list) -> tuple:
-    """The failure memo's key for choosing `ops_left` from every example's
-    collection `colls`.
+def _reproduces(search: Search, colls: list) -> bool:
+    """Whether a complete program's collections are the outputs; counts one completion."""
+    search.completions += 1
+    return all(collection_eq(c, o) for c, o in zip(colls, search.outputs))
+
+
+def _intern(search: Search, colls: list) -> _State:
+    """The one state of every example's collection `colls`, made on first sight.
 
     A document is interned by its repr, which keeps apart every two values
     that a candidate generator or the output check can tell apart (1, 1.0
     and True; attribute orders; an integer beyond 2**53 and its float), and
     some they cannot (-0.0 and 0), which only costs a missed hit. Only NaNs
-    share a repr, and nothing in the search tells one NaN from another. The
-    state is the tuple of each example's document ints, so example
-    boundaries count too.
+    share a repr, and nothing in the search tells one NaN from another. A
+    state is keyed by the tuple of each example's document ints, so example
+    boundaries count too. An input state has its id from the start, and is
+    keyed here only once another state could equal it; a search that
+    interns nothing else never reads the input's reprs.
     """
+    while search.unkeyed:
+        state = search.unkeyed.pop()
+        search.state_ids.setdefault(_state_key(search, state.colls), state.id)
+    sid = search.state_ids.setdefault(_state_key(search, colls), len(search.states))
+    if sid == len(search.states):
+        search.states.append(_State(sid, colls))
+    return search.states[sid]
+
+
+def _state_key(search: Search, colls: list) -> tuple:
+    """Each example's tuple of document ints."""
     docs = search.doc_ids
-    state = tuple(tuple(docs.setdefault(repr(d), len(docs)) for d in c) for c in colls)
-    return (search.state_ids.setdefault(state, len(search.state_ids)),
-            search.suffix_ids.setdefault(ops_left, len(search.suffix_ids)))
+    return tuple([tuple([docs.setdefault(r, len(docs)) for r in map(repr, c)]) for c in colls])
+
+
+def _memo_key(search: Search, state: _State, ops_left: tuple) -> tuple:
+    """The failure memo's key for choosing `ops_left` from `state`."""
+    return state.id, search.suffix_ids.setdefault(ops_left, len(search.suffix_ids))
 
 
 def _split_bits(bits: int, colls: list) -> list:
@@ -663,9 +855,15 @@ def _select(docs: list, bits: int) -> list:
     return [d for d, b in zip(docs, bin(bits)[:1:-1]) if b == "1"]
 
 
-def _assemble(collection, stage_nodes):
+def _assemble(search: Search, collection, stage_nodes):
     q = CollectionRef(collection)
     for node in stage_nodes:
+        if isinstance(node, tuple):
+            # a Match, by its state and vector: the first class representative
+            # with that vector, since enumeration order is fixed
+            state, bits = node
+            node = next(Match(_HOLE, p) for p, v in enumerate_predicates(
+                state.docs, typed_paths(state.in_type), search.pool) if v == bits)
         q = replace(node, source=q)
     return q
 
@@ -697,3 +895,6 @@ def synthesize(task: SynthesisTask, cfg: SynthesisConfig = None, trace=None) -> 
             batch = refine(frontier.popleft())
     except _DeadlineReached:
         return search.result(None, "timeout")
+    finally:
+        # a table left unfinished holds a generator that refers to the search
+        search.tables.clear()

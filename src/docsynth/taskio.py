@@ -19,6 +19,7 @@ with the JSON path of the offending member, e.g. "examples[1].output".
 from __future__ import annotations
 
 import json
+from sys import intern
 
 from .errors import InvalidDocumentError, TaskError, TypeInferenceError
 from .synth import Example, SynthesisTask
@@ -43,6 +44,7 @@ def task_from_json(obj) -> SynthesisTask:
     collection = obj.get("collection")
     if not isinstance(collection, str) or not collection:
         _fail("collection", "required and must be a non-empty string")
+    collection = intern(collection)  # as values interns the names it decodes
 
     raw_examples = obj.get("examples")
     if not isinstance(raw_examples, list) or not raw_examples:

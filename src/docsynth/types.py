@@ -78,9 +78,10 @@ class ArrayT:
 
 class DocT:
     """Document type: ordered attribute map, order-insensitive equality.
-    `attrs` maps each name of `fields` to its type; do not mutate it."""
+    `attrs` maps each name of `fields` to its type; do not mutate it. The
+    hash is computed once, at construction."""
 
-    __slots__ = ("fields", "attrs")
+    __slots__ = ("fields", "attrs", "_hash")
 
     def __init__(self, fields):
         if isinstance(fields, dict):
@@ -96,6 +97,7 @@ class DocT:
             attrs[name] = t
         object.__setattr__(self, "fields", fields)
         object.__setattr__(self, "attrs", attrs)
+        object.__setattr__(self, "_hash", hash(frozenset(attrs.items())))
 
     def __setattr__(self, *a):
         raise AttributeError("DocT is immutable")
@@ -110,7 +112,7 @@ class DocT:
         return isinstance(other, DocT) and self.attrs == other.attrs
 
     def __hash__(self):
-        return hash(frozenset(self.attrs.items()))
+        return self._hash
 
     def __repr__(self):
         return f"DocT({list(self.fields)!r})"

@@ -22,6 +22,7 @@ A document attribute can be *absent*, which is distinct from holding Null.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import intern
 
 from .errors import InvalidDocumentError
 
@@ -281,7 +282,9 @@ def value_from_json(obj):
         for name, val in obj.items():
             if not is_valid_attr(name):
                 raise InvalidDocumentError(f"invalid attribute name: {name!r}")
-            out[name] = value_from_json(val)
+            # interned, so the queries built from many decoded tasks share
+            # their attribute names instead of each keeping its task's copy
+            out[intern(name)] = value_from_json(val)
         return out
     raise InvalidDocumentError(f"unsupported JSON value: {obj!r}")
 
@@ -312,7 +315,7 @@ def collection_from_json(obj):
 def database_from_json(obj):
     if not isinstance(obj, dict):
         raise InvalidDocumentError("a database must be a JSON object")
-    return {name: collection_from_json(coll) for name, coll in obj.items()}
+    return {intern(name): collection_from_json(coll) for name, coll in obj.items()}
 
 
 def database_to_json(db):

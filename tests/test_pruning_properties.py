@@ -200,16 +200,25 @@ class TestPruningMonotonicity:
 
 
 class _NeverHits(dict):
-    """A failure memo that records every failure and reports none."""
+    """A failure memo or table store that records every entry and finds none."""
 
     def __contains__(self, key):
         return False
+
+    def get(self, key, default=None):
+        return default
 
 
 class _Unmemoized(Search):
     def __init__(self, *args):
         super().__init__(*args)
         self.failed = _NeverHits()
+
+
+class _Untabled(Search):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.tables = _NeverHits()
 
 
 TASKS_DIR = Path(__file__).parent.parent / "tasks"
@@ -246,3 +255,50 @@ class TestFailureMemo:
     def test_deep_seeds(self, seed):
         task, _, _ = task_of(seed, max_depth=6, for_synthesis=True)
         self._assert_memo_only_saves_work(task)
+
+
+class TestCandidateTables:
+    # a table replays, under every suffix, the entries its generator made on
+    # one state, so with tables that are never found again every read runs
+    # the generator anew, and the search gives the same answer and counts
+    def _assert_tables_change_nothing(self, task, cfg=SynthesisConfig(), tabled=None):
+        tabled = tabled or synthesize(task, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synth_module, "Search", _Untabled)
+            plain = synthesize(task, cfg)
+        assert (plain.status, plain.query) == (tabled.status, tabled.query)
+        assert ({k: v for k, v in plain.stats.items() if k != "elapsedSeconds"}
+                == {k: v for k, v in tabled.stats.items() if k != "elapsedSeconds"})
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in TASKS_DIR.glob("*.json")))
+    def test_shipped_tasks(self, name):
+        task = load_task(str(TASKS_DIR / (name + ".json")))
+        self._assert_tables_change_nothing(
+            task, tabled=reddit_posts_result() if name == "reddit_posts" else None)
+
+    def test_depth_two_pairs(self):
+        cfg = SynthesisConfig(timeout_seconds=60, max_pipeline_depth=2)
+        for seed in range(10):
+            task, _, _ = task_of(seed, max_depth=2, for_synthesis=True)
+            self._assert_tables_change_nothing(task, cfg)
+
+    @pytest.mark.parametrize("seed", sorted(TestDeepCompleteness.PINNED))
+    def test_deep_seeds(self, seed):
+        task, _, _ = task_of(seed, max_depth=6, for_synthesis=True)
+        self._assert_tables_change_nothing(task)
+
+    def test_nested_reader_of_one_table(self):
+        # Match(True) gives its state back, so the second Match reads the
+        # first one's table while the first is still reading it. No Match of
+        # at most two atoms keeps only the output document, so the second
+        # reads the table to its end, and the first must go on from there.
+        # A search never does this, since the memo holds the one-Match spine.
+        docs = [{"a": a, "b": b, "n": n} for a in (1, 9) for b in (1, 9) for n in (0, 1)]
+        db = {"items": docs}
+        task = SynthesisTask(compute_schema(db), "items", (Example(db, [{"a": 9, "b": 1, "n": 1}]),))
+        sk = Sketch("items", ("match", "match"))
+        tabled, plain = Search(task, SynthesisConfig()), _Untabled(task, SynthesisConfig())
+        query = complete_sketch(tabled, sk)
+        assert query is not None
+        assert query == complete_sketch(plain, sk)
+        assert (tabled.completions, tabled.prefixes_pruned) == (plain.completions, plain.prefixes_pruned)

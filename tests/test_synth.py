@@ -1,6 +1,7 @@
 """Synthesizer tests: worklist behavior, deduction verdicts, enumeration
 order, and end-to-end search on the forum task."""
 
+import dataclasses
 import gc
 import json
 import pathlib
@@ -18,9 +19,10 @@ from docsynth.synth import (
     Search,
     SynthesisConfig,
     SynthesisTask,
-    _StageState,
-    _gen_group,
+    _entries,
+    _intern,
     _memo_key,
+    _table,
     complete_sketch,
     constant_pool,
     deduce,
@@ -238,16 +240,14 @@ class TestCompleteSketch:
             Example(ex0, [{"_id": {"m": 1}}]), Example(ex1, [{"_id": {"m": 3}}]),
         ))
         search = Search(task, SynthesisConfig(max_group_keys=1))
-        colls = [ex0["c"], ex1["c"]]
-        docs = colls[0] + colls[1]
-        state = _StageState(docs=docs, in_type=lenient_doc_type(docs), colls=colls, search=search,
-                            rest=())
-        assert {g.keys for g, _ in _gen_group(state)} == {(("m",),)}
+        table = _table(search, _intern(search, [ex0["c"], ex1["c"]]), "group")
+        assert {keys for _, (keys, *_), _ in _entries(table)} == {(("m",),)}
 
     def test_stage_work_on_hard_unwind_group(self, monkeypatch):
         # wrap apply_stage through synth's global, as the benchmark tracer
         # does: a Group is built from its key partition and a Match from its
-        # truth vector, and no candidate is run before its sizes fit
+        # truth vector, and each candidate is run once per search, when its
+        # state's table is first read
         calls, docs_in, kinds = [0], [0], set()
         real = synth_module.apply_stage
 
@@ -260,8 +260,32 @@ class TestCompleteSketch:
         monkeypatch.setattr(synth_module, "apply_stage", counted)
         result = synthesize(load_task(str(TASKS_DIR / "hard_unwind_group.json")))
         assert result.status == "success"
-        assert (calls[0], docs_in[0]) == (87, 348)
+        assert (calls[0], docs_in[0]) == (41, 164)
         assert not kinds & {"Group", "Match"}
+
+    def test_each_state_is_typed_once(self, monkeypatch):
+        # a state's lenient type is computed with its first table, so
+        # completion types each interned state once, under every suffix
+        calls, searches = [0], []
+        real = synth_module.lenient_doc_type
+
+        def counted(docs):
+            calls[0] += 1
+            return real(docs)
+
+        class Recorded(Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.outputs_typed = calls[0]
+                searches.append(self)
+
+        monkeypatch.setattr(synth_module, "lenient_doc_type", counted)
+        monkeypatch.setattr(synth_module, "Search", Recorded)
+        result = synthesize(load_task(str(TASKS_DIR / "hard_unwind_group.json")))
+        assert result.status == "success"
+        search = searches[0]
+        assert search.outputs_typed == 1  # one example: its output's type serves both uses
+        assert calls[0] - search.outputs_typed == len(search.states) == 21
 
     def test_memo_keeps_value_equal_states_apart(self):
         # value_eq calls these states equal, but Arith tells 2**60 + 1 from
@@ -277,11 +301,13 @@ class TestCompleteSketch:
             [[{"a": float(2**60 + 1)}], []],
             [[], [{"a": 1, "b": 2}]],  # the same document in the other example
         ]
-        keys = [_memo_key(search, ("project",), colls) for colls in states]
+        keys = [_memo_key(search, _intern(search, colls), ("project",)) for colls in states]
         assert len(set(keys)) == len(states)
         # an equal state built from new objects is the same state
-        assert _memo_key(search, ("project",), [[{"a": 1, "b": 2}], []]) == keys[0]
-        assert _memo_key(search, ("match",), states[0]) != keys[0]
+        again = _intern(search, [[{"a": 1, "b": 2}], []])
+        assert again is search.states[keys[0][0]]
+        assert _memo_key(search, again, ("project",)) == keys[0]
+        assert _memo_key(search, again, ("match",)) != keys[0]
 
     def test_returns_none_when_no_completion_exists(self):
         db = {"items": [{"a": 1}]}
@@ -415,6 +441,52 @@ class TestSynthesize:
                 assert refs[-1]() is None, f"{path.stem}: the search outlived synthesize"
         finally:
             gc.enable()
+
+    def test_search_is_freed_after_a_timeout(self, monkeypatch):
+        # a deadline met inside completion leaves a table unfinished, and
+        # its generator refers to the search; the deadline is counted in
+        # the size rule, not timed
+        refs = []
+
+        class Recorded(Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+                self.sized = 0
+
+            def fits(self, *args):
+                self.sized += 1
+                if self.sized > 50:
+                    raise synth_module._DeadlineReached()
+                return super().fits(*args)
+
+        monkeypatch.setattr(synth_module, "Search", Recorded)
+        gc.disable()
+        try:
+            r = synthesize(forum_task())
+            assert r.status == "timeout"
+            assert refs[-1]() is None, "the search outlived synthesize"
+        finally:
+            gc.enable()
+
+    def test_queries_of_decoded_tasks_share_their_names(self):
+        # a caller that keeps many answers keeps one copy of each name:
+        # decoding a task interns its collection and attribute names
+        def strings(x):
+            if isinstance(x, str):
+                yield x
+            elif isinstance(x, tuple):
+                for y in x:
+                    yield from strings(y)
+            elif dataclasses.is_dataclass(x):
+                for f in dataclasses.fields(x):
+                    yield from strings(getattr(x, f.name))
+
+        path = str(TASKS_DIR / "hard_unwind_group.json")
+        first, second = (list(strings(synthesize(load_task(path)).query)) for _ in range(2))
+        assert "metrics" in first and "host" in first
+        assert len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second))
 
     def test_determinism(self, forum_result):
         again = synthesize(forum_task())
