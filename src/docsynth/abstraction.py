@@ -36,26 +36,22 @@ ANY = AnyType()
 class AugmentedType:
     """A `DocT` of named attributes plus a tuple of top-level placeholder
     entries, each a (kind, value type) pair with kind "one" (?¹) or
-    "many" (?⁺)."""
+    "many" (?⁺). Its canonical pair and hash are computed once, at
+    construction."""
 
-    __slots__ = ("doc", "placeholders", "_canon")
+    __slots__ = ("doc", "placeholders", "_canon", "_hash")
 
     def __init__(self, doc: DocT, placeholders=()):
         self.doc = doc
         self.placeholders = tuple(placeholders)
-        self._canon = None
-
-    def _canonical(self):
-        if self._canon is None:
-            phs = Counter(self.placeholders)
-            self._canon = (self.doc, frozenset(phs.items()))
-        return self._canon
+        self._canon = (doc, frozenset(Counter(self.placeholders).items()))
+        self._hash = hash(self._canon)
 
     def __eq__(self, other):
-        return isinstance(other, AugmentedType) and self._canonical() == other._canonical()
+        return isinstance(other, AugmentedType) and self._canon == other._canon
 
     def __hash__(self):
-        return hash(self._canonical())
+        return self._hash
 
     def render(self) -> str:
         parts = [f"{k}: {v}" for k, v in self.doc.fields]

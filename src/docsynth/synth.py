@@ -30,42 +30,46 @@ completion, so it never changes which query comes first.
 `disable_size_abstraction` turns off the prefix check with the spine-level
 size half, so the ablations measure both.
 
-Completion works on interned states. A state is every example's collection
-before some stage. Each document is interned by its repr, which keeps 1,
-1.0 and True apart and reads the attribute order, and each example keeps
-its own tuple of document ints; no digest stands in for a value, so two
-states that a generator or the output check could tell apart are never one
-state. A state gets its lenient type once, and equal types are shared. Per
-stage kind it gets a candidate table: the kind's candidates on that state,
-in enumeration order, which do not depend on the stages after it. The
-kind's generator fills the table lazily, once per search, from the first
-time any spine reaches the (state, kind) pair. Every later reader replays
+Completion works on interned states. A state is every example's
+collection before some stage; the input is state 0, where every spine
+starts. Each document is interned by its repr, which keeps 1, 1.0 and True
+apart and reads the attribute order, and each example keeps its own tuple
+of document ints; no digest stands in for a value, so two states that a
+generator or the output check could tell apart are never one state. The
+input's documents are repr'd only when another state is interned, so a
+search whose answer is one stage deep never reads them. A state gets its
+lenient type once, and equal types are shared. Per stage kind it gets a
+candidate table: the kind's candidates on that state, in enumeration
+order, which do not depend on the stages after it. The kind's generator
+fills the table lazily, once per search, from the first time any spine
+reaches the (state, kind) pair. A reader takes entry i from the table if
+it is there, and else has the generator make it; so every reader replays
 the table from the start under its own suffix and applies the size rule
-itself, so it sees the candidates, and charges the counters, exactly as a
+itself, and it sees the candidates, and charges the counters, exactly as a
 fresh run of the generator would. A nested reader of the same table, on a
 child equal to its parent (a `Match(True)`, or a Project that keeps every
-path), reads the entries made so far and then advances the same generator.
-Entries are compact. A Match is its truth vector; its predicate is found
-again only to assemble an answer, as the first class representative with
-that vector, which is exact because class order is fixed. A Group key set
-holds its sizes and aggregators, and its (names, aggregators) variants are
-enumerated only when the sizes fit; a miss charges every variant at once.
-Its partitions are not kept: a replay whose sizes fit partitions again.
-The other kinds hold their node and sizes. A candidate
-that fits keeps the id of its interned child, so a replay neither builds
-nor interns it again. The last stage's children are compared with the
-outputs and never interned.
+path), is no different. Entries are compact. A Match is its truth vector;
+its predicate is found again only to assemble an answer, as the first
+class representative with that vector, which is exact because class order
+is fixed. A Group key set holds its sizes and aggregators, and its (names,
+aggregators) variants are enumerated only when the sizes fit; a miss
+charges every variant at once. Its partitions are not kept: a replay whose
+sizes fit partitions again. The other kinds hold their node and sizes. A
+candidate that fits keeps the id of its interned child, so a replay
+neither builds nor interns it again. The last stage's children are
+compared with the outputs and never interned.
 
 Completion also remembers where it failed, by the state rather than by the
 program that reached it. What `_fill` finds from stage k depends only on
 the stage kinds still to choose, on the state before stage k, and on the
 fixed facts in `Search`: the stages already chosen are read only to
 assemble a success, which ends the search, and a deadline raises rather
-than returns. So a call that finds nothing records the pair (state, stages
-left), and a later call with an equal pair returns nothing at once. The
-memo and the tables live in one `Search` under every ablation setting. They
-cannot change the first query found, the sketches visited or the
-`complete_sketch` calls. The tables change no counter; the memo only lowers
+than returns. So a call that finds nothing records the key (state id,
+stages left), and a later call with an equal key returns nothing at once;
+every call checks and records its key the same way. The memo and the
+tables live in one `Search` under every ablation setting. They cannot
+change the first query found, the sketches visited or the `complete_sketch`
+calls. The tables change no counter; the memo only lowers
 `programsCompleted` and `prefixesPruned`, and `statesReused` counts its
 hits. `synthesize` drops the tables when it returns, since an unfinished
 one holds a generator that refers to the search.
@@ -176,11 +180,20 @@ class SynthesisTask:
     constants: tuple = ()
 
     def __post_init__(self):
+        for i, c in enumerate(self.constants):
+            try:
+                kind = kind_of(c)
+            except InvalidDocumentError as e:
+                raise TaskError(f"constants[{i}]: {e}") from None
+            if kind in ("doc", "array"):
+                raise TaskError(f"constants[{i}]: constants must be scalars")
         if not self.examples:
             raise TaskError("at least one example is required")
         if self.collection not in self.schema:
             raise TaskError(f"collection {self.collection!r} not in schema")
         for i, ex in enumerate(self.examples):
+            if not isinstance(ex.input, dict):
+                raise TaskError(f"examples[{i}].input must map collection names to documents")
             if not isinstance(ex.output, list) or not all(isinstance(d, dict) for d in ex.output):
                 raise TaskError(f"examples[{i}].output must be a list of documents")
             try:
@@ -241,20 +254,15 @@ class Search:
         self.completions = 0
         self.prefixes_pruned = 0
         # completion's states, candidate tables and failure memo (see the
-        # module docstring). Documents, states and stage suffixes are
-        # interned as small ints; `states` holds each state's record by id,
-        # and `failed` each pair (state, stages left) from which nothing was
-        # found. It is a dict, not a set: at a few thousand keys its table is
-        # a third the size.
-        self.doc_ids = {}     # repr of a document -> int
-        self.state_ids = {}   # the document ints of each example -> int
-        self.states = []      # int -> _State
-        self.unkeyed = []     # input states not yet in state_ids (see _intern)
-        self.input_ids = {}   # collection name -> the int of its input state
-        self.tables = {}      # stage kind -> state int -> _Table
-        self.types = {}       # each state type, shared among equal ones
-        self.suffix_ids = {}  # the stage kinds still to choose -> int
-        self.failed = {}      # (state int, suffix int) -> None
+        # module docstring). State 0 is the input; `_intern` keys it on its
+        # first call. `failed` is a dict, not a set: at a few thousand keys
+        # its table is a third the size.
+        self.doc_ids = {}    # repr of a document -> int
+        self.state_ids = {}  # the document ints of each example -> int
+        self.states = [_State(0, [db[task.collection] for db in self.inputs])]
+        self.tables = {}     # (state int, stage kind) -> _Table
+        self.types = {}      # each state type, shared among equal ones
+        self.failed = {}     # (state int, stage kinds left) that found nothing -> None
         self.states_reused = 0
 
     def check_deadline(self):
@@ -644,41 +652,35 @@ _GENERATORS = {
 def _table(search: Search, state: _State, kind: str) -> _Table:
     """The state's table for `kind`, made on first use; the first table
     made types the state, and equal types are shared."""
-    tables = search.tables.get(kind)
-    if tables is None:
-        tables = search.tables[kind] = {}
-    table = tables.get(state.id)
+    table = search.tables.get((state.id, kind))
     if table is None:
         if state.in_type is None:
             t = lenient_doc_type(state.docs)
             state.in_type = search.types.setdefault(t, t)
-        table = tables[state.id] = _Table(_GENERATORS[kind](search, state))
+        table = search.tables[state.id, kind] = _Table(_GENERATORS[kind](search, state))
     return table
 
 
 def _entries(table: _Table):
     """Every entry of `table` from the first, as (position, entry, made):
     what the generator built with a new entry (its children, a Match's
-    predicate or a Group's partitions), else None. A reader past the end
-    advances the shared generator, so a nested reader of the same table, on
-    a child equal to its parent, sees the same entries."""
+    predicate or a Group's partitions), else None. Entry i is read from the
+    table if it is there, else made by the shared generator, so a nested
+    reader of the same table, on a child equal to its parent, sees the
+    same entries."""
     i = 0
     while True:
-        while i < len(table):
+        if i < len(table):
             yield i, table[i], None
-            i += 1
-        if table.source is None:
+        elif table.source is None or (new := next(table.source, None)) is None:
+            table.source = None
             return
-        for entry, made in table.source:
+        else:
+            entry, made = new
             table.append(entry)
             table.kids.append(None)
             yield i, entry, made
-            i += 1
-            if i < len(table):
-                break  # a nested reader made entries meanwhile: read them first
-        else:
-            table.source = None
-            return
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -760,14 +762,9 @@ _READERS = {
 def complete_sketch(search: Search, sk: Sketch):
     # deduction has folded the input sizes through the whole spine already
     if not sk.ops:
-        colls = [db[sk.collection] for db in search.inputs]
+        colls = search.states[0].colls
         return CollectionRef(sk.collection) if _reproduces(search, colls) else None
-    sid = search.input_ids.get(sk.collection)
-    if sid is None:
-        sid = search.input_ids[sk.collection] = len(search.states)
-        search.states.append(_State(sid, [db[sk.collection] for db in search.inputs]))
-        search.unkeyed.append(search.states[sid])
-    return _fill(search, sk, [None] * len(sk.ops), 0, search.states[sid])
+    return _fill(search, sk, [None] * len(sk.ops), 0, search.states[0])
 
 
 def _fill(search: Search, sk: Sketch, chosen: list, k: int, state: _State):
@@ -779,11 +776,7 @@ def _fill(search: Search, sk: Sketch, chosen: list, k: int, state: _State):
     A call that finds nothing is recorded by its state and its stages left,
     and a later call equal in both returns None at once.
     """
-    # breadth first, every spine completed earlier is another spine no
-    # longer than this one, so no earlier failure had all of this spine's
-    # stages left: the input state (k = 0) is never in the memo, and its key
-    # is built only to record a failure
-    key = _memo_key(search, state, sk.ops[k:]) if k else None
+    key = state.id, sk.ops[k:]
     if key in search.failed:
         search.states_reused += 1
         return None
@@ -796,7 +789,7 @@ def _fill(search: Search, sk: Sketch, chosen: list, k: int, state: _State):
                 return got
         elif _reproduces(search, child):
             return _assemble(search, sk.collection, chosen)
-    search.failed[key or _memo_key(search, state, sk.ops)] = None
+    search.failed[key] = None
     return None
 
 
@@ -815,13 +808,11 @@ def _intern(search: Search, colls: list) -> _State:
     some they cannot (-0.0 and 0), which only costs a missed hit. Only NaNs
     share a repr, and nothing in the search tells one NaN from another. A
     state is keyed by the tuple of each example's document ints, so example
-    boundaries count too. An input state has its id from the start, and is
-    keyed here only once another state could equal it; a search that
-    interns nothing else never reads the input's reprs.
+    boundaries count too. The input, state 0, is keyed on the first call,
+    so a search that interns nothing else never reads the input's reprs.
     """
-    while search.unkeyed:
-        state = search.unkeyed.pop()
-        search.state_ids.setdefault(_state_key(search, state.colls), state.id)
+    if not search.state_ids:
+        search.state_ids[_state_key(search, search.states[0].colls)] = 0
     sid = search.state_ids.setdefault(_state_key(search, colls), len(search.states))
     if sid == len(search.states):
         search.states.append(_State(sid, colls))
@@ -832,11 +823,6 @@ def _state_key(search: Search, colls: list) -> tuple:
     """Each example's tuple of document ints."""
     docs = search.doc_ids
     return tuple([tuple([docs.setdefault(r, len(docs)) for r in map(repr, c)]) for c in colls])
-
-
-def _memo_key(search: Search, state: _State, ops_left: tuple) -> tuple:
-    """The failure memo's key for choosing `ops_left` from `state`."""
-    return state.id, search.suffix_ids.setdefault(ops_left, len(search.suffix_ids))
 
 
 def _split_bits(bits: int, colls: list) -> list:

@@ -79,8 +79,6 @@ def task_from_json(obj) -> SynthesisTask:
             v = value_from_json(raw)
         except InvalidDocumentError as e:
             _fail(f"constants[{i}]", str(e))
-        if isinstance(v, (list, dict)):
-            _fail(f"constants[{i}]", "constants must be scalars")
         constants.append(v)
 
     if "schema" in obj:

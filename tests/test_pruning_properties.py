@@ -30,19 +30,12 @@ from docsynth.values import collection_eq
 from perfbench.checker import accepts
 
 from .conftest import reddit_posts_result
-from .generators import gen_pair
+from .generators import gen_pair, task_of
 from .oracles import skeleton
 
 # completion with neither abstraction: what a spine admits, judged without
 # the pruning under test
 UNPRUNED = SynthesisConfig(disable_size_abstraction=True, disable_type_abstraction=True)
-
-
-def task_of(seed, **kw):
-    db, coll, query, output, constants = gen_pair(seed, **kw)
-    schema = compute_schema(db)
-    task = SynthesisTask(schema, coll, (Example(db, output),), tuple(dict.fromkeys(constants)))
-    return task, query, output
 
 
 class TestPruningSoundness:

@@ -21,7 +21,6 @@ from docsynth.synth import (
     SynthesisTask,
     _entries,
     _intern,
-    _memo_key,
     _table,
     complete_sketch,
     constant_pool,
@@ -287,6 +286,34 @@ class TestCompleteSketch:
         assert search.outputs_typed == 1  # one example: its output's type serves both uses
         assert calls[0] - search.outputs_typed == len(search.states) == 21
 
+    def test_input_is_keyed_only_when_another_state_is_interned(self, monkeypatch):
+        # the input is state 0 from the start; its documents are repr'd and
+        # keyed once, on the first intern of another state, so a search
+        # whose answer is one stage deep never reads them
+        searches, keyed = [], []
+        real = synth_module._state_key
+
+        class Recorded(Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                searches.append(self)
+
+        def counted(search, colls):
+            keyed.append(colls is search.states[0].colls)
+            return real(search, colls)
+
+        monkeypatch.setattr(synth_module, "Search", Recorded)
+        monkeypatch.setattr(synth_module, "_state_key", counted)
+        for name in ("match_simple", "lookup_join"):
+            result = synthesize(load_task(str(TASKS_DIR / f"{name}.json")))
+            assert result.status == "success"
+            search = searches.pop()
+            assert (len(search.states), search.doc_ids, keyed) == (1, {}, []), name
+        result = synthesize(load_task(str(TASKS_DIR / "hard_unwind_group.json")))
+        assert result.status == "success"
+        assert len(searches.pop().states) > 1
+        assert keyed.count(True) == 1
+
     def test_memo_keeps_value_equal_states_apart(self):
         # value_eq calls these states equal, but Arith tells 2**60 + 1 from
         # its float, and the attribute order sets the candidate order
@@ -301,13 +328,13 @@ class TestCompleteSketch:
             [[{"a": float(2**60 + 1)}], []],
             [[], [{"a": 1, "b": 2}]],  # the same document in the other example
         ]
-        keys = [_memo_key(search, _intern(search, colls), ("project",)) for colls in states]
+        keys = [(_intern(search, colls).id, ("project",)) for colls in states]
         assert len(set(keys)) == len(states)
         # an equal state built from new objects is the same state
         again = _intern(search, [[{"a": 1, "b": 2}], []])
         assert again is search.states[keys[0][0]]
-        assert _memo_key(search, again, ("project",)) == keys[0]
-        assert _memo_key(search, again, ("match",)) != keys[0]
+        assert (again.id, ("project",)) == keys[0]
+        assert (again.id, ("match",)) != keys[0]
 
     def test_returns_none_when_no_completion_exists(self):
         db = {"items": [{"a": 1}]}
@@ -607,6 +634,24 @@ class TestValidation:
         schema = compute_schema({"c": [{"a": 1}]})
         with pytest.raises(TaskError, match=r"examples\[0\]\.input\['c'\]: unsupported value"):
             SynthesisTask(schema, "c", (Example({"c": [{"a": {1}}]}, []),))
+
+    @pytest.mark.parametrize("constant, message", [
+        ([1], r"constants\[1\]: constants must be scalars"),
+        ({"x": 1}, r"constants\[1\]: constants must be scalars"),
+        (object(), r"constants\[1\]: unsupported value of type object"),
+    ], ids=["array", "document", "object"])
+    def test_constant_that_is_not_a_scalar(self, constant, message):
+        # the search reads scalar constants only, so any other is refused
+        # here rather than ignored or met later inside the search
+        db = {"c": [{"a": 1}]}
+        with pytest.raises(TaskError, match=message):
+            SynthesisTask(compute_schema(db), "c", (Example(db, []),), constants=(0, constant))
+
+    @pytest.mark.parametrize("db", [[1], None, "c"])
+    def test_input_that_is_not_a_database(self, db):
+        schema = compute_schema({"c": [{"a": 1}]})
+        with pytest.raises(TaskError, match=r"examples\[0\]\.input"):
+            SynthesisTask(schema, "c", (Example(db, []),))
 
     def test_config_bounds(self):
         with pytest.raises(TaskError):
