@@ -13,14 +13,8 @@ collections.
 from docsynth.errors import DocsynthError, EvalError, ParseError, TaskError
 from docsynth.interp import eval_query
 from docsynth.mongo import optimize, render_shell, translate
-from docsynth.synth import (
-    Example,
-    SynthesisConfig,
-    SynthesisResult,
-    SynthesisTask,
-    synthesize,
-)
-from docsynth.taskio import load_task, task_from_json, task_to_json
+from docsynth.synth import SynthesisConfig, SynthesisResult, synthesize
+from docsynth.taskio import Example, SynthesisTask, load_task, task_from_json, task_to_json
 from docsynth.text import parse_query, render_query
 from docsynth.types import compute_schema
 

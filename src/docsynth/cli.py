@@ -5,7 +5,10 @@ exhausted, 1 bad input (task file, flags) or, with `--emit dsl`, a query that
 the text syntax cannot spell (`--emit both` then writes the pipeline, warns
 and exits 0). eval exits 0 only when the query
 reproduces every example output. bench always exits 0 unless the task
-directory itself is unusable.
+directory itself is unusable or the --csv file cannot be written. A task or
+query file that cannot be read or is not UTF-8, a task nested too deeply
+and an output path that cannot be written each give a one-line `error:`
+and exit 1.
 """
 
 from __future__ import annotations
@@ -85,8 +88,11 @@ def cmd_synth(args) -> int:
     text = "\n\n".join(parts) + "\n"
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise TaskError(f"cannot write {args.out}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
     print(stats_line)
@@ -111,6 +117,8 @@ def cmd_eval(args) -> int:
             source = fh.read()
     except OSError as e:
         raise TaskError(f"cannot read query file {args.query}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise TaskError(f"cannot read query file {args.query}: {e}") from None
     query = parse_query(source)
 
     failures = 0
@@ -209,11 +217,14 @@ def cmd_bench(args) -> int:
             print(f"warning: {row['name']}: {row['error']}", file=sys.stderr)
 
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_BENCH_COLUMNS)
-            for r in rows:
-                writer.writerow([_format_cell(r[c]) for c in _BENCH_COLUMNS])
+        try:
+            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(_BENCH_COLUMNS)
+                for r in rows:
+                    writer.writerow([_format_cell(r[c]) for c in _BENCH_COLUMNS])
+        except OSError as e:
+            raise TaskError(f"cannot write {args.csv}: {e.strerror or e}") from None
 
     if not rows:
         print("no tasks found")

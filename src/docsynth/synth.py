@@ -132,7 +132,7 @@ from itertools import combinations, product
 
 from .absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
 from .abstraction import concretizes
-from .errors import EvalError, InvalidDocumentError, TaskError
+from .errors import EvalError, TaskError
 from .interp import HOLDS_ON, apply_stage, eval_agg, eval_expr, group_by, group_rows
 from .lang import (
     AGGREGATORS, ARITH_OPS, AddFields, And, Arith, Cmp, CollectionRef, Count,
@@ -140,10 +140,8 @@ from .lang import (
     PathExpr, Project, SizeEq, TruePred, Unwind, ast_size, keys_share_a_name,
 )
 from .sizes import reachable
-from .types import (
-    NUM, ArrayT, DocT, PrimT, conforms, lenient_doc_type, type_of_path, typed_paths,
-)
-from .values import ABSENT, check_value, collection_eq, get_path, kind_of, value_cmp, value_key
+from .types import NUM, ArrayT, DocT, PrimT, lenient_doc_type, type_of_path, typed_paths
+from .values import ABSENT, collection_eq, get_path, kind_of, value_cmp, value_key
 
 _CMP_ORDER = ("=", "<", "<=", ">", ">=", "!=")
 
@@ -166,53 +164,6 @@ class SynthesisConfig:
                 raise TaskError(f"{name} must be an integer of at least 1")
 
 
-@dataclass(frozen=True)
-class Example:
-    input: dict
-    output: list
-
-
-@dataclass(frozen=True)
-class SynthesisTask:
-    schema: dict
-    collection: str
-    examples: tuple
-    constants: tuple = ()
-
-    def __post_init__(self):
-        for i, c in enumerate(self.constants):
-            try:
-                kind = kind_of(c)
-            except InvalidDocumentError as e:
-                raise TaskError(f"constants[{i}]: {e}") from None
-            if kind in ("doc", "array"):
-                raise TaskError(f"constants[{i}]: constants must be scalars")
-        if not self.examples:
-            raise TaskError("at least one example is required")
-        if self.collection not in self.schema:
-            raise TaskError(f"collection {self.collection!r} not in schema")
-        for i, ex in enumerate(self.examples):
-            if not isinstance(ex.input, dict):
-                raise TaskError(f"examples[{i}].input must map collection names to documents")
-            if not isinstance(ex.output, list) or not all(isinstance(d, dict) for d in ex.output):
-                raise TaskError(f"examples[{i}].output must be a list of documents")
-            try:
-                check_value(ex.output)
-            except InvalidDocumentError as e:
-                raise TaskError(f"examples[{i}].output: {e}") from None
-            for name, coll_type in self.schema.items():
-                docs = ex.input.get(name)
-                if docs is None:
-                    # the search reads every schema collection, through Lookup
-                    raise TaskError(f"examples[{i}].input: missing collection {name!r}")
-                try:
-                    ok = conforms(docs, coll_type)
-                except InvalidDocumentError as e:
-                    raise TaskError(f"examples[{i}].input[{name!r}]: {e}") from None
-                if not ok:
-                    raise TaskError(f"examples[{i}].input[{name!r}] does not conform to the schema")
-
-
 @dataclass
 class SynthesisResult:
     query: object
@@ -227,7 +178,7 @@ class _DeadlineReached(Exception):
 class Search:
     """What stays fixed while one task's spines are searched, plus its counters."""
 
-    def __init__(self, task: SynthesisTask, cfg: SynthesisConfig):
+    def __init__(self, task, cfg: SynthesisConfig):
         self.task = task
         self.cfg = cfg
         self.start = time.monotonic()
@@ -858,7 +809,8 @@ def _assemble(search: Search, collection, stage_nodes):
 # The worklist loop
 # ---------------------------------------------------------------------------
 
-def synthesize(task: SynthesisTask, cfg: SynthesisConfig = None, trace=None) -> SynthesisResult:
+def synthesize(task, cfg: SynthesisConfig = None, trace=None) -> SynthesisResult:
+    """Search for a query that reproduces every example of `task`, a `taskio.SynthesisTask`."""
     search = Search(task, cfg or SynthesisConfig())
     frontier = deque()  # visited spines whose children are not yet visited
     batch = [Sketch(task.collection, ())]

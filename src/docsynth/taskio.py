@@ -1,4 +1,4 @@
-"""Loading synthesis tasks from JSON files.
+"""Synthesis tasks: the `SynthesisTask` record, which checks itself, and its JSON form.
 
 A task file is a JSON object with the following members:
 
@@ -7,9 +7,9 @@ A task file is a JSON object with the following members:
                  where input maps collection names to document arrays and
                  output is a document array
     constants    optional; array of scalar values usable as literals
-    schema       optional; {collection -> type}. When omitted, the schema
-                 is inferred from the first example's input and the other
-                 examples are checked against it.
+    schema       optional; {collection -> type}. When omitted (None in a
+                 `SynthesisTask`), it is inferred from the first example's
+                 input and only the other examples are checked against it.
 
 Scalar values follow the extended-JSON conventions used everywhere else
 ({"$date": ..}, {"$oid": ..}). Validation errors are reported as TaskError
@@ -19,12 +19,70 @@ with the JSON path of the offending member, e.g. "examples[1].output".
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from sys import intern
 
 from .errors import InvalidDocumentError, TaskError, TypeInferenceError
-from .synth import Example, SynthesisTask
-from .types import compute_schema, schema_from_json, schema_to_json
-from .values import collection_from_json, database_from_json, database_to_json, value_from_json, value_to_json
+from .types import compute_schema, conforms, schema_from_json, schema_to_json
+from .values import (
+    check_value, collection_from_json, database_from_json, database_to_json, kind_of,
+    value_from_json, value_to_json,
+)
+
+
+@dataclass(frozen=True)
+class Example:
+    input: dict
+    output: list
+
+
+@dataclass(frozen=True)
+class SynthesisTask:
+    schema: dict
+    collection: str
+    examples: tuple
+    constants: tuple = ()
+
+    def __post_init__(self):
+        for i, c in enumerate(self.constants):
+            try:
+                kind = kind_of(c)
+            except InvalidDocumentError as e:
+                raise TaskError(f"constants[{i}]: {e}") from None
+            if kind in ("doc", "array"):
+                raise TaskError(f"constants[{i}]: constants must be scalars")
+        if not self.examples:
+            raise TaskError("at least one example is required")
+        if self.schema is not None and self.collection not in self.schema:
+            raise TaskError(f"collection {self.collection!r} not in schema")
+        for i, ex in enumerate(self.examples):
+            if not isinstance(ex.input, dict):
+                raise TaskError(f"examples[{i}].input must map collection names to documents")
+            if not isinstance(ex.output, list) or not all(isinstance(d, dict) for d in ex.output):
+                raise TaskError(f"examples[{i}].output must be a list of documents")
+            try:
+                check_value(ex.output)
+            except InvalidDocumentError as e:
+                raise TaskError(f"examples[{i}].output: {e}") from None
+            if self.schema is None:  # example 0, which conforms to what it infers
+                if self.collection not in ex.input:
+                    raise TaskError(f"examples[0].input: missing collection {self.collection!r}")
+                try:
+                    object.__setattr__(self, "schema", compute_schema(ex.input))
+                except (TypeInferenceError, InvalidDocumentError) as e:
+                    raise TaskError(f"examples[0].input: cannot infer schema: {e}") from None
+                continue
+            for name, coll_type in self.schema.items():
+                docs = ex.input.get(name)
+                if docs is None:
+                    # the search reads every schema collection, through Lookup
+                    raise TaskError(f"examples[{i}].input: missing collection {name!r}")
+                try:
+                    ok = conforms(docs, coll_type)
+                except InvalidDocumentError as e:
+                    raise TaskError(f"examples[{i}].input[{name!r}]: {e}") from None
+                if not ok:
+                    raise TaskError(f"examples[{i}].input[{name!r}] does not conform to the schema")
 
 
 def _fail(path: str, msg: str):
@@ -33,6 +91,13 @@ def _fail(path: str, msg: str):
 
 def task_from_json(obj) -> SynthesisTask:
     """Validate a decoded task object; TaskError messages carry JSON paths."""
+    try:
+        return _decode_task(obj)
+    except RecursionError:
+        raise TaskError("task is nested too deeply") from None
+
+
+def _decode_task(obj) -> SynthesisTask:
     if not isinstance(obj, dict):
         _fail("$", f"task must be a JSON object, got {type(obj).__name__}")
 
@@ -62,8 +127,6 @@ def task_from_json(obj) -> SynthesisTask:
             db = database_from_json(raw.get("input"))
         except InvalidDocumentError as e:
             _fail(f"{where}.input", str(e))
-        if collection not in db:
-            _fail(f"{where}.input", f"missing collection {collection!r}")
         try:
             out = collection_from_json(raw.get("output"))
         except InvalidDocumentError as e:
@@ -81,16 +144,12 @@ def task_from_json(obj) -> SynthesisTask:
             _fail(f"constants[{i}]", str(e))
         constants.append(v)
 
+    schema = None
     if "schema" in obj:
         try:
             schema = schema_from_json(obj["schema"])
         except (InvalidDocumentError, TypeInferenceError, TaskError) as e:
             _fail("schema", str(e))
-    else:
-        try:
-            schema = compute_schema(examples[0].input)
-        except (TypeInferenceError, InvalidDocumentError) as e:
-            _fail("examples[0].input", f"cannot infer schema: {e}")
 
     return SynthesisTask(schema, collection, tuple(examples), tuple(constants))
 
@@ -101,8 +160,12 @@ def load_task(path) -> SynthesisTask:
             obj = json.load(fh)
     except OSError as e:
         raise TaskError(f"cannot read task file {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise TaskError(f"cannot read task file {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise TaskError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise TaskError(f"{path} is nested too deeply") from None
     return task_from_json(obj)
 
 

@@ -189,6 +189,8 @@ def lenient_doc_type(docs) -> DocT:
 def infer_collection_type(docs, where="collection") -> DocT:
     """The type of the collection `docs`, named `where` in errors: the
     lenient type, raising a TypeInferenceError where that drops an attribute."""
+    if kind_of(docs) != "array":
+        raise InvalidDocumentError(f"{where} is not an array")
     for i, doc in enumerate(docs):
         if kind_of(doc) != "doc":
             raise InvalidDocumentError(f"{where}[{i}] is not a document")

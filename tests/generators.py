@@ -42,8 +42,7 @@ from docsynth.lang import (
     AddFields, Arith, Avg, Cmp, CollectionRef, Count, Exists, FnCall, Group,
     Lookup, Match, Max, Min, PathExpr, Project, SizeEq, Sum, Unwind,
 )
-from docsynth.synth import Example, SynthesisTask
-from docsynth.types import compute_schema
+from docsynth.taskio import Example, SynthesisTask
 from docsynth.values import get_path, kind_of, ABSENT
 
 
@@ -386,7 +385,7 @@ def gen_pair(seed, max_depth=4, tiny=False, for_synthesis=False):
 
 
 def task_of(seed, **kw):
-    """The one-example task of `gen_pair(seed, **kw)`, with its query and output."""
+    """The one-example task of `gen_pair(seed, **kw)`, its schema inferred, with its query and output."""
     db, coll, query, output, constants = gen_pair(seed, **kw)
-    task = SynthesisTask(compute_schema(db), coll, (Example(db, output),), tuple(dict.fromkeys(constants)))
+    task = SynthesisTask(None, coll, (Example(db, output),), tuple(dict.fromkeys(constants)))
     return task, query, output

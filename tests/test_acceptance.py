@@ -23,10 +23,8 @@ from docsynth.lang import (
 )
 from docsynth.mongo import optimize, render_shell, translate
 from docsynth.sizes import reachable
-from docsynth.synth import (
-    Example, Search, SynthesisConfig, SynthesisTask, complete_sketch, deduce, synthesize,
-)
-from docsynth.taskio import load_task
+from docsynth.synth import Search, SynthesisConfig, complete_sketch, deduce, synthesize
+from docsynth.taskio import Example, SynthesisTask, load_task
 from docsynth.text import render_query
 from docsynth.types import compute_schema
 from docsynth.values import collection_eq

@@ -17,8 +17,8 @@ from docsynth.errors import TaskError
 from docsynth.interp import eval_query
 from docsynth.mongo import reconstruct_query
 from docsynth.synth import SynthesisConfig, synthesize
-from docsynth.taskio import load_task, task_from_json, task_to_json
-from docsynth.types import compute_schema
+from docsynth.taskio import Example, SynthesisTask, load_task, task_from_json, task_to_json
+from docsynth.types import compute_schema, conforms
 
 from .test_synth import FORUM_DB
 
@@ -26,6 +26,13 @@ from .test_synth import FORUM_DB
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def nested_task_text(depth):
+    """A task whose one input document nests an attribute `depth` arrays deep."""
+    value = "[" * depth + "1" + "]" * depth
+    return ('{"collection": "items", "examples": [{"input": {"items": [{"a": %s}]}, "output": []}]}'
+            % value)
 
 
 def simple_task(marker=6):
@@ -90,6 +97,23 @@ class TestTaskFromJson:
         with pytest.raises(TaskError, match="orders"):
             task_from_json(t)
 
+    def test_example_0_missing_the_collection_is_named(self):
+        t = simple_task()
+        t["collection"] = "orders"
+        with pytest.raises(TaskError) as exc:
+            task_from_json(t)
+        assert str(exc.value) == "examples[0].input: missing collection 'orders'"
+
+    @pytest.mark.parametrize("depth", [600, 1500])
+    def test_deep_nesting_is_task_error(self, depth):
+        value = 1
+        for _ in range(depth):
+            value = [value]
+        t = simple_task()
+        t["examples"][0]["input"]["items"] = [{"a": value}]
+        with pytest.raises(TaskError, match="nested too deeply"):
+            task_from_json(t)
+
     def test_constant_must_be_scalar(self):
         t = simple_task()
         t["constants"] = [[1, 2]]
@@ -133,6 +157,50 @@ class TestLoadTask:
         p.write_text("{nope")
         with pytest.raises(TaskError, match="not valid JSON"):
             load_task(str(p))
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"collection": "\xff"}')
+        with pytest.raises(TaskError, match="cannot read task file .*utf-8"):
+            load_task(str(p))
+
+    @pytest.mark.parametrize("depth", [600, 1500])
+    def test_deep_nesting_is_task_error(self, tmp_path, depth):
+        # on CPython 3.11, 600 levels exhaust the stack while decoding values, 1500 inside json.load
+        p = tmp_path / "deep.json"
+        p.write_text(nested_task_text(depth))
+        with pytest.raises(TaskError, match="nested too deeply"):
+            load_task(str(p))
+
+
+class TestSchemaInference:
+    DB = {"items": [{"a": 1, "b": "x"}, {"a": 2}], "tags": [{"name": "t"}]}
+
+    def test_schema_is_inferred_from_example_0(self):
+        task = SynthesisTask(None, "items", (Example(self.DB, []),))
+        assert task.schema == compute_schema(self.DB)
+
+    def test_only_later_examples_are_walked(self, monkeypatch):
+        walked = []
+
+        def spy(docs, t):
+            walked.append(docs)
+            return conforms(docs, t)
+
+        monkeypatch.setattr("docsynth.taskio.conforms", spy)
+        later = [{"items": [{"a": 3}], "tags": []}, {"items": [], "tags": [{"name": "u"}]}]
+        examples = tuple(Example(db, []) for db in [self.DB] + later)
+        task = SynthesisTask(None, "items", examples)
+        assert walked == [db[name] for db in later for name in ("items", "tags")]
+        walked.clear()
+        SynthesisTask(task.schema, "items", examples)
+        assert walked == [db[name] for db in [self.DB] + later for name in ("items", "tags")]
+
+    @pytest.mark.parametrize("tags, error", [([], "tags is empty"), (3, "tags is not an array")])
+    def test_inference_error_names_example_0(self, tags, error):
+        with pytest.raises(TaskError) as exc:
+            SynthesisTask(None, "items", (Example({"items": [{"a": 1}], "tags": tags}, []),))
+        assert str(exc.value).startswith(f"examples[0].input: cannot infer schema: collection 'tags': {error}")
 
 
 class TestSynthCommand:
@@ -247,6 +315,24 @@ class TestSynthCommand:
         assert main(["synth", write_json(tmp_path / "t.json", t)]) == 1
         assert "examples[1].input: missing collection 'tags'" in capsys.readouterr().err
 
+    def test_task_file_that_is_not_utf8_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"collection": "\xff"}')
+        assert main(["synth", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read task file")
+
+    def test_deeply_nested_task_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text(nested_task_text(600))
+        assert main(["synth", str(p)]) == 1
+        assert capsys.readouterr().err == "error: task is nested too deeply\n"
+
+    def test_unwritable_out_path_is_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "t.json", simple_task())
+        dest = tmp_path / "missing" / "out.txt"
+        assert main(["synth", path, "--out", str(dest)]) == 1
+        assert f"error: cannot write {dest}: " in capsys.readouterr().err
+
     def test_missing_task_file_is_input_error(self, tmp_path, capsys):
         assert main(["synth", str(tmp_path / "no.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -318,6 +404,13 @@ class TestEvalCommand:
         assert main(["eval", path, str(qp)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_query_file_that_is_not_utf8_is_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "t.json", simple_task())
+        qp = tmp_path / "q.txt"
+        qp.write_bytes(b"Match(items, a > 5)\xff")
+        assert main(["eval", path, str(qp)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read query file")
+
     def test_eval_error_is_reported_per_example(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", simple_task())
         qp = tmp_path / "q.txt"
@@ -369,6 +462,12 @@ class TestBenchCommand:
         assert rows[0] == ["name", "solved", "elapsed_s", "sketches", "completions", "ast_size"]
         assert [r[0] for r in rows[1:]] == ["a_ident", "b_match"]
         assert rows[1][1] == "yes" and rows[2][1] == "yes"
+
+    def test_unwritable_csv_path_is_input_error(self, tmp_path, capsys):
+        d = self.make_dir(tmp_path)
+        dest = tmp_path / "missing" / "report.csv"
+        assert main(["bench", str(d), "--csv", str(dest)]) == 1
+        assert f"error: cannot write {dest}: " in capsys.readouterr().err
 
     def test_aggregate_rows_present(self, tmp_path, capsys):
         d = self.make_dir(tmp_path)

@@ -10,6 +10,9 @@ shares none with what produced them. The oracles' docstring excepts two
 test helpers, `skeleton` and `predicates_by_enumeration`; the checker has
 no exception.
 
+A task is built and checked in `taskio` and searched in `synth`, and
+neither module imports the other.
+
 Every top-level function, class and assignment of `src/docsynth/*.py` is
 read by some module of `src/`, `scripts/` or `perfbench/` outside its own
 definition, so no library code lives for its unit tests alone. A name is
@@ -97,6 +100,33 @@ def test_oracles_import_nothing_of_the_package():
     assert [(line, owner) for line, owner in package_imports(oracles)
             if owner not in ORACLE_EXCEPTIONS] == []
     assert package_imports(checker) == []
+
+
+def package_modules(source: str) -> set:
+    """The docsynth modules a module of the package imports, relatively or not."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            if node.level and node.module is None:
+                found.update(f"docsynth.{alias.name}" for alias in node.names)
+            elif node.level:
+                found.add(f"docsynth.{node.module}")
+            else:
+                found.add(node.module)
+    return found
+
+
+def test_package_modules_are_reported():
+    source = "from .synth import a\nfrom . import taskio\nimport docsynth.lang\nfrom os import path\n"
+    assert package_modules(source) == {"docsynth.synth", "docsynth.taskio", "docsynth.lang", "os"}
+
+
+def test_task_and_search_modules_do_not_import_each_other():
+    src = ROOT / "src" / "docsynth"
+    assert "docsynth.synth" not in package_modules((src / "taskio.py").read_text(encoding="utf-8"))
+    assert "docsynth.taskio" not in package_modules((src / "synth.py").read_text(encoding="utf-8"))
 
 
 def top_level_definitions(tree) -> list:

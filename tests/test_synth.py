@@ -15,10 +15,8 @@ from docsynth.errors import TaskError
 from docsynth.lang import CollectionRef, Match, TRUE, ast_size
 from docsynth.interp import eval_pred, eval_query
 from docsynth.synth import (
-    Example,
     Search,
     SynthesisConfig,
-    SynthesisTask,
     _entries,
     _intern,
     _table,
@@ -30,7 +28,7 @@ from docsynth.synth import (
     synthesize,
 )
 from docsynth import synth as synth_module
-from docsynth.taskio import load_task
+from docsynth.taskio import Example, SynthesisTask, load_task
 from docsynth.text import parse_query, render_pred, render_query
 from docsynth.types import (
     ArrayT, BOOL, DATETIME, DocT, NUM, STRING, compute_schema, lenient_doc_type, typed_paths,
