@@ -2,7 +2,7 @@
 
 A query is a linear pipeline: every operator wraps exactly one inner query
 and the innermost node is a collection reference. Access paths are tuples of
-attribute names (see values.parse_path).
+attribute names.
 
 AST size convention (used for reporting): every operator, predicate,
 expression and aggregator node counts 1, every access path counts 1, every

@@ -3,15 +3,11 @@
 One-way and syntax-directed: each operator becomes one pipeline stage,
 innermost first. `optimize` merges adjacent $addFields stages, composable
 adjacent $project stages, and an $addFields directly followed by a $project
-that keeps every added field. `reconstruct_query` maps emitted stage shapes
-(including the merged ones) back into the language so tests can replay an
-optimized pipeline through the reference interpreter; it raises
-MalformedQueryError on any other shape.
+that keeps every added field.
 
 `_id` follows the interpreter: a `$group` `_id` is always the key document
 `{last segment: "$path", ...}`, and a `$project` excludes `_id` exactly when
-no kept path is `_id` or lies below it. `reconstruct_query` refuses any
-other `_id` form, since a server would return a different shape for it.
+no kept path is `_id` or lies below it.
 
 Rendering conventions follow the house style for pipeline listings: keys
 that look like identifiers stay bare, everything else is quoted; path
@@ -25,23 +21,18 @@ import json
 import math
 import re
 
-from .errors import InvalidDocumentError, MalformedQueryError
+from .errors import MalformedQueryError
 from .lang import (
-    AddFields, And, Arith, Avg, Cmp, CollectionRef, Count, Exists, FALSE,
-    FalsePred, FnCall, Group, Lookup, Match, Max, Min, Not, Or, PathExpr,
-    Project, SizeEq, Sum, TRUE, TruePred, Unwind, stages as query_stages,
-    source_collection,
+    AddFields, And, Arith, Avg, Cmp, Count, Exists, FalsePred, FnCall, Group,
+    Lookup, Match, Max, Min, Not, Or, PathExpr, Project, SizeEq, Sum,
+    TruePred, Unwind, stages as query_stages, source_collection,
 )
-from .values import path_str, parse_path, value_to_json
+from .values import path_str, value_to_json
 
 _CMP_TO_MONGO = {"=": "$eq", "!=": "$ne", "<": "$lt", "<=": "$lte", ">": "$gt", ">=": "$gte"}
-_MONGO_TO_CMP = {v: k for k, v in _CMP_TO_MONGO.items()}
 _ARITH_TO_MONGO = {"+": "$add", "-": "$subtract", "*": "$multiply", "/": "$divide", "%": "$mod"}
-_MONGO_TO_ARITH = {v: k for k, v in _ARITH_TO_MONGO.items()}
 _FN_TO_MONGO = {"abs": "$abs", "floor": "$floor", "ceil": "$ceil"}
-_MONGO_TO_FN = {v: k for k, v in _FN_TO_MONGO.items()}
 _AGG_TO_MONGO = {Count: "$count", Sum: "$sum", Avg: "$avg", Min: "$min", Max: "$max"}
-_MONGO_TO_AGG = {v: k for k, v in _AGG_TO_MONGO.items()}
 
 
 def _ref(path) -> str:
@@ -145,14 +136,11 @@ def _keeps(included, path) -> bool:
 
 
 def _expr_refs(doc):
-    if isinstance(doc, str) and doc.startswith("$"):
-        yield doc[1:]
-    elif isinstance(doc, dict):
-        for v in doc.values():
-            yield from _expr_refs(v)
-    elif isinstance(doc, list):
-        for v in doc:
-            yield from _expr_refs(v)
+    """The paths an $addFields value reads: its operands are path references."""
+    if isinstance(doc, str):
+        return [doc[1:]]
+    (arg,) = doc.values()
+    return [r[1:] for r in (arg if isinstance(arg, list) else [arg])]
 
 
 def _overlaps(p, q) -> bool:
@@ -168,32 +156,26 @@ def _merge_pair(a, b):
         refs = [r for v in b["$addFields"].values() for r in _expr_refs(v)]
         if any(_overlaps(t, r) for t in a["$addFields"] for r in [*refs, *b["$addFields"]]):
             return None
-        merged = dict(a["$addFields"])
-        merged.update(b["$addFields"])
-        return {"$addFields": merged}
+        return {"$addFields": {**a["$addFields"], **b["$addFields"]}}
     if "$project" in a and "$project" in b:
         sa, sb = a["$project"], b["$project"]
-        if any(not isinstance(v, int) for v in sa.values()) or \
-           any(not isinstance(v, int) for v in sb.values()):
+        if not all(isinstance(v, int) for v in (*sa.values(), *sb.values())):
             return None  # computed stages: leave alone
         included_a = _project_paths(sa)
-        # an `_id` that the first stage dropped is absent, so the second
-        # stage's request for it keeps nothing
-        wanted = [p for p in _project_paths(sb) if p != "_id" or "_id" in included_a]
+        # an `_id` that the first stage dropped (`_id: 0`, not a path below
+        # it) is absent, so the second stage's request for it keeps nothing
+        wanted = [p for p in _project_paths(sb) if p != "_id" or sa.get("_id") != 0]
         if not wanted or not all(_keeps(included_a, p) for p in wanted):
             return None
         return {"$project": _project_spec(wanted)}
     if "$addFields" in a and "$project" in b:
-        added = a["$addFields"]
-        spec = b["$project"]
-        # every added field must be projected by name, or its expression
-        # would be lost
-        if not all(f in spec and spec[f] == 1 for f in added):
+        added, spec = a["$addFields"], b["$project"]
+        # each added field must be kept by name, or its expression would be
+        # lost; and a computed field would read the document before them
+        if not all(spec.get(f) == 1 for f in added) or \
+           not all(isinstance(v, int) for v in spec.values()):
             return None
-        out = {}
-        for k, v in spec.items():
-            out[k] = added.get(k, v)
-        return {"$project": out}
+        return {"$project": {k: added.get(k, v) for k, v in spec.items()}}
     return None
 
 
@@ -210,106 +192,6 @@ def optimize(pipeline):
                 changed = True
                 break
     return stages
-
-
-# ---------------------------------------------------------------------------
-# Reconstruction (for replay-equivalence tests)
-# ---------------------------------------------------------------------------
-
-def _path_of_ref(ref):
-    """The path that `_ref` spelled as `ref`."""
-    if not (isinstance(ref, str) and ref.startswith("$")):
-        raise MalformedQueryError(f"not a path reference: {ref!r}")
-    return parse_path(ref[1:])
-
-
-def _pred_from_doc(doc):
-    if doc == {}:
-        return TRUE
-    if doc == {"$nor": [{}]}:
-        return FALSE
-    (key, body), = doc.items()
-    if key in ("$and", "$or"):
-        left, right = body
-        return (And if key == "$and" else Or)(_pred_from_doc(left), _pred_from_doc(right))
-    if key == "$nor":
-        inner, = body
-        return Not(_pred_from_doc(inner))
-    if key.startswith("$"):
-        raise MalformedQueryError(f"unrecognized query operator: {key}")
-    path = parse_path(key)
-    (op, arg), = body.items()
-    if op == "$not":
-        return Not(_pred_from_doc({key: arg}))
-    if op == "$size":
-        return SizeEq(path, arg)
-    if op == "$exists" and isinstance(arg, bool):
-        return Exists(path) if arg else Not(Exists(path))
-    return Cmp(path, _MONGO_TO_CMP[op], arg)
-
-
-def _expr_from_doc(doc):
-    if isinstance(doc, str):
-        return PathExpr(_path_of_ref(doc))
-    (op, arg), = doc.items()
-    if op in _MONGO_TO_ARITH:
-        left, right = arg
-        return Arith(_path_of_ref(left), _MONGO_TO_ARITH[op], _path_of_ref(right))
-    if op in _MONGO_TO_FN:
-        return FnCall(_MONGO_TO_FN[op], _path_of_ref(arg))
-    raise MalformedQueryError(f"unrecognized expression document: {doc!r}")
-
-
-def _agg_from_doc(doc):
-    (op, arg), = doc.items()
-    make = _MONGO_TO_AGG[op]
-    return Count() if make is Count else make(_path_of_ref(arg))
-
-
-def _op_from_doc(q, stage):
-    """The operator over `q` that the stage document `stage` describes."""
-    (tag, spec), = stage.items()
-    if tag == "$match":
-        return Match(q, _pred_from_doc(spec))
-    if tag == "$unwind":
-        return Unwind(q, _path_of_ref(spec))
-    if tag == "$addFields":
-        return AddFields(q, tuple(parse_path(k) for k in spec),
-                         tuple(_expr_from_doc(v) for v in spec.values()))
-    if tag == "$project":
-        computed = {k: v for k, v in spec.items() if not isinstance(v, int)}
-        if computed:
-            q = AddFields(q,
-                          tuple(parse_path(k) for k in computed),
-                          tuple(_expr_from_doc(v) for v in computed.values()))
-        kept = _project_paths(spec)
-        if _project_spec(kept) != {k: 1 if k in computed else v for k, v in spec.items()}:
-            raise MalformedQueryError(f"unrecognized $project spec: {spec!r}")
-        return Project(q, tuple(parse_path(k) for k in kept))
-    if tag == "$group" and isinstance(spec["_id"], dict):
-        keys = tuple(_path_of_ref(v) for v in spec["_id"].values())
-        names = tuple(k for k in spec if k != "_id")
-        op = Group(q, keys, names, tuple(_agg_from_doc(spec[n]) for n in names))
-    elif tag == "$lookup":
-        op = Lookup(q, parse_path(spec["localField"]),
-                    parse_path(spec["foreignField"]), spec["from"], spec["as"])
-    else:
-        raise MalformedQueryError(f"unrecognized stage: {tag}")
-    # e.g. a group key not under its last segment, or an extra lookup option
-    if _stage_doc(op) != stage:
-        raise MalformedQueryError(f"unrecognized {tag} spec: {spec!r}")
-    return op
-
-
-def reconstruct_query(collection, pipeline):
-    """Rebuild a language query from emitted (possibly merged) stages."""
-    q = CollectionRef(collection)
-    for stage in pipeline:
-        try:
-            q = _op_from_doc(q, stage)
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError, InvalidDocumentError):
-            raise MalformedQueryError(f"unrecognized stage: {stage!r}") from None
-    return q
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,12 @@ class SynthesisTask:
     constants: tuple = ()
 
     def __post_init__(self):
+        try:
+            self._check()
+        except RecursionError:
+            raise TaskError("task is nested too deeply") from None
+
+    def _check(self):
         for i, c in enumerate(self.constants):
             try:
                 kind = kind_of(c)
@@ -91,7 +97,7 @@ def _fail(path: str, msg: str):
 
 def task_from_json(obj) -> SynthesisTask:
     """Validate a decoded task object; TaskError messages carry JSON paths."""
-    try:
+    try:  # decoding values recurses once per level, before SynthesisTask checks them
         return _decode_task(obj)
     except RecursionError:
         raise TaskError("task is nested too deeply") from None

@@ -154,6 +154,9 @@ _TOKEN = re.compile(
 
 _OP_CANON = {"≤": "<=", "≥": ">=", "≠": "!=", "∧": "&&", "∨": "||", "¬": "!"}
 
+# Each operator, `(`, `!`, `&&` and `||` nests the rest of its group a level
+# deeper; past _MAX_DEPTH levels the parser raises ParseError, not RecursionError.
+_MAX_DEPTH = 100
 _QUERY_OPS = {"Project", "Match", "AddFields", "Unwind", "Group", "Lookup"}
 _AGGREGATORS = {agg.__name__: agg for agg in lang.AGGREGATORS}
 
@@ -177,6 +180,7 @@ class _Parser:
                     self.toks.append((kind, _OP_CANON.get(val, val), m.start()))
                     break
         self.i = 0
+        self.depth = 0
 
     def peek(self, offset=0):
         j = self.i + offset
@@ -188,6 +192,11 @@ class _Parser:
             raise ParseError("unexpected end of input", tok[2])
         self.i += 1
         return tok
+
+    def nest(self, pos):
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"query nests deeper than {_MAX_DEPTH} levels", pos)
 
     def expect(self, value):
         kind, val, pos = self.next()
@@ -253,24 +262,32 @@ class _Parser:
     def pred(self):
         left = self.pred_and()
         while self.peek()[1] == "||":
-            self.next()
+            self.nest(self.next()[2])
             left = Or(left, self.pred_and())
         return left
 
     def pred_and(self):
         left = self.pred_unary()
         while self.peek()[1] == "&&":
-            self.next()
+            self.nest(self.next()[2])
             left = And(left, self.pred_unary())
         return left
 
     def pred_unary(self):
+        depth = self.depth
+        while self.peek()[1] == "!":
+            self.nest(self.next()[2])
+        negations = self.depth - depth
+        p = self.pred_atom()
+        self.depth = depth
+        for _ in range(negations):
+            p = Not(p)
+        return p
+
+    def pred_atom(self):
         kind, val, pos = self.peek()
-        if val == "!":
-            self.next()
-            return Not(self.pred_unary())
         if val == "(":
-            self.next()
+            self.nest(self.next()[2])
             inner = self.pred()
             self.expect(")")
             return inner
@@ -343,6 +360,8 @@ class _Parser:
             raise ParseError(f"expected a query, got {val!r}", pos)
         if val not in _QUERY_OPS:
             return CollectionRef(val)
+        depth = self.depth
+        self.nest(pos)
         self.expect("(")
         source = self.query()
         self.expect(",")
@@ -372,6 +391,7 @@ class _Parser:
             attr = self.ident("attribute name")
             q = Lookup(source, local, foreign, coll, attr)
         self.expect(")")
+        self.depth = depth
         return q
 
 

@@ -193,14 +193,6 @@ def check_value(v):
             check_value(x)
 
 
-def parse_path(text: str) -> Path:
-    """Split a dotted path string into a path tuple."""
-    parts = tuple(text.split("."))
-    if not text or not all(p != "" for p in parts):
-        raise InvalidDocumentError(f"invalid access path: {text!r}")
-    return parts
-
-
 def path_str(path: Path) -> str:
     return ".".join(path)
 

@@ -8,8 +8,14 @@ test helper that reads a query AST into the package's `Sketch`, and
 `predicates_by_enumeration`, which evaluates with the package's `eval_pred`
 because it checks the order and deduplication of predicate enumeration, not
 the predicate semantics.
+
+`replay_pipeline` replays a MongoDB pipeline, the artifact the user runs,
+from its stage documents alone: it reads the shapes that `translate` and
+`optimize` emit into `replay` stages, so tests can compare an optimized
+pipeline with the query it came from.
 """
 
+import math
 from itertools import product
 
 # ---------------------------------------------------------------------------
@@ -59,7 +65,8 @@ def reachable_by_enumeration(n, tags, m, cap=40):
 #   ("match", predfn)            predfn: dict -> bool
 #   ("addfields", [(path, exprfn), ...])
 #   ("unwind", path)
-#   ("group", [key_path, ...], [(name, aggfn)])   aggfn: list[dict] -> value
+#   ("group", keys, [(name, aggfn)])   aggfn: list[dict] -> value
+#        keys: [key_path, ...], or keyfn: dict -> key document
 #   ("lookup", local, foreign, coll_name, as_attr)
 # Paths are dot-joined strings.
 # ---------------------------------------------------------------------------
@@ -178,10 +185,11 @@ def replay(db, coll_name, stages):
             docs = out
         elif kind == "group":
             keys, aggs = stage[1], stage[2]
+            key_doc = keys if callable(keys) else lambda d: extract_attrs(d, keys)
             order = []
             groups = {}
             for d in docs:
-                g = extract_attrs(d, keys)
+                g = key_doc(d)
                 k = _key_of(g)
                 if k not in groups:
                     groups[k] = (g, [])
@@ -261,6 +269,217 @@ def agg_avg(path):
             return total // len(vals)
         return total / len(vals)
     return fn
+
+
+# ---------------------------------------------------------------------------
+# Pipeline reader: the stage documents that `translate` and `optimize` emit,
+# read into replay stages. The semantics are the language's plain-data rules,
+# written out as in perfbench/checker.py: an absent path reads as null, $eq is
+# `same_value`, < and its kin hold only between two values of one ordered
+# kind, and arithmetic gives null unless both operands are numbers and the
+# divisor of / or % is not 0. As on a server, a $project keeps `_id` unless
+# it names `_id` or a path below it, and an $addFields or $project that sets
+# both a path and a path below it is refused. Dates and object ids are the
+# tagged documents {"$date": ..} and {"$oid": ..}. Any other shape raises
+# ValueError.
+# ---------------------------------------------------------------------------
+
+def replay_pipeline(db, coll_name, pipeline):
+    """Replay the stage documents `pipeline` on `db[coll_name]`."""
+    return replay(db, coll_name, [s for stage in pipeline for s in _read_stage(stage)])
+
+
+def _one(doc):
+    """The one (key, value) pair of a one-key document."""
+    if not isinstance(doc, dict) or len(doc) != 1:
+        raise ValueError(f"not a one-key document: {doc!r}")
+    return next(iter(doc.items()))
+
+
+def _ref(v):
+    """The path that the reference "$a.b" names."""
+    if not isinstance(v, str) or len(v) < 2 or v[0] != "$":
+        raise ValueError(f"not a path reference: {v!r}")
+    return v[1:]
+
+
+def _read(doc, path):
+    v = get_path(doc, path)
+    return None if v is _MISSING else v
+
+
+_LOOKUP_KEYS = {"from", "localField", "foreignField", "as"}
+
+
+def _read_stage(stage):
+    """The replay stages, one or two, that the stage document `stage` is."""
+    tag, spec = _one(stage)
+    if tag == "$match":
+        return [("match", _query(spec))]
+    if tag == "$unwind":
+        return [("unwind", _ref(spec))]
+    if not isinstance(spec, dict):
+        raise ValueError(f"unknown stage: {stage!r}")
+    if tag in ("$addFields", "$project") and any(p.startswith(q + ".") for p in spec for q in spec):
+        raise ValueError(f"path collision: {stage!r}")
+    if tag == "$addFields":
+        return [("addfields", [(p, _expr(e)) for p, e in spec.items()])]
+    if tag == "$project":
+        return _project(spec)
+    if tag == "$group" and isinstance(spec.get("_id"), dict):
+        keys = [(name, _ref(v)) for name, v in spec["_id"].items()]
+        aggs = [(name, _accumulator(a)) for name, a in spec.items() if name != "_id"]
+        return [("group", lambda d: {name: _read(d, p) for name, p in keys}, aggs)]
+    if tag == "$lookup" and set(spec) == _LOOKUP_KEYS:
+        return [("lookup", spec["localField"], spec["foreignField"], spec["from"], spec["as"])]
+    raise ValueError(f"unknown stage: {stage!r}")
+
+
+def _project(spec):
+    """An inclusion $project: computed fields read the input document."""
+    kept, computed = [], []
+    for path, v in spec.items():
+        if isinstance(v, (str, dict)):
+            computed.append((path, _expr(v)))
+        elif v == 1:
+            kept.append(path)
+        elif v != 0 or path != "_id":
+            raise ValueError(f"not an inclusion $project: {spec!r}")
+    if not any(p == "_id" or p.startswith("_id.") for p in spec):
+        kept.insert(0, "_id")
+    project = ("project", kept + [p for p, _ in computed])
+    return [("addfields", computed), project] if computed else [project]
+
+
+_CONNECTIVES = {"$and": all, "$or": any, "$nor": lambda tests: not any(tests)}
+
+
+def _query(doc):
+    """A $match query document as a test of one document."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"not a query document: {doc!r}")
+    clauses = [_clause(key, body) for key, body in doc.items()]
+    return lambda d: all(c(d) for c in clauses)
+
+
+def _clause(key, body):
+    if key in _CONNECTIVES and isinstance(body, list):
+        parts, combine = [_query(x) for x in body], _CONNECTIVES[key]
+        return lambda d: combine(p(d) for p in parts)
+    if key.startswith("$"):
+        raise ValueError(f"unknown query operator: {key}")
+    test = _field(body)
+    return lambda d: test(get_path(d, key))
+
+
+def _field(body):
+    """A field's operator document as a test of the value there (_MISSING if absent)."""
+    if not isinstance(body, dict) or not body:
+        raise ValueError(f"not an operator document: {body!r}")
+    tests = [_operator(op, arg) for op, arg in body.items()]
+    return lambda v: all(t(v) for t in tests)
+
+
+_COMPARISONS = {
+    "$eq": same_value,
+    "$ne": lambda v, c: not same_value(v, c),
+    "$lt": lambda v, c: _less(v, c),
+    "$gt": lambda v, c: _less(c, v),
+    "$lte": lambda v, c: _less(v, c) or same_value(v, c),
+    "$gte": lambda v, c: _less(c, v) or same_value(v, c),
+}
+
+
+def _operator(op, arg):
+    if op in _COMPARISONS:
+        holds = _COMPARISONS[op]
+        return lambda v: holds(None if v is _MISSING else v, arg)
+    if op == "$size" and type(arg) is int:
+        return lambda v: isinstance(v, list) and len(v) == arg
+    if op == "$exists" and isinstance(arg, bool):
+        return lambda v: (v is not _MISSING) == arg
+    if op == "$not":
+        test = _field(arg)
+        return lambda v: not test(v)
+    raise ValueError(f"unknown query operator: {op}")
+
+
+_ARITH = {"$add": "+", "$subtract": "-", "$multiply": "*", "$divide": "/", "$mod": "%"}
+_FNS = {"$abs": abs, "$floor": math.floor, "$ceil": math.ceil}
+
+
+def _expr(e):
+    """An $addFields or computed $project expression as a function of the document."""
+    if isinstance(e, str):
+        path = _ref(e)
+        return lambda d: _read(d, path)
+    op, arg = _one(e)
+    if op in _ARITH and isinstance(arg, list) and len(arg) == 2:
+        left, right, sym = _expr(arg[0]), _expr(arg[1]), _ARITH[op]
+        return lambda d: _arith(_num(left(d)), sym, _num(right(d)))
+    if op in _FNS:
+        inner, fn = _expr(arg), _FNS[op]
+        return lambda d: None if _num(inner(d)) is None else fn(inner(d))
+    raise ValueError(f"unknown expression: {e!r}")
+
+
+def _accumulator(doc):
+    op, arg = _one(doc)
+    if op == "$count" and arg == {}:
+        return agg_count
+    make = {"$sum": agg_sum, "$avg": agg_avg, "$min": agg_min, "$max": agg_max}.get(op)
+    if make is None:
+        raise ValueError(f"unknown accumulator: {op}")
+    return make(_ref(arg))
+
+
+def _kind(v):
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "bool"
+    if isinstance(v, (int, float)):
+        return "num"
+    if isinstance(v, str):
+        return "str"
+    if isinstance(v, list):
+        return "array"
+    if isinstance(v, dict) and len(v) == 1 and ("$date" in v or "$oid" in v):
+        return "date" if "$date" in v else "oid"
+    return "doc"
+
+
+def _less(a, b) -> bool:
+    """< holds only between two values of one ordered kind."""
+    ka, kb = _kind(a), _kind(b)
+    if ka != kb or ka in ("null", "array", "doc"):
+        return False
+    if ka in ("date", "oid"):
+        return next(iter(a.values())) < next(iter(b.values()))
+    return a < b
+
+
+def _num(v):
+    return v if _kind(v) == "num" else None
+
+
+def _arith(a, op, b):
+    """Null in, null out; division and modulus by zero give null."""
+    if a is None or b is None:
+        return None
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if b == 0:
+        return None
+    both_int = isinstance(a, int) and isinstance(b, int)
+    if op == "/":
+        return a // b if both_int and a % b == 0 else a / b
+    r = math.fmod(a, b)
+    return int(r) if both_int else r
 
 
 # ---------------------------------------------------------------------------

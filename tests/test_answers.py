@@ -11,9 +11,9 @@ pruning flags (`disable_size_abstraction`, `disable_type_abstraction`) on
 every shipped task but reddit_posts, whose search without type abstraction
 is far slower than the rest.
 
-Each pinned pipeline is also replayed without a search: read back into the
-language by `reconstruct_query`, it must give every example's output, so a
-stage shape that the interpreter does not compute fails here.
+Each pinned pipeline is also replayed without a search, by the independent
+`oracles.replay_pipeline`: it must give every example's output, so a stage
+shape that does not compute what the answer computes fails here.
 """
 
 import importlib.util
@@ -24,13 +24,13 @@ from pathlib import Path
 
 import pytest
 
-from docsynth.interp import eval_query
-from docsynth.mongo import optimize, reconstruct_query, render_shell, translate
+from docsynth.mongo import optimize, render_shell, translate
 from docsynth.synth import SynthesisConfig, synthesize
 from docsynth.taskio import load_task, task_from_json
 from docsynth.text import parse_query, render_query
-from docsynth.values import collection_eq
+from docsynth.values import database_to_json, value_to_json
 
+from . import oracles
 from .conftest import reddit_posts_result
 
 HERE = Path(__file__).parent
@@ -89,9 +89,9 @@ def test_pinned_pipeline_replays_every_example(name):
     coll, pipe = translate(parse_query(ANSWERS[name]["query"]))
     pipeline = optimize(pipe)
     assert render_shell(coll, pipeline) == ANSWERS[name]["pipeline"]
-    replayed = reconstruct_query(coll, pipeline)
     for ex in load(name).examples:
-        assert collection_eq(eval_query(ex.input, replayed), ex.output)
+        got = oracles.replay_pipeline(database_to_json(ex.input), coll, value_to_json(pipeline))
+        assert oracles.same_value(got, value_to_json(ex.output))
 
 
 def test_ablation_goldens_cover_every_setting():

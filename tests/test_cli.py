@@ -14,12 +14,12 @@ import pytest
 
 from docsynth.cli import main
 from docsynth.errors import TaskError
-from docsynth.interp import eval_query
-from docsynth.mongo import reconstruct_query
 from docsynth.synth import SynthesisConfig, synthesize
 from docsynth.taskio import Example, SynthesisTask, load_task, task_from_json, task_to_json
 from docsynth.types import compute_schema, conforms
+from docsynth.values import value_to_json
 
+from . import oracles
 from .test_synth import FORUM_DB
 
 
@@ -201,6 +201,14 @@ class TestSchemaInference:
         with pytest.raises(TaskError) as exc:
             SynthesisTask(None, "items", (Example({"items": [{"a": 1}], "tags": tags}, []),))
         assert str(exc.value).startswith(f"examples[0].input: cannot infer schema: collection 'tags': {error}")
+
+    def test_deep_nesting_is_task_error(self):
+        # a task built in code maps the stack overflow of a deep value, as task_from_json does
+        value = 1
+        for _ in range(1500):
+            value = [value]
+        with pytest.raises(TaskError, match="nested too deeply"):
+            SynthesisTask(None, "c", (Example({"c": [{"a": value}]}, []),))
 
 
 class TestSynthCommand:
@@ -418,6 +426,18 @@ class TestEvalCommand:
         assert main(["eval", path, str(qp)]) == 1
         assert "evaluation failed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("opener, closer", [("!", ""), ("(", ")")])
+    def test_deeply_nested_query_is_input_error(self, tmp_path, capsys, opener, closer):
+        # a query nested 1,000 levels deep is a ParseError, not a RecursionError traceback
+        pred = "a > 5"
+        for _ in range(1000):
+            pred = opener + pred + closer
+        path = write_json(tmp_path / "t.json", simple_task())
+        qp = tmp_path / "q.txt"
+        qp.write_text(f"Match(items, {pred})")
+        assert main(["eval", path, str(qp)]) == 1
+        assert capsys.readouterr().err.startswith("error: query nests deeper than 100 levels")
+
 
 class TestBenchCommand:
     def make_dir(self, tmp_path, broken=False):
@@ -505,7 +525,7 @@ class TestBundledTasks:
 class FakeMongoClient:
     """Stands in for pymongo.MongoClient. It keeps what the CLI inserts,
     stamps an `_id` on each stored document as a server does, and answers
-    `aggregate` by replaying the pipeline through the interpreter."""
+    `aggregate` by replaying the pipeline with `oracles.replay_pipeline`."""
 
     def __init__(self, uri, serverSelectionTimeoutMS):
         self.dbs = {}
@@ -539,8 +559,8 @@ class FakeCollection:
             self.docs.append(d)
 
     def aggregate(self, pipeline):
-        data = {name: coll.docs for name, coll in self.db.items()}
-        return eval_query(data, reconstruct_query(self.name, pipeline))
+        data = {name: [value_to_json(d) for d in coll.docs] for name, coll in self.db.items()}
+        return oracles.replay_pipeline(data, self.name, value_to_json(pipeline))
 
 
 class TestVerifyMongo:

@@ -17,7 +17,7 @@ Every top-level function, class and assignment of `src/docsynth/*.py` is
 read by some module of `src/`, `scripts/` or `perfbench/` outside its own
 definition, so no library code lives for its unit tests alone. A name is
 read as a name, as an attribute, or in a `from ... import`, which is how
-`docsynth/__init__.py` re-exports. Dunders are exempt.
+`docsynth/__init__.py` re-exports. Dunders are exempt; nothing else is.
 """
 
 import ast
@@ -27,11 +27,6 @@ ROOT = Path(__file__).parent.parent
 SCANNED = ("src", "tests", "scripts")
 ORACLE_EXCEPTIONS = {"skeleton", "predicates_by_enumeration"}
 LIBRARY_READERS = ("src", "scripts", "perfbench")
-TEST_ONLY = {
-    # only tests call it, to replay pinned pipelines; ROADMAP item 1 decides
-    # whether perfbench/checker.py calls it or it moves out of the library
-    "mongo.reconstruct_query",
-}
 
 
 def unused_imports(source: str) -> list:
@@ -189,4 +184,4 @@ def test_library_definitions_are_read_outside_tests():
         for top in LIBRARY_READERS
         for path in sorted((ROOT / top).rglob("*.py"))
     }
-    assert sorted(unread_definitions(modules)) == sorted(TEST_ONLY)
+    assert unread_definitions(modules) == []

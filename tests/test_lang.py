@@ -136,6 +136,30 @@ class TestRender:
             with pytest.raises(ParseError):
                 parse_query(f"Match(c, SizeEq(a, {size}))")
 
+    @pytest.mark.parametrize("opener, closer", [("!", ""), ("(", ")"), ("a > 5 && ", ""), ("", " || a > 5")])
+    def test_nesting_past_the_stated_depth_is_parse_error(self, opener, closer):
+        # 1,000 levels of `!`, `(`, `&&` or `||` raise ParseError, not RecursionError
+        pred = "a > 5"
+        for _ in range(1000):
+            pred = opener + pred + closer
+        with pytest.raises(ParseError, match="nests deeper than 100 levels"):
+            parse_query(f"Match(c, {pred})")
+
+    def test_operator_nesting_past_the_stated_depth_is_parse_error(self):
+        # 1,000 nested operators raise ParseError, not RecursionError
+        text = "c"
+        for _ in range(1000):
+            text = f"Match({text}, true)"
+        with pytest.raises(ParseError, match="nests deeper than 100 levels"):
+            parse_query(text)
+
+    def test_nesting_up_to_the_stated_depth_parses(self):
+        # Match is one level, so 99 negations reach the stated depth of 100
+        p, depth = parse_query("Match(c, " + "!" * 99 + "a > 5)").pred, 0
+        while isinstance(p, Not):
+            p, depth = p.pred, depth + 1
+        assert (depth, p) == (99, Cmp(("a",), ">", 5))
+
 
 class TestMetrics:
     def test_forum_ast_size(self):

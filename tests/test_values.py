@@ -17,7 +17,6 @@ from docsynth.values import (
     get_path,
     has_path,
     kind_of,
-    parse_path,
     path_str,
     value_eq,
     value_from_json,
@@ -156,12 +155,7 @@ def test_value_cmp_is_zero_exactly_on_value_eq_and_antisymmetric(a, b):
 
 
 def test_paths():
-    assert parse_path("a.b.c") == ("a", "b", "c")
     assert path_str(("a", "b")) == "a.b"
-    with pytest.raises(InvalidDocumentError):
-        parse_path("")
-    with pytest.raises(InvalidDocumentError):
-        parse_path("a..b")
 
 
 def test_get_path_absent_vs_null():
