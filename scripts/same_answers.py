@@ -7,9 +7,12 @@ configuration, the 11 other than reddit_posts (whose search without type
 abstraction is far slower) under `disable_size_abstraction` and under
 `disable_type_abstraction`, and the generated depth-6 tasks of seeds 0-39
 (`tests.generators.task_of`) with a 15 s timeout. An answer is the status,
-the rendered query and every stat but `elapsedSeconds`. A timeout keeps
-its status only, since how far a search gets before its deadline depends
-on the machine.
+the rendered query, every stat but `elapsedSeconds`, and the sha256 of the
+search's `trace=` stream: each visited spine's stage kinds and its
+deduction verdict, in order. So the same answers also mean the same spine
+order and the same verdict on every spine. A timeout keeps its status
+only, since how far a search gets before its deadline depends on the
+machine.
 
 A change that claims the same answers runs this on its parent and on
 itself. With `--against`, the answers just written are compared with
@@ -18,6 +21,7 @@ status is 1 if any does.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -54,13 +58,19 @@ def searches():
 
 
 def answer(task, cfg) -> dict:
-    result = synthesize(task, cfg)
+    digest = hashlib.sha256()
+
+    def trace(ops, feasible):
+        digest.update(f"{' '.join(ops)}:{'feasible' if feasible else 'pruned'}\n".encode())
+
+    result = synthesize(task, cfg, trace=trace)
     if result.status == "timeout":
         return {"status": "timeout"}
     return {
         "status": result.status,
         "query": render_query(result.query) if result.query is not None else None,
         "stats": {k: v for k, v in result.stats.items() if k != "elapsedSeconds"},
+        "trace": digest.hexdigest(),
     }
 
 

@@ -1,7 +1,8 @@
 """Abstract evaluation of sketches.
 
-A sketch fixes the pipeline's operator spine and leaf collection but leaves
-every argument open. Evaluating it over the schema yields Λ, the document
+A sketch is an operator spine over the task's one input collection: a
+tuple of stage kinds from `OPERATOR_TAGS`, innermost first, with every
+argument left open. Evaluating it over the schema yields Λ, the document
 types, with placeholders, that any completion's output could have; the
 synthesizer prunes a sketch when the observed output matches none of them.
 The size half of the abstraction needs no evaluation: deduction folds each
@@ -23,52 +24,29 @@ and each successor builds its result from those two parts directly:
   group       {_id: a set of at most max_group_keys named attributes}, with
               and without ?⁺: Num, per key set.
 
-Evaluation is a left fold from the leaf outward: Λ starts from one interned
-root tuple per collection, and each stage takes one successor step.
-`AbsEvalContext` holds the schema and one example's output type, interns
-types and tuples of types, and computes each (operator, parent tuple) step
-once, so Λ of a spine costs one table lookup per stage and memo entries
-share their objects. A type is interned by its one equality, which ignores
-attribute order and placeholder order. Verdicts are safe under that, since
-`matches` reads attributes by name. So are renders: every type of a context
-comes from the schema roots through steps that keep the relative order of
-attributes, so equal types in one context list their attributes alike. The
-synthesizer refines a spine by prepending a stage at the leaf, so
-`ops[:-1]` of a depth-d+1 spine is a depth-d spine, and breadth-first search
-has taken every step but the last already.
+Evaluation is a left fold from the leaf outward: Λ starts from the interned
+root tuple of the searched collection, and each stage takes one successor
+step. `AbsEvalContext` holds the schema, the searched collection and one
+example's output type, interns types and tuples of types, and computes
+each (operator, parent tuple) step once, so Λ of a spine costs one table
+lookup per stage and memo entries share their objects. A type is interned
+by its one equality, which ignores attribute order and placeholder order.
+Verdicts are safe under that, since `matches` reads attributes by name. So
+are renders: every type of a context comes from its root through steps
+that keep the relative order of attributes, so equal types in one context
+list their attributes alike. The synthesizer refines a spine by prepending
+a stage at the leaf, so `ops[:-1]` of a depth-d+1 spine is a depth-d
+spine, and breadth-first search has taken every step but the last already.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .abstraction import ANY, AugmentedType
-from .errors import MalformedQueryError, UnknownCollectionError
 from .types import NUM, ArrayT, DocT, doc_intersect, doc_replace_path, typed_paths
 
 OPERATOR_TAGS = ("project", "match", "add_fields", "unwind", "group", "lookup")
-
-
-@dataclass(frozen=True, slots=True)
-class Sketch:
-    collection: str
-    ops: tuple  # operator tags, innermost first
-
-    def __post_init__(self):
-        for tag in self.ops:
-            if tag not in OPERATOR_TAGS:
-                raise MalformedQueryError(f"unknown operator tag {tag!r}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.ops)
-
-    def render(self) -> str:
-        out = self.collection
-        for tag in self.ops:
-            out = f"{tag.capitalize() if tag != 'add_fields' else 'AddFields'}({out}, ·)"
-        return out
 
 
 def _successors(tag, t: AugmentedType, out_type: DocT, schema, max_group_keys):
@@ -99,11 +77,11 @@ def _successors(tag, t: AugmentedType, out_type: DocT, schema, max_group_keys):
 
 
 class AbsEvalContext:
-    """The schema, one example's output type and the group-key bound, plus
-    the interned abstract steps over them and deduction's type verdicts on
-    that output."""
+    """The schema, the searched collection, one example's output type and
+    the group-key bound, plus the interned abstract steps over them and
+    deduction's type verdicts on that output."""
 
-    def __init__(self, schema: dict, out_type: DocT, max_group_keys: int = 2):
+    def __init__(self, schema: dict, collection: str, out_type: DocT, max_group_keys: int):
         self.schema = schema  # collection -> ArrayT of its document type
         self.out_type = out_type
         self.max_group_keys = max_group_keys
@@ -113,19 +91,10 @@ class AbsEvalContext:
         self._steps = {}     # (tag, id(parent types)) -> the types after it
         # Types and type tuples are interned, and the intern tables keep them
         # alive as long as the context, so an id names one of them.
-        self._roots = {      # collection -> the types of Λ for the bare spine
-            name: self._intern_tuple((self._intern(AugmentedType(coll_type.elem)),))
-            for name, coll_type in schema.items()
-        }
+        self.root = self._intern_tuple((self._intern(AugmentedType(schema[collection].elem)),))
 
-    def types(self, collection: str, ops: tuple) -> tuple:
-        """The document types of Λ for the spine `ops` over `collection`."""
-        types = self._roots[collection]
-        for tag in ops:
-            types = self._step(types, tag)
-        return types
-
-    def _step(self, parent: tuple, tag: str) -> tuple:
+    def step(self, parent: tuple, tag: str) -> tuple:
+        """The types after one stage of kind `tag` on the interned `parent`."""
         if not parent:
             return ()
         key = (tag, id(parent))
@@ -145,8 +114,10 @@ class AbsEvalContext:
         return self._types.setdefault(t, t)
 
 
-def abs_eval(ctx: AbsEvalContext, sk: Sketch) -> tuple:
-    """Λ: the document types any completion of sk can produce, as interned by ctx."""
-    if sk.collection not in ctx.schema:
-        raise UnknownCollectionError(f"unknown collection {sk.collection!r}")
-    return ctx.types(sk.collection, sk.ops)
+def abs_eval(ctx: AbsEvalContext, ops: tuple) -> tuple:
+    """Λ: the document types any completion of the spine `ops` (stage kinds,
+    innermost first) over ctx's collection can produce, as interned by ctx."""
+    types = ctx.root
+    for tag in ops:
+        types = ctx.step(types, tag)
+    return types

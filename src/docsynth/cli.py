@@ -51,9 +51,9 @@ def cmd_synth(args) -> int:
 
     trace_cb = None
     if args.trace:
-        def trace_cb(sk, feasible):
-            ops = " ".join(sk.ops) if sk.ops else "(bare)"
-            print(f"trace: {sk.collection}[{ops}] {'feasible' if feasible else 'pruned'}", file=sys.stderr)
+        def trace_cb(ops, feasible):
+            spine = " ".join(ops) if ops else "(bare)"
+            print(f"trace: {task.collection}[{spine}] {'feasible' if feasible else 'pruned'}", file=sys.stderr)
 
     result = synthesize(task, cfg, trace=trace_cb)
     stats = result.stats

@@ -7,6 +7,9 @@ Null discipline, in one place:
     null <= null hold, while < and > are false whenever either side is Null
     or the kinds differ
   * arithmetic propagates Null; division or modulo by zero yields Null
+  * non-finite numbers (NaN, ±Infinity, which JSON input can carry) follow
+    IEEE arithmetic, as in MongoDB: floor and ceil return them unchanged,
+    and modulo of an infinite dividend is NaN
   * Sum counts Null as 0; Min/Max/Avg ignore Nulls and yield Null when
     nothing remains; Count just counts documents
 """
@@ -126,6 +129,8 @@ def eval_expr(doc, e):
         # '%' truncates toward zero, int result when both operands are ints
         if b == 0:
             return None
+        if isinstance(a, float) and math.isinf(a):
+            return math.nan
         r = math.fmod(a, b)
         return int(r) if isinstance(a, int) and isinstance(b, int) else r
     if isinstance(e, FnCall):
@@ -134,6 +139,8 @@ def eval_expr(doc, e):
             return None
         if e.fn == "abs":
             return abs(v)
+        if isinstance(v, float) and not math.isfinite(v):
+            return v
         if e.fn == "floor":
             return math.floor(v)
         return math.ceil(v)

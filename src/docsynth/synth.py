@@ -1,16 +1,18 @@
 """Sketch-and-complete synthesis of aggregation queries from examples.
 
-The search visits sketches (operator spines) breadth first. Its FIFO
-frontier holds visited spines whose children are still to be visited: the
-six children of a dequeued spine are built and visited then, so the deepest
-spines are never queued. Each visited sketch is first screened by abstract
-deduction: the observed output must be a possible instance of some abstract
-collection the sketch can produce, both in document type (placeholder
-matching) and in collection size (each example's input size folded through
-the spine's stage kinds by `sizes.reachable`). Feasible
-sketches are handed to an enumerative completer that instantiates arguments
-stage by stage, evaluating concretely on every example as it goes and
-accepting the first full query that reproduces every output exactly.
+The search visits sketches (operator spines) breadth first. A spine is its
+tuple of stage kinds, innermost first, over the task's one input collection.
+Its FIFO frontier holds visited spines whose children are still to be
+visited: the six children of a dequeued spine are built and visited then,
+so the deepest spines are never queued. Each visited sketch is first
+screened by abstract deduction: the observed output must be a possible
+instance of some abstract collection the sketch can produce, both in
+document type (placeholder matching) and in collection size (each
+example's input size folded through the spine's stage kinds by
+`sizes.reachable`). Feasible sketches are handed to an enumerative
+completer that instantiates arguments stage by stage, evaluating
+concretely on every example as it goes and accepting the first full query
+that reproduces every output exactly.
 
 Completion carries the size half down to partial programs, by one rule: a
 candidate's sizes are checked before its children are built or typed
@@ -105,10 +107,10 @@ returned. The orders are fixed as follows.
                then (local, foreign) path pairs of equal primitive type.
 
 The facts that stay fixed while one task is searched (the examples' inputs
-and outputs, output types, the constant pool, the deadline and the
-counters) are built once, in `Search`. Deduction's type state lives in one
-`absint.AbsEvalContext` per example: the lenient type of its output, the
-interned abstract steps taken so far, and a `concretizes` verdict per
+and outputs and their sizes, output types, the constant pool, the deadline
+and the counters) are built once, in `Search`. Deduction's type state lives
+in one `absint.AbsEvalContext` per example: the lenient type of its output,
+the interned abstract steps taken so far, and a `concretizes` verdict per
 abstract document type. `deduce` runs each half unless its ablation flag is
 set. The size half folds each example's input size through the spine's
 stage kinds to its output size; it never reads Λ, so it is the same with
@@ -130,7 +132,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 
-from .absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
+from .absint import OPERATOR_TAGS, AbsEvalContext, abs_eval
 from .abstraction import concretizes
 from .errors import EvalError, TaskError
 from .interp import HOLDS_ON, apply_stage, eval_agg, eval_expr, group_by, group_rows
@@ -185,10 +187,11 @@ class Search:
         self.deadline = self.start + cfg.timeout_seconds
         out_types = [lenient_doc_type(ex.output) for ex in task.examples]
         self.contexts = [  # one deduction context per example
-            AbsEvalContext(task.schema, t, cfg.max_group_keys) for t in out_types
+            AbsEvalContext(task.schema, task.collection, t, cfg.max_group_keys) for t in out_types
         ]
         self.inputs = [ex.input for ex in task.examples]
         self.outputs = [ex.output for ex in task.examples]
+        self.in_sizes = tuple(len(db[task.collection]) for db in self.inputs)
         self.out_sizes = tuple(map(len, self.outputs))
         # the type of every output together; one example's is typed already
         self.out_type = out_types[0] if len(out_types) == 1 else lenient_doc_type(
@@ -249,28 +252,28 @@ class Search:
         return False
 
 
-def refine(sk: Sketch):
-    """The six sketches wrapping a fresh operator around the leaf."""
-    return [Sketch(sk.collection, (tag,) + sk.ops) for tag in OPERATOR_TAGS]
+def refine(ops: tuple):
+    """The six spines wrapping a fresh operator around the leaf."""
+    return [(tag,) + ops for tag in OPERATOR_TAGS]
 
 
 # ---------------------------------------------------------------------------
 # Deduction
 # ---------------------------------------------------------------------------
 
-def deduce(search: Search, sk: Sketch) -> bool:
+def deduce(search: Search, ops: tuple) -> bool:
     """Whether every example's output can be an instance of some abstract
-    collection the spine produces, by the halves the config leaves on."""
+    collection the spine `ops` produces, by the halves the config leaves on."""
     check_size = not search.cfg.disable_size_abstraction
     check_type = not search.cfg.disable_type_abstraction
-    for ctx, db, out in zip(search.contexts, search.inputs, search.outputs):
+    for ctx, n, m, out in zip(search.contexts, search.in_sizes, search.out_sizes, search.outputs):
         # the type half's empty-Λ prune comes first; the halves commute, so
         # the order only decides which half a pruned spine is charged to
         if check_type:
-            lam = abs_eval(ctx, sk)
+            lam = abs_eval(ctx, ops)
             if not lam:
                 return False
-        if check_size and not reachable(len(db[sk.collection]), sk.ops, len(out)):
+        if check_size and not reachable(n, ops, m):
             return False
         if check_type:
             for t in lam:
@@ -710,16 +713,16 @@ _READERS = {
 # Completion
 # ---------------------------------------------------------------------------
 
-def complete_sketch(search: Search, sk: Sketch):
+def complete_sketch(search: Search, ops: tuple):
     # deduction has folded the input sizes through the whole spine already
-    if not sk.ops:
+    if not ops:
         colls = search.states[0].colls
-        return CollectionRef(sk.collection) if _reproduces(search, colls) else None
-    return _fill(search, sk, [None] * len(sk.ops), 0, search.states[0])
+        return CollectionRef(search.task.collection) if _reproduces(search, colls) else None
+    return _fill(search, ops, [None] * len(ops), 0, search.states[0])
 
 
-def _fill(search: Search, sk: Sketch, chosen: list, k: int, state: _State):
-    """Choose stages k.. of sk, given the state before stage k.
+def _fill(search: Search, ops: tuple, chosen: list, k: int, state: _State):
+    """Choose stages k.. of the spine `ops`, given the state before stage k.
 
     The prefix up to stage k has passed the size check, at stage 0 in
     deduction and after that here. Stage k's candidates are read from the
@@ -727,19 +730,19 @@ def _fill(search: Search, sk: Sketch, chosen: list, k: int, state: _State):
     A call that finds nothing is recorded by its state and its stages left,
     and a later call equal in both returns None at once.
     """
-    key = state.id, sk.ops[k:]
+    key = state.id, ops[k:]
     if key in search.failed:
         search.states_reused += 1
         return None
-    kind, rest = sk.ops[k], sk.ops[k + 1:]
+    kind, rest = ops[k], ops[k + 1:]
     for node, child in _READERS[kind](search, state, _table(search, state, kind), rest):
         chosen[k] = node
         if rest:
-            got = _fill(search, sk, chosen, k + 1, child)
+            got = _fill(search, ops, chosen, k + 1, child)
             if got is not None:
                 return got
         elif _reproduces(search, child):
-            return _assemble(search, sk.collection, chosen)
+            return _assemble(search, chosen)
     search.failed[key] = None
     return None
 
@@ -792,8 +795,8 @@ def _select(docs: list, bits: int) -> list:
     return [d for d, b in zip(docs, bin(bits)[:1:-1]) if b == "1"]
 
 
-def _assemble(search: Search, collection, stage_nodes):
-    q = CollectionRef(collection)
+def _assemble(search: Search, stage_nodes):
+    q = CollectionRef(search.task.collection)
     for node in stage_nodes:
         if isinstance(node, tuple):
             # a Match, by its state and vector: the first class representative
@@ -813,21 +816,21 @@ def synthesize(task, cfg: SynthesisConfig = None, trace=None) -> SynthesisResult
     """Search for a query that reproduces every example of `task`, a `taskio.SynthesisTask`."""
     search = Search(task, cfg or SynthesisConfig())
     frontier = deque()  # visited spines whose children are not yet visited
-    batch = [Sketch(task.collection, ())]
+    batch = [()]  # the bare spine
     try:
         while True:
-            for sk in batch:
+            for ops in batch:
                 search.check_deadline()
                 search.sketches += 1
-                feasible = deduce(search, sk)
+                feasible = deduce(search, ops)
                 if trace is not None:
-                    trace(sk, feasible)
+                    trace(ops, feasible)
                 if feasible:
-                    q = complete_sketch(search, sk)
+                    q = complete_sketch(search, ops)
                     if q is not None:
                         return search.result(q, "success")
-                if sk.depth < search.cfg.max_pipeline_depth:
-                    frontier.append(sk)
+                if len(ops) < search.cfg.max_pipeline_depth:
+                    frontier.append(ops)
             if not frontier:
                 return search.result(None, "exhausted")
             batch = refine(frontier.popleft())

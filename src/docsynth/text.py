@@ -8,7 +8,9 @@ The parser accepts exactly what the renderer produces, plus the unicode
 comparison/connective spellings. Path segments must be identifier-shaped
 ([A-Za-z_][A-Za-z0-9_]*) in text form; data attribute names outside that set
 are representable in the AST and JSON encodings but not in this syntax.
-Nor are NaN and the infinities, which the constant grammar cannot spell.
+Nor are NaN and the infinities, which the constant grammar cannot spell: a
+number literal that overflows a float, or that has more digits than Python
+converts to an int, is a ParseError.
 """
 
 from __future__ import annotations
@@ -230,10 +232,21 @@ class _Parser:
         self.expect("]")
         return tuple(items)
 
+    def number(self, val: str, pos: int):
+        """The number the `num` token `val` spells. One that overflows a
+        float, or has more digits than Python converts to an int, is an error."""
+        try:
+            v = float(val) if ("." in val or "e" in val or "E" in val) else int(val)
+        except ValueError:
+            raise ParseError("number literal has too many digits", pos) from None
+        if isinstance(v, float) and math.isinf(v):
+            raise ParseError(f"number literal {val} overflows", pos)
+        return v
+
     def const(self):
         kind, val, pos = self.next()
         if kind == "num":
-            return float(val) if ("." in val or "e" in val or "E" in val) else int(val)
+            return self.number(val, pos)
         if kind == "str":
             return self._unquote(val)
         if kind == "ident":
@@ -307,7 +320,7 @@ class _Parser:
                 if k2 != "num" or not v2.isdigit():
                     raise ParseError("SizeEq expects a nonnegative integer", p2)
                 self.expect(")")
-                return SizeEq(path, int(v2))
+                return SizeEq(path, self.number(v2, p2))
             if val == "Exists":
                 self.next()
                 self.expect("(")

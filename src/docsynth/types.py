@@ -298,7 +298,7 @@ _TYPE_OF_JSON_KIND = {_json_kind(k): t for k, t in TYPE_OF_KIND.items()}
 
 
 def type_from_json(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
         raise InvalidDocumentError(f"invalid type JSON: {obj!r}")
     kind = obj["kind"]
     if kind in _TYPE_OF_JSON_KIND:

@@ -3,8 +3,7 @@
 Everything in here is deliberately naive and exhaustive. These functions are
 written against plain Python data (dicts, lists, None) and never import the
 package under test, so they can be used to freeze expected values and to
-cross-check the real implementations. The exceptions are `skeleton`, a
-test helper that reads a query AST into the package's `Sketch`, and
+cross-check the real implementations. The one exception is
 `predicates_by_enumeration`, which evaluates with the package's `eval_pred`
 because it checks the order and deduplication of predicate enumeration, not
 the predicate semantics.
@@ -222,8 +221,10 @@ def replay(db, coll_name, stages):
     return docs
 
 
-# Aggregator helpers for replay stages. Null contributes 0 to sum, is skipped
-# by min/max/avg, and an all-null (or empty) group yields None.
+# Aggregator helpers for replay stages, following the interpreter. Null
+# contributes 0 to sum, is skipped by min/max/avg, and an all-null (or empty)
+# group yields None. Avg sums only the numbers but divides by the count of
+# every non-null value.
 
 def agg_count(members):
     return len(members)
@@ -243,28 +244,47 @@ def agg_sum(path):
 
 
 def agg_min(path):
-    def fn(members):
-        vals = [get_path(d, path) for d in members]
-        vals = [v for v in vals if v is not _MISSING and v is not None]
-        return min(vals) if vals else None
-    return fn
+    """The least non-null value in the interpreter's order (`_minmax_key`);
+    arrays and documents are out of scope and raise TypeError."""
+    return _pick(path, min)
 
 
 def agg_max(path):
+    """The greatest non-null value, as `agg_min` orders them."""
+    return _pick(path, max)
+
+
+_MINMAX_RANK = {"num": 1, "str": 2, "oid": 3, "bool": 4, "date": 5}
+
+
+def _minmax_key(v):
+    """Min/Max order across kinds, ranked as the interpreter ranks them:
+    number < string < object id < boolean < date (null is skipped before).
+    Two dates, or two object ids, compare by their strings."""
+    kind = _kind(v)
+    if kind not in _MINMAX_RANK:
+        raise TypeError(f"Min/Max over a {kind} value is out of scope")
+    if kind in ("date", "oid"):
+        return _MINMAX_RANK[kind], next(iter(v.values()))
+    return _MINMAX_RANK[kind], v
+
+
+def _pick(path, pick):
     def fn(members):
         vals = [get_path(d, path) for d in members]
         vals = [v for v in vals if v is not _MISSING and v is not None]
-        return max(vals) if vals else None
+        return pick(vals, key=_minmax_key) if vals else None
     return fn
 
 
 def agg_avg(path):
+    """The sum of the numbers over the count of the non-null values."""
     def fn(members):
         vals = [get_path(d, path) for d in members]
         vals = [v for v in vals if v is not _MISSING and v is not None]
         if not vals:
             return None
-        total = sum(vals)
+        total = sum(v for v in vals if _kind(v) == "num")
         if isinstance(total, int) and total % len(vals) == 0:
             return total // len(vals)
         return total / len(vals)
@@ -405,7 +425,12 @@ def _operator(op, arg):
 
 
 _ARITH = {"$add": "+", "$subtract": "-", "$multiply": "*", "$divide": "/", "$mod": "%"}
-_FNS = {"$abs": abs, "$floor": math.floor, "$ceil": math.ceil}
+def _rounding(fn):
+    """floor or ceil, which keep NaN and ±Infinity as they are."""
+    return lambda v: v if isinstance(v, float) and not math.isfinite(v) else fn(v)
+
+
+_FNS = {"$abs": abs, "$floor": _rounding(math.floor), "$ceil": _rounding(math.ceil)}
 
 
 def _expr(e):
@@ -464,7 +489,8 @@ def _num(v):
 
 
 def _arith(a, op, b):
-    """Null in, null out; division and modulus by zero give null."""
+    """Null in, null out; division and modulus by zero give null, and the
+    modulus of an infinite dividend is NaN."""
     if a is None or b is None:
         return None
     if op == "+":
@@ -478,6 +504,8 @@ def _arith(a, op, b):
     both_int = isinstance(a, int) and isinstance(b, int)
     if op == "/":
         return a // b if both_int and a % b == 0 else a / b
+    if isinstance(a, float) and math.isinf(a):
+        return math.nan
     r = math.fmod(a, b)
     return int(r) if both_int else r
 
@@ -537,14 +565,12 @@ _SPINE_TAGS = {
 
 
 def skeleton(q):
-    """The Sketch of a query: its leaf collection and its operator tags, innermost first."""
-    from docsynth.absint import Sketch
-
+    """The spine of a query: its operator tags, innermost first."""
     ops = []
     while hasattr(q, "source"):
         ops.append(_SPINE_TAGS[type(q).__name__])
         q = q.source
-    return Sketch(q.name, tuple(reversed(ops)))
+    return tuple(reversed(ops))
 
 
 # ---------------------------------------------------------------------------

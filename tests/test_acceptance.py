@@ -14,7 +14,7 @@ import random
 from contextlib import contextmanager
 from pathlib import Path
 
-from docsynth.absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
+from docsynth.absint import OPERATOR_TAGS, AbsEvalContext, abs_eval
 from docsynth.cli import main
 from docsynth.interp import eval_agg, eval_query
 from docsynth.lang import (
@@ -66,9 +66,9 @@ def test_forum_deduction_verdicts_and_traces():
     with reported("deduction verdicts and abstract traces on the forum task"):
         task = load_task(str(TASKS_DIR / "reddit_posts.json"))
         cfg = SynthesisConfig()
-        bare = Sketch("posts", ())
-        three = Sketch("posts", ("unwind", "match", "project"))
-        six = Sketch("posts", ("unwind", "match", "group", "add_fields", "match", "project"))
+        bare = ()
+        three = ("unwind", "match", "project")
+        six = ("unwind", "match", "group", "add_fields", "match", "project")
         search = Search(task, cfg)
         assert deduce(search, bare) is False
         assert deduce(search, three) is False
@@ -76,16 +76,16 @@ def test_forum_deduction_verdicts_and_traces():
 
         out_type = compute_schema({"out": task.examples[0].output})["out"].elem
 
-        lam = abs_eval(AbsEvalContext(task.schema, out_type), three)
+        lam = abs_eval(AbsEvalContext(task.schema, "posts", out_type, 2), three)
         assert [t.render() for t in lam] == ["{title: String}"]
 
-        lam = abs_eval(AbsEvalContext(task.schema, out_type), six)
+        lam = abs_eval(AbsEvalContext(task.schema, "posts", out_type, 2), six)
         assert "{?⁺: Any, ?⁺: Num}" in [t.render() for t in lam]
 
         # the size half: the input posts folded through each spine's kinds
         n, m = len(task.examples[0].input["posts"]), len(task.examples[0].output)
         assert (n, m) == (3, 2)
-        assert [reachable(n, sk.ops, m) for sk in (bare, three, six)] == [False, True, True]
+        assert [reachable(n, ops, m) for ops in (bare, three, six)] == [False, True, True]
 
 
 def test_pruning_never_rejects_a_true_spine():
@@ -111,19 +111,16 @@ def test_pruned_spines_have_no_completion():
             oracle = Search(task, SynthesisConfig(
                 disable_size_abstraction=True, disable_type_abstraction=True,
             ))
-            worklist, frontier = [Sketch(coll, ())], [Sketch(coll, ())]
+            worklist, frontier = [()], [()]
             for _ in range(2):
-                frontier = [
-                    Sketch(coll, (tag,) + sk.ops)
-                    for sk in frontier for tag in OPERATOR_TAGS
-                ]
+                frontier = [(tag,) + ops for ops in frontier for tag in OPERATOR_TAGS]
                 worklist.extend(frontier)
-            for sk in worklist:
-                if deduce(search, sk):
+            for ops in worklist:
+                if deduce(search, ops):
                     continue
                 pruned += 1
-                got = complete_sketch(oracle, sk)
-                assert got is None, f"seed {seed}: pruned spine {sk.ops} completes to {got}"
+                got = complete_sketch(oracle, ops)
+                assert got is None, f"seed {seed}: pruned spine {ops} completes to {got}"
         assert pruned > 100
 
 
@@ -199,7 +196,7 @@ def test_bundled_tasks_all_solved_and_verified(tmp_path):
             name = os.path.basename(path)
             result = reddit_posts_result() if name == "reddit_posts.json" else synthesize(task)
             assert result.status == "success", f"{name} not solved"
-            seen_tags.update(skeleton(result.query).ops)
+            seen_tags.update(skeleton(result.query))
             two_key_group = two_key_group or any(
                 isinstance(s, Group) and len(s.keys) == 2 for s in stages(result.query)
             )

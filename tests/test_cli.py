@@ -358,6 +358,14 @@ class TestSynthCommand:
         assert main(["synth", path]) == 1
         assert "error: schema:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [["array"], {"k": 1}, 3, None])
+    def test_type_kind_that_is_not_a_string_is_schema_error(self, tmp_path, capsys, kind):
+        t = simple_task()
+        t["schema"] = {"items": {"kind": kind}}
+        path = write_json(tmp_path / "t.json", t)
+        assert main(["synth", path]) == 1
+        assert "error: schema: invalid type JSON" in capsys.readouterr().err
+
     def test_trace_logs_one_line_per_sketch(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", simple_task())
         assert main(["synth", path, "--trace", "--emit", "dsl"]) == 0

@@ -6,9 +6,8 @@ the base of an attribute chain) or lists it in its `__all__`, which is how
 a package re-exports. `from __future__` imports are directives, not names.
 
 `tests/oracles.py` and `perfbench/checker.py` check answers with code that
-shares none with what produced them. The oracles' docstring excepts two
-test helpers, `skeleton` and `predicates_by_enumeration`; the checker has
-no exception.
+shares none with what produced them. The oracles' docstring excepts one
+test helper, `predicates_by_enumeration`; the checker has no exception.
 
 A task is built and checked in `taskio` and searched in `synth`, and
 neither module imports the other.
@@ -25,7 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).parent.parent
 SCANNED = ("src", "tests", "scripts")
-ORACLE_EXCEPTIONS = {"skeleton", "predicates_by_enumeration"}
+ORACLE_EXCEPTIONS = {"predicates_by_enumeration"}
 LIBRARY_READERS = ("src", "scripts", "perfbench")
 
 

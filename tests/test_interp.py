@@ -1,6 +1,7 @@
 """Interpreter tests: stage-by-stage golden replay plus the Null rules."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,20 @@ class TestExpressions:
         assert eval_expr({"x": 2.3}, FnCall("ceil", ("x",))) == 3
         assert eval_expr({"x": None}, FnCall("abs", ("x",))) is None
         assert eval_expr({"x": "s"}, FnCall("abs", ("x",))) is None
+
+    @pytest.mark.parametrize("fn", ["floor", "ceil"])
+    def test_rounding_keeps_non_finite_numbers(self, fn):
+        # JSON input can carry NaN and ±Infinity; as in MongoDB they round to themselves
+        assert eval_expr({"x": math.inf}, FnCall(fn, ("x",))) == math.inf
+        assert eval_expr({"x": -math.inf}, FnCall(fn, ("x",))) == -math.inf
+        assert math.isnan(eval_expr({"x": math.nan}, FnCall(fn, ("x",))))
+        assert eval_expr({"x": 10**400}, FnCall(fn, ("x",))) == 10**400
+
+    def test_modulo_of_an_infinite_dividend_is_nan(self):
+        for x in (math.inf, -math.inf):
+            assert math.isnan(eval_expr({"x": x, "y": 2}, Arith(("x",), "%", ("y",))))
+        assert eval_expr({"x": 2.5, "y": math.inf}, Arith(("x",), "%", ("y",))) == 2.5
+        assert math.isnan(eval_expr({"x": math.nan, "y": 2}, Arith(("x",), "%", ("y",))))
 
 
 class TestAggregators:

@@ -3,7 +3,8 @@
 golden/lambda_depth2.json pins, for every shipped task, every collection of
 its schema, every spine of depth at most 2 and each example, the sorted
 renderings of Λ, the abstract document types the spine can produce. A
-refactor of the type half of deduction must keep every one of them.
+refactor of the type half of deduction must keep every one of them. A
+spine is keyed by `render_spine`.
 
 Regenerate (only when the abstraction is meant to change) with
 `PYTHONPATH=src python -m tests.test_lambda_golden` from the repo root.
@@ -13,7 +14,7 @@ import json
 from itertools import product
 from pathlib import Path
 
-from docsynth.absint import OPERATOR_TAGS, AbsEvalContext, Sketch, abs_eval
+from docsynth.absint import OPERATOR_TAGS, AbsEvalContext, abs_eval
 from docsynth.taskio import load_task
 from docsynth.types import lenient_doc_type
 
@@ -22,18 +23,27 @@ GOLDEN = HERE / "golden" / "lambda_depth2.json"
 MAX_DEPTH = 2
 
 
+def render_spine(collection: str, ops: tuple) -> str:
+    """The spine `ops` (stage kinds, innermost first) over `collection`, as
+    nested operators with open arguments: `Project(Unwind(posts, ·), ·)`."""
+    out = collection
+    for tag in ops:
+        out = f"{tag.capitalize() if tag != 'add_fields' else 'AddFields'}({out}, ·)"
+    return out
+
+
 def lambda_renders() -> dict:
     out = {}
     for path in sorted((HERE.parent / "tasks").glob("*.json")):
         task = load_task(str(path))
-        contexts = [AbsEvalContext(task.schema, lenient_doc_type(ex.output)) for ex in task.examples]
+        out_types = [lenient_doc_type(ex.output) for ex in task.examples]
         by_spine = out[path.stem] = {}
         for coll in task.schema:
+            contexts = [AbsEvalContext(task.schema, coll, t, 2) for t in out_types]
             for depth in range(MAX_DEPTH + 1):
                 for ops in product(OPERATOR_TAGS, repeat=depth):
-                    sk = Sketch(coll, ops)
-                    by_spine[sk.render()] = [
-                        sorted(t.render() for t in abs_eval(ctx, sk)) for ctx in contexts
+                    by_spine[render_spine(coll, ops)] = [
+                        sorted(t.render() for t in abs_eval(ctx, ops)) for ctx in contexts
                     ]
     return out
 

@@ -136,6 +136,21 @@ class TestRender:
             with pytest.raises(ParseError):
                 parse_query(f"Match(c, SizeEq(a, {size}))")
 
+    @pytest.mark.parametrize("literal, message", [
+        ("1e999", "overflows"), ("-1e999", "overflows"),
+        pytest.param("1" * 5000, "too many digits", id="5000_digits"),
+    ])
+    def test_number_literal_out_of_range_is_parse_error(self, literal, message):
+        # the grammar spells no infinity, so a literal that overflows to one is refused
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_query(f"Match(c, a = {literal})")
+        assert exc.value.position == 13
+        assert parse_query("Match(c, a = -1e308)").pred == Cmp(("a",), "=", -1e308)
+
+    def test_sizeeq_with_too_many_digits_is_parse_error(self):
+        with pytest.raises(ParseError, match="too many digits"):
+            parse_query(f"Match(c, SizeEq(a, {'1' * 5000}))")
+
     @pytest.mark.parametrize("opener, closer", [("!", ""), ("(", ")"), ("a > 5 && ", ""), ("", " || a > 5")])
     def test_nesting_past_the_stated_depth_is_parse_error(self, opener, closer):
         # 1,000 levels of `!`, `(`, `&&` or `||` raise ParseError, not RecursionError

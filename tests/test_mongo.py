@@ -1,6 +1,7 @@
 """Pipeline translation: stage shapes, goldens, merge rules, replay."""
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -18,7 +19,7 @@ from docsynth.mongo import (
     translate,
 )
 from docsynth.text import parse_query
-from docsynth.values import Datetime, database_to_json, value_to_json
+from docsynth.values import Datetime, ObjectId, database_to_json, value_to_json
 
 from . import oracles
 from .test_lang import forum_query, queries
@@ -268,6 +269,36 @@ class TestReconstruction:
         # each case is a pipeline that one rule's guard keeps from merging;
         # past the guard, the oracle replay differs from the query
         self._assert_replay_equal({"c": docs}, parse_query(text), must_merge=False)
+
+    @pytest.mark.parametrize("text, docs", [
+        pytest.param("Group(c, [k], [m], [Min(d)])",
+                     [{"k": 1, "d": Datetime("2024-02-01")}, {"k": 1, "d": Datetime("2024-01-01")}],
+                     id="min_of_dates"),
+        pytest.param("Group(c, [k], [m], [Max(d)])",
+                     [{"k": 1, "d": ObjectId("0b")}, {"k": 1, "d": ObjectId("0a")}],
+                     id="max_of_object_ids"),
+        pytest.param("Group(c, [k], [m], [Max(d)])", [{"k": 1, "d": True}, {"k": 1, "d": 2}],
+                     id="max_ranks_bool_above_number"),
+        pytest.param("Group(c, [k], [m], [Min(d)])",
+                     [{"k": 1, "d": Datetime("2024-01-01")}, {"k": 1, "d": "s"}, {"k": 1, "d": 3}],
+                     id="min_across_kinds"),
+        pytest.param("Group(c, [k], [m], [Avg(d)])", [{"k": 1, "d": 2}, {"k": 1, "d": "x"}],
+                     id="avg_sums_numbers_over_non_nulls"),
+        pytest.param("AddFields(c, [f, g], [floor(x), ceil(x)])", [{"x": math.inf}, {"x": -math.inf}],
+                     id="rounding_keeps_infinities"),
+    ])
+    def test_replay_follows_the_interpreter(self, text, docs):
+        # the oracle's aggregators and functions give what eval_query gives
+        self._assert_replay_equal({"c": docs}, parse_query(text), must_merge=False)
+
+    def test_replay_of_nan_and_infinite_dividends(self):
+        # NaN equals nothing, so each computed value is checked to be NaN
+        db = {"c": [{"x": math.nan, "y": math.inf, "b": 2}]}
+        q = parse_query("AddFields(c, [f, g, m], [floor(x), ceil(x), y % b])")
+        coll, pipe = translate(q)
+        (got,) = oracles.replay_pipeline(database_to_json(db), coll, value_to_json(optimize(pipe)))
+        (want,) = eval_query(db, q)
+        assert all(math.isnan(d[k]) for d in (got, want) for k in ("f", "g", "m"))
 
     def test_rejects_bare_group_id(self):
         # the reader takes only the key document that translate emits

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from docsynth import synth as synth_module
-from docsynth.absint import OPERATOR_TAGS, Sketch
+from docsynth.absint import OPERATOR_TAGS
 from docsynth.interp import apply_stage, eval_query
 from docsynth.lang import stages
 from docsynth.sizes import reachable
@@ -42,10 +42,10 @@ class TestPruningSoundness:
         cfg = SynthesisConfig()
         for seed in range(1000):
             db, coll, query, output, _ = gen_pair(seed)
-            sk = skeleton(query)
+            ops = skeleton(query)
             task = SynthesisTask(compute_schema(db), coll, (Example(db, output),))
-            assert deduce(Search(task, cfg), sk), (
-                f"seed {seed}: pruned the true spine {sk.ops} of {query}"
+            assert deduce(Search(task, cfg), ops), (
+                f"seed {seed}: pruned the true spine {ops} of {query}"
             )
 
     def test_soundness_survives_each_ablation(self):
@@ -53,9 +53,9 @@ class TestPruningSoundness:
             cfg = SynthesisConfig(**flags)
             for seed in range(200):
                 db, coll, query, output, _ = gen_pair(seed)
-                sk = skeleton(query)
+                ops = skeleton(query)
                 task = SynthesisTask(compute_schema(db), coll, (Example(db, output),))
-                assert deduce(Search(task, cfg), sk), (
+                assert deduce(Search(task, cfg), ops), (
                     f"seed {seed} under {flags}"
                 )
 
@@ -65,7 +65,7 @@ class TestPrefixSoundness:
     def test_thousand_random_pairs(self):
         for seed in range(1000):
             db, coll, query, output, _ = gen_pair(seed)
-            tags = skeleton(query).ops
+            tags = skeleton(query)
             docs = list(db[coll])
             for k, stage in enumerate(stages(query)):
                 assert reachable(len(docs), tags[k:], len(output)), (
@@ -76,14 +76,15 @@ class TestPrefixSoundness:
             assert len(docs) == len(output)
 
 
-def all_sketches(coll, max_depth):
-    frontier = [Sketch(coll, ())]
+def all_spines(max_depth):
+    """Every spine of at most `max_depth` stages, breadth first."""
+    frontier = [()]
     yield frontier[0]
     for _ in range(max_depth):
         nxt = []
-        for sk in frontier:
+        for ops in frontier:
             for tag in OPERATOR_TAGS:
-                child = Sketch(coll, (tag,) + sk.ops)
+                child = (tag,) + ops
                 nxt.append(child)
                 yield child
         frontier = nxt
@@ -99,13 +100,13 @@ class TestPruningSafety:
             task = SynthesisTask(compute_schema(db), coll, (Example(db, output),), tuple(constants))
             search = Search(task, cfg)
             oracle = Search(task, UNPRUNED)
-            for sk in all_sketches(coll, 2):
-                if deduce(search, sk):
+            for ops in all_spines(2):
+                if deduce(search, ops):
                     continue
                 pruned += 1
-                got = complete_sketch(oracle, sk)
+                got = complete_sketch(oracle, ops)
                 assert got is None, (
-                    f"seed {seed}: pruned spine {sk.ops} completes to {got}"
+                    f"seed {seed}: pruned spine {ops} completes to {got}"
                 )
             completed += 1
         assert completed == 100
@@ -287,9 +288,9 @@ class TestCandidateTables:
         docs = [{"a": a, "b": b, "n": n} for a in (1, 9) for b in (1, 9) for n in (0, 1)]
         db = {"items": docs}
         task = SynthesisTask(compute_schema(db), "items", (Example(db, [{"a": 9, "b": 1, "n": 1}]),))
-        sk = Sketch("items", ("match", "match"))
+        ops = ("match", "match")
         tabled, plain = Search(task, SynthesisConfig()), _Untabled(task, SynthesisConfig())
-        query = complete_sketch(tabled, sk)
+        query = complete_sketch(tabled, ops)
         assert query is not None
-        assert query == complete_sketch(plain, sk)
+        assert query == complete_sketch(plain, ops)
         assert (tabled.completions, tabled.prefixes_pruned) == (plain.completions, plain.prefixes_pruned)

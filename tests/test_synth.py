@@ -4,13 +4,13 @@ order, and end-to-end search on the forum task."""
 import dataclasses
 import gc
 import json
+import math
 import pathlib
 import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from docsynth.absint import Sketch
 from docsynth.errors import TaskError
 from docsynth.lang import CollectionRef, Match, TRUE, ast_size
 from docsynth.interp import eval_pred, eval_query
@@ -38,14 +38,15 @@ from docsynth.values import Datetime
 from .conftest import reddit_posts_result
 from .oracles import predicates_by_enumeration
 from .test_lang import forum_query
-from .test_pruning_properties import all_sketches
+from .test_lambda_golden import render_spine
+from .test_pruning_properties import all_spines
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "replay_stages.json").read_text())
 
 FORUM_DB = GOLDEN["input"]
 FORUM_OUT = GOLDEN["stages"][-1]
 TASKS_DIR = pathlib.Path(__file__).parent.parent / "tasks"
-OMEGA_3 = Sketch("posts", ("unwind", "match", "group", "add_fields", "match", "project"))
+OMEGA_3 = ("unwind", "match", "group", "add_fields", "match", "project")
 
 
 def forum_task():
@@ -61,29 +62,28 @@ def forum_result():
 
 class TestRefine:
     def test_fanout_is_six(self):
-        assert len(refine(Sketch("posts", ()))) == 6
+        assert len(refine(())) == 6
 
     def test_wraps_at_leaf(self):
-        children = refine(Sketch("posts", ("match",)))
-        assert [c.ops for c in children] == [
+        children = refine(("match",))
+        assert children == [
             ("project", "match"), ("match", "match"), ("add_fields", "match"),
             ("unwind", "match"), ("group", "match"), ("lookup", "match"),
         ]
 
     def test_depth_grows_by_one(self):
-        sk = Sketch("posts", ("unwind", "group"))
-        assert all(c.depth == 3 for c in refine(sk))
+        assert all(len(c) == 3 for c in refine(("unwind", "group")))
 
 
 class TestDeduce:
     def test_bare_collection_infeasible(self):
         t = forum_task()
-        assert deduce(Search(t, SynthesisConfig()), Sketch("posts", ())) is False
+        assert deduce(Search(t, SynthesisConfig()), ()) is False
 
     def test_three_stage_infeasible(self):
         t = forum_task()
-        sk = Sketch("posts", ("unwind", "match", "project"))
-        assert deduce(Search(t, SynthesisConfig()), sk) is False
+        ops = ("unwind", "match", "project")
+        assert deduce(Search(t, SynthesisConfig()), ops) is False
 
     def test_six_stage_feasible(self):
         t = forum_task()
@@ -92,19 +92,19 @@ class TestDeduce:
     def test_both_ablations_accept_everything(self):
         t = forum_task()
         cfg = SynthesisConfig(disable_size_abstraction=True, disable_type_abstraction=True)
-        assert deduce(Search(t, cfg), Sketch("posts", ())) is True
+        assert deduce(Search(t, cfg), ()) is True
 
     def test_size_only_still_rejects_bare(self):
         # 3 input posts vs 2 output rows: the bare spine keeps the size
         t = forum_task()
         cfg = SynthesisConfig(disable_type_abstraction=True)
-        assert deduce(Search(t, cfg), Sketch("posts", ())) is False
+        assert deduce(Search(t, cfg), ()) is False
 
     def test_type_only_rejects_project_spine(self):
         t = forum_task()
         cfg = SynthesisConfig(disable_size_abstraction=True)
-        sk = Sketch("posts", ("unwind", "match", "project"))
-        assert deduce(Search(t, cfg), sk) is False
+        ops = ("unwind", "match", "project")
+        assert deduce(Search(t, cfg), ops) is False
 
 
 class TestConstantPool:
@@ -209,19 +209,19 @@ class TestCompleteSketch:
     def test_empty_sketch_is_identity(self):
         db = {"items": [{"a": 1}, {"a": 2}]}
         task = SynthesisTask(compute_schema(db), "items", (Example(db, db["items"]),))
-        q = complete_sketch(Search(task, SynthesisConfig()), Sketch("items", ()))
+        q = complete_sketch(Search(task, SynthesisConfig()), ())
         assert q == CollectionRef("items")
 
     def test_match_true_when_output_equals_input(self):
         task = SynthesisTask(compute_schema(FORUM_DB), "posts",
                              (Example(FORUM_DB, FORUM_DB["posts"]),), constants=(0,))
-        q = complete_sketch(Search(task, SynthesisConfig()), Sketch("posts", ("match",)))
+        q = complete_sketch(Search(task, SynthesisConfig()), ("match",))
         assert q == Match(CollectionRef("posts"), TRUE)
 
     def test_unwind_completion(self):
         unwound = GOLDEN["stages"][0]
         task = SynthesisTask(compute_schema(FORUM_DB), "posts", (Example(FORUM_DB, unwound),))
-        q = complete_sketch(Search(task, SynthesisConfig()), Sketch("posts", ("unwind",)))
+        q = complete_sketch(Search(task, SynthesisConfig()), ("unwind",))
         assert render_query(q) == "Unwind(posts, replies)"
 
     def test_six_stage_completion_returns_section_query(self):
@@ -337,7 +337,7 @@ class TestCompleteSketch:
     def test_returns_none_when_no_completion_exists(self):
         db = {"items": [{"a": 1}]}
         task = SynthesisTask(compute_schema(db), "items", (Example(db, [{"zzz": 1}]),))
-        q = complete_sketch(Search(task, SynthesisConfig()), Sketch("items", ("project",)))
+        q = complete_sketch(Search(task, SynthesisConfig()), ("project",))
         assert q is None
 
 
@@ -348,6 +348,18 @@ class TestSynthesize:
         assert r.status == "success"
         assert r.query == CollectionRef("items")
         assert r.stats["sketchesExplored"] == 1
+
+    def test_non_finite_inputs_reach_expression_candidates(self):
+        # every expression is evaluated on every document, floor(a) on ±Infinity too
+        db = {"items": [{"a": math.inf, "n": 2.5}, {"a": -math.inf, "n": -1.5}]}
+        out = [{"a": math.inf, "n": 2.5, "f": 2}, {"a": -math.inf, "n": -1.5, "f": -2}]
+        r = synthesize(SynthesisTask(None, "items", (Example(db, out),)))
+        assert render_query(r.query) == "AddFields(items, [f], [floor(n)])"
+        # a NaN output equals nothing, so this search can only be exhausted
+        db = {"items": [{"a": math.nan}, {"a": 2.5}]}
+        out = [{"a": math.nan, "f": 3}, {"a": 2.5, "f": 3}]
+        r = synthesize(SynthesisTask(None, "items", (Example(db, out),)), SynthesisConfig(max_pipeline_depth=1))
+        assert r.status == "exhausted"
 
     def test_simple_match_within_seven_sketches(self):
         db = {"items": [{"a": 3}, {"a": 7}, {"a": 9}]}
@@ -430,7 +442,7 @@ class TestSynthesize:
         task = SynthesisTask(compute_schema(db), "items",
                              (Example(db, [{"a": 7}]),), constants=(5,))
         seen = []
-        r = synthesize(task, trace=lambda sk, ok: seen.append((sk.render(), ok)))
+        r = synthesize(task, trace=lambda ops, ok: seen.append((render_spine("items", ops), ok)))
         assert len(seen) == r.stats["sketchesExplored"]
         assert seen[0][0] == "items"
 
@@ -441,9 +453,9 @@ class TestSynthesize:
         task = SynthesisTask(compute_schema(db), "items", (Example(db, [{"z": "x"}]),))
         seen = []
         r = synthesize(task, SynthesisConfig(max_pipeline_depth=2),
-                       trace=lambda sk, ok: seen.append(sk))
+                       trace=lambda ops, ok: seen.append(ops))
         assert r.status == "exhausted"
-        assert seen == list(all_sketches("items", 2))
+        assert seen == list(all_spines(2))
 
     def test_search_is_freed_without_the_cycle_collector(self, monkeypatch):
         # no reference cycle may keep a finished search alive; reddit_posts
@@ -553,13 +565,13 @@ class TestAblations:
         # over one document) before any Project candidate
         db = {"items": [{"a": 1}]}
         task = SynthesisTask(compute_schema(db), "items", (Example(db, [{"a": 1}, {"a": 1}]),))
-        sk = Sketch("items", ("match", "project"))
+        ops = ("match", "project")
         search = Search(task, SynthesisConfig())
-        assert not deduce(search, sk)
-        assert complete_sketch(search, sk) is None
+        assert not deduce(search, ops)
+        assert complete_sketch(search, ops) is None
         assert (search.prefixes_pruned, search.completions) == (2, 0)
         unpruned = Search(task, SynthesisConfig(disable_size_abstraction=True))
-        assert complete_sketch(unpruned, sk) is None
+        assert complete_sketch(unpruned, ops) is None
         assert unpruned.prefixes_pruned == 0 and unpruned.completions > 0
 
     def test_size_flag_gates_the_prefix_check(self):
