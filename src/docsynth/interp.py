@@ -7,6 +7,10 @@ Null discipline, in one place:
     null <= null hold, while < and > are false whenever either side is Null
     or the kinds differ
   * arithmetic propagates Null; division or modulo by zero yields Null
+  * arithmetic, Sum and Avg also yield Null where they would need a float
+    beyond the float range: an integer above it met by a float or by `%`,
+    which works in floats, or an inexact integer quotient above it
+    (10**400 + 1.5, 10**400 % 3, 10**400 / 3)
   * non-finite numbers (NaN, ±Infinity, which JSON input can carry) follow
     IEEE arithmetic, as in MongoDB: floor and ceil return them unchanged,
     and modulo of an infinite dividend is NaN
@@ -114,25 +118,28 @@ def eval_expr(doc, e):
         b = _num(read_path(doc, e.right))
         if a is None or b is None:
             return None
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
+        try:
+            if e.op == "+":
+                return a + b
+            if e.op == "-":
+                return a - b
+            if e.op == "*":
+                return a * b
+            if e.op == "/":
+                if b == 0:
+                    return None
+                if isinstance(a, int) and isinstance(b, int) and a % b == 0:
+                    return a // b
+                return a / b
+            # '%' truncates toward zero, int result when both operands are ints
             if b == 0:
                 return None
-            if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-                return a // b
-            return a / b
-        # '%' truncates toward zero, int result when both operands are ints
-        if b == 0:
+            if isinstance(a, float) and math.isinf(a):
+                return math.nan
+            r = math.fmod(a, b)
+            return int(r) if isinstance(a, int) and isinstance(b, int) else r
+        except OverflowError:
             return None
-        if isinstance(a, float) and math.isinf(a):
-            return math.nan
-        r = math.fmod(a, b)
-        return int(r) if isinstance(a, int) and isinstance(b, int) else r
     if isinstance(e, FnCall):
         v = _num(read_path(doc, e.path))
         if v is None:
@@ -155,23 +162,26 @@ def eval_agg(docs, a):
     if isinstance(a, Count):
         return len(docs)
     values = [read_path(d, a.path) for d in docs]
-    if isinstance(a, Sum):
-        return sum(v for v in values if _num(v) is not None)
     if isinstance(a, (Min, Max)):
         pool = [v for v in values if v is not None]
         if not pool:
             return None
         pick = min if isinstance(a, Min) else max
         return pick(pool, key=order_key)
-    if isinstance(a, Avg):
-        non_null = [v for v in values if v is not None]
-        if not non_null:
-            return None
-        total = sum(v for v in non_null if _num(v) is not None)
-        n = len(non_null)
-        if isinstance(total, int) and total % n == 0:
-            return total // n
-        return total / n
+    try:
+        if isinstance(a, Sum):
+            return sum(v for v in values if _num(v) is not None)
+        if isinstance(a, Avg):
+            non_null = [v for v in values if v is not None]
+            if not non_null:
+                return None
+            total = sum(v for v in non_null if _num(v) is not None)
+            n = len(non_null)
+            if isinstance(total, int) and total % n == 0:
+                return total // n
+            return total / n
+    except OverflowError:
+        return None
     raise TypeError(f"not an aggregator: {a!r}")
 
 

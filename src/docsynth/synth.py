@@ -20,11 +20,14 @@ candidate's sizes are checked before its children are built or typed
 example's size through the kinds still to be chosen, and a miss drops the
 partial program and everything below it as one pruned prefix; at the last
 stage the sizes must equal the output sizes, and a miss counts one
-completion. A Match is sized by the popcounts of its truth vector's
-per-example slices and built by bit selection, so none runs through
-`eval_pred`; a Group is sized by its key set's partition, and its rows are
-built from that partition (`interp.group_rows`); the other kinds are
-applied, then sized. Spines and prefixes read the same per-kind images (see
+completion. No candidate is built to be sized. A Match is sized by the
+popcounts of its truth vector's per-example slices and built by bit
+selection, so none runs through `eval_pred`; a Group is sized by its key
+set's partition, and its rows are built from that partition
+(`interp.group_rows`); Project, AddFields and Lookup keep one document per
+document, and an Unwind makes one per element of the arrays at its path.
+Those four are run by `apply_stage` only once their sizes fit. Spines and
+prefixes read the same per-kind images (see
 `sizes`): Unwind may drop documents whose array is empty or absent, and
 Group keeps an empty example empty and has no candidate on a one-document
 collection. The check only drops partial programs that have no satisfying
@@ -50,16 +53,16 @@ the table from the start under its own suffix and applies the size rule
 itself, and it sees the candidates, and charges the counters, exactly as a
 fresh run of the generator would. A nested reader of the same table, on a
 child equal to its parent (a `Match(True)`, or a Project that keeps every
-path), is no different. Entries are compact. A Match is its truth vector;
-its predicate is found again only to assemble an answer, as the first
-class representative with that vector, which is exact because class order
-is fixed. A Group key set holds its sizes and aggregators, and its (names,
-aggregators) variants are enumerated only when the sizes fit; a miss
-charges every variant at once. Its partitions are not kept: a replay whose
-sizes fit partitions again. The other kinds hold their node and sizes. A
-candidate that fits keeps the id of its interned child, so a replay
-neither builds nor interns it again. The last stage's children are
-compared with the outputs and never interned.
+path), is no different. Every entry holds sizes that are read without
+building anything. A Match is its predicate and truth vector. A Group key
+set holds its sizes and aggregators, and its (names, aggregators) variants
+are enumerated only when the sizes fit; a miss charges every variant at
+once. Its partitions go only to the reader that made the entry: a replay
+whose sizes fit partitions again. The other kinds hold their node and
+sizes. Every reader builds a candidate's children on one path, after its
+sizes fit, and a candidate that fits keeps the id of its interned child,
+so a replay neither builds nor interns it again. The last stage's children
+are compared with the outputs and never interned.
 
 Completion also remembers where it failed, by the state rather than by the
 program that reached it. What `_fill` finds from stage k depends only on
@@ -134,7 +137,7 @@ from itertools import combinations, product
 
 from .absint import OPERATOR_TAGS, AbsEvalContext, abs_eval
 from .abstraction import concretizes
-from .errors import EvalError, TaskError
+from .errors import TaskError
 from .interp import HOLDS_ON, apply_stage, eval_agg, eval_expr, group_by, group_rows
 from .lang import (
     AGGREGATORS, ARITH_OPS, AddFields, And, Arith, Cmp, CollectionRef, Count,
@@ -191,7 +194,6 @@ class Search:
         ]
         self.inputs = [ex.input for ex in task.examples]
         self.outputs = [ex.output for ex in task.examples]
-        self.in_sizes = tuple(len(db[task.collection]) for db in self.inputs)
         self.out_sizes = tuple(map(len, self.outputs))
         # the type of every output together; one example's is typed already
         self.out_type = out_types[0] if len(out_types) == 1 else lenient_doc_type(
@@ -266,7 +268,8 @@ def deduce(search: Search, ops: tuple) -> bool:
     collection the spine `ops` produces, by the halves the config leaves on."""
     check_size = not search.cfg.disable_size_abstraction
     check_type = not search.cfg.disable_type_abstraction
-    for ctx, n, m, out in zip(search.contexts, search.in_sizes, search.out_sizes, search.outputs):
+    for ctx, n, m, out in zip(search.contexts, search.states[0].sizes, search.out_sizes,
+                              search.outputs):
         # the type half's empty-Λ prune comes first; the halves commute, so
         # the order only decides which half a pruned spine is charged to
         if check_type:
@@ -402,13 +405,12 @@ def _atom_vectors(docs, paths, constants):
 # Candidate tables. A state's table for one stage kind lists that kind's
 # candidates on the state in enumeration order, whatever the stages after
 # it, so each generator below runs once per (state, kind) in a search. Each
-# yields (entry, made) for the nodes that run: the entry holds what the
-# size rule reads and goes into the table, while `made` is what the
+# yields (entry, made): the entry holds what the size rule reads, with no
+# candidate built, and goes into the table, while `made` is what the
 # generator built on the way, which only the reader that made the entry
-# sees: an applied node's children (every example's collection after it),
-# a Match's predicate, a Group key set's partitions. Entries are compact:
+# sees: a Group key set's partitions, else None. The entries:
 #
-#   match                              the truth vector, an int
+#   match                              (predicate, truth vector)
 #   group                              (keys, sizes, kept aggregators)
 #   project, add_fields, unwind, lookup  (node, sizes)
 #
@@ -420,14 +422,15 @@ _HOLE = CollectionRef("_")
 
 
 class _State:
-    """An interned state: every example's collection before some stage, and
-    its lenient type, None until a table on it is made."""
+    """An interned state: every example's collection before some stage, its
+    sizes, and its lenient type, None until a table on it is made."""
 
-    __slots__ = ("id", "colls", "in_type")
+    __slots__ = ("id", "colls", "sizes", "in_type")
 
     def __init__(self, sid: int, colls: list):
         self.id = sid
         self.colls = colls
+        self.sizes = tuple(map(len, colls))
         self.in_type = None
 
     @property
@@ -450,19 +453,6 @@ class _Table(list):
         self.kids = []
 
 
-def _applied(gen):
-    """A generator of bare nodes made one of table entries: each node is
-    run on every example, and kept, with its sizes, if it runs."""
-    def generate(search, state):
-        for node in gen(search, state):
-            try:
-                nxt = [apply_stage(db, c, node) for db, c in zip(search.inputs, state.colls)]
-            except EvalError:
-                continue
-            yield (node, tuple(map(len, nxt))), nxt
-    return generate
-
-
 def _line_up(tin: DocT, tout: DocT):
     """The sorted paths of `tout` that `tin` types alike, and those it lacks.
     Only documents whose types differ are entered: alike ones lack nothing."""
@@ -483,24 +473,33 @@ def _line_up(tin: DocT, tout: DocT):
     return sorted(common), sorted(absent)
 
 
-@_applied
 def _gen_project(search, state):
     paths, _ = _line_up(state.in_type, search.out_type)
     if paths:
-        yield Project(_HOLE, tuple(paths))
+        yield (Project(_HOLE, tuple(paths)), state.sizes), None
 
 
 def _gen_match(search, state):
-    # the predicate goes to the reader that made the entry, not into the table
-    for pred, bits in enumerate_predicates(state.docs, typed_paths(state.in_type), search.pool):
-        yield bits, pred
+    for entry in enumerate_predicates(state.docs, typed_paths(state.in_type), search.pool):
+        yield entry, None
 
 
-@_applied
 def _gen_unwind(search, state):
+    # No Unwind or Lookup candidate raises an EvalError, so none is run to be
+    # sized. Lenient typing gives a path an array type only when every
+    # non-null value there is an array, so `interp.flatten` makes one
+    # document per element, none for a null or absent value, and never
+    # raises; and `SynthesisTask` puts every schema collection in every
+    # example's input, so a Lookup always finds its foreign collection.
     for path, t in typed_paths(state.in_type):
         if isinstance(t, ArrayT):
-            yield Unwind(_HOLE, path)
+            yield (Unwind(_HOLE, path), tuple(_unwound(c, path) for c in state.colls)), None
+
+
+def _unwound(coll: list, path: tuple) -> int:
+    """How many documents Unwind at `path` makes of `coll`: one per element
+    of each array there, none for a null or absent value."""
+    return sum(len(v) for v in (get_path(d, path) for d in coll) if isinstance(v, list))
 
 
 def _expr_candidates(search, docs, paths, target):
@@ -517,7 +516,6 @@ def _expr_candidates(search, docs, paths, target):
     return list(kept.values())
 
 
-@_applied
 def _gen_add_fields(search, state):
     _, targets = _line_up(state.in_type, search.out_type)
     docs = state.docs
@@ -535,7 +533,7 @@ def _gen_add_fields(search, state):
             if any(not pool for pool in pools):
                 continue
             for combo in product(*pools):
-                yield AddFields(_HOLE, subset, combo)
+                yield (AddFields(_HOLE, subset, combo), state.sizes), None
 
 
 def _gen_group(search, state):
@@ -574,7 +572,6 @@ def _agg_plausible(agg, groups, output_nums):
     return False
 
 
-@_applied
 def _gen_lookup(search, state):
     in_paths = typed_paths(state.in_type)
     for fname, coll_type in search.task.schema.items():
@@ -590,7 +587,7 @@ def _gen_lookup(search, state):
                     continue
                 for foreign, ft in fpaths:
                     if ft == lt:
-                        yield Lookup(_HOLE, local, foreign, fname, as_attr)
+                        yield (Lookup(_HOLE, local, foreign, fname, as_attr), state.sizes), None
 
 
 _GENERATORS = {
@@ -617,8 +614,8 @@ def _table(search: Search, state: _State, kind: str) -> _Table:
 
 def _entries(table: _Table):
     """Every entry of `table` from the first, as (position, entry, made):
-    what the generator built with a new entry (its children, a Match's
-    predicate or a Group's partitions), else None. Entry i is read from the
+    what the generator built with a new entry (a Group key set's
+    partitions), else None. Entry i is read from the
     table if it is there, else made by the shared generator, so a nested
     reader of the same table, on a child equal to its parent, sees the
     same entries."""
@@ -641,8 +638,8 @@ def _entries(table: _Table):
 # Readers: each yields (node, child) for the candidates of one table whose
 # sizes fit the stages `rest` after it (`Search.fits`). The child is the
 # interned state after the node when stages remain, else every example's
-# collection, which is compared with the outputs and never interned. A
-# replayed Match's node is (state, truth vector), which `_assemble` resolves.
+# collection, which is compared with the outputs and never interned. It is
+# built by `_child`, only when no child id is kept for the candidate yet.
 # ---------------------------------------------------------------------------
 
 def _child(search: Search, kids: list, i: int, build, rest: tuple):
@@ -662,19 +659,18 @@ def _child(search: Search, kids: list, i: int, build, rest: tuple):
 
 
 def _read_applied(search, state, table, rest):
-    for i, (node, sizes), nxt in _entries(table):
+    for i, (node, sizes), _ in _entries(table):
         if search.fits(sizes, rest):
-            yield node, _child(search, table.kids, i, lambda: nxt if nxt is not None else [
+            yield node, _child(search, table.kids, i, lambda: [
                 apply_stage(db, c, node) for db, c in zip(search.inputs, state.colls)], rest)
 
 
 def _read_match(search, state, table, rest):
     colls = state.colls
-    for i, bits, pred in _entries(table):
+    for i, (pred, bits), _ in _entries(table):
         slices = _split_bits(bits, colls)
         if search.fits(tuple(map(int.bit_count, slices)), rest):
-            node = (state, bits) if pred is None else Match(_HOLE, pred)
-            yield node, _child(search, table.kids, i, lambda: [
+            yield Match(_HOLE, pred), _child(search, table.kids, i, lambda: [
                 _select(c, b) for c, b in zip(colls, slices)], rest)
 
 
@@ -798,12 +794,6 @@ def _select(docs: list, bits: int) -> list:
 def _assemble(search: Search, stage_nodes):
     q = CollectionRef(search.task.collection)
     for node in stage_nodes:
-        if isinstance(node, tuple):
-            # a Match, by its state and vector: the first class representative
-            # with that vector, since enumeration order is fixed
-            state, bits = node
-            node = next(Match(_HOLE, p) for p, v in enumerate_predicates(
-                state.docs, typed_paths(state.in_type), search.pool) if v == bits)
         q = replace(node, source=q)
     return q
 

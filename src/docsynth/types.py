@@ -105,9 +105,6 @@ class DocT:
     def get(self, name):
         return self.attrs.get(name)
 
-    def __contains__(self, name):
-        return name in self.attrs
-
     def __eq__(self, other):
         return isinstance(other, DocT) and self.attrs == other.attrs
 

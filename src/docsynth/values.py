@@ -58,7 +58,6 @@ ABSENT = _Absent()
 Path = tuple
 
 _KIND_RANK = {
-    "null": 0,
     "num": 1,
     "str": 2,
     "objectid": 3,
@@ -152,7 +151,8 @@ def value_cmp(a, b):
 
 
 def order_key(v):
-    """Total order key across kinds, used only by Min/Max aggregation.
+    """Total order key across the kinds of non-null values, used only by
+    Min/Max aggregation, which drops nulls first.
 
     A number keys as itself: Python compares an int with a float exactly,
     so 2**53 + 1 orders above 2**53, which float() would merge.
@@ -162,8 +162,6 @@ def order_key(v):
         return (_KIND_RANK[k], v.value)
     if k in ("array", "doc"):
         return (_KIND_RANK[k], repr(value_key(v)))
-    if k == "null":
-        return (_KIND_RANK[k], 0)
     return (_KIND_RANK[k], v)
 
 

@@ -231,6 +231,7 @@ def agg_count(members):
 
 
 def agg_sum(path):
+    """The sum of the numbers, or null where it needs a float beyond the float range."""
     def fn(members):
         total = 0
         for d in members:
@@ -238,7 +239,10 @@ def agg_sum(path):
             if v is _MISSING or v is None or isinstance(v, bool):
                 continue
             if isinstance(v, (int, float)):
-                total += v
+                try:
+                    total += v
+                except OverflowError:
+                    return None
         return total
     return fn
 
@@ -278,16 +282,20 @@ def _pick(path, pick):
 
 
 def agg_avg(path):
-    """The sum of the numbers over the count of the non-null values."""
+    """The sum of the numbers over the count of the non-null values, or
+    null where either needs a float beyond the float range."""
     def fn(members):
         vals = [get_path(d, path) for d in members]
         vals = [v for v in vals if v is not _MISSING and v is not None]
         if not vals:
             return None
-        total = sum(v for v in vals if _kind(v) == "num")
-        if isinstance(total, int) and total % len(vals) == 0:
-            return total // len(vals)
-        return total / len(vals)
+        try:
+            total = sum(v for v in vals if _kind(v) == "num")
+            if isinstance(total, int) and total % len(vals) == 0:
+                return total // len(vals)
+            return total / len(vals)
+        except OverflowError:
+            return None
     return fn
 
 
@@ -489,25 +497,29 @@ def _num(v):
 
 
 def _arith(a, op, b):
-    """Null in, null out; division and modulus by zero give null, and the
-    modulus of an infinite dividend is NaN."""
+    """Null in, null out; division and modulus by zero give null, the
+    modulus of an infinite dividend is NaN, and a result that needs a float
+    beyond the float range is null."""
     if a is None or b is None:
         return None
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if b == 0:
+    try:
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if b == 0:
+            return None
+        both_int = isinstance(a, int) and isinstance(b, int)
+        if op == "/":
+            return a // b if both_int and a % b == 0 else a / b
+        if isinstance(a, float) and math.isinf(a):
+            return math.nan
+        r = math.fmod(a, b)
+        return int(r) if both_int else r
+    except OverflowError:
         return None
-    both_int = isinstance(a, int) and isinstance(b, int)
-    if op == "/":
-        return a // b if both_int and a % b == 0 else a / b
-    if isinstance(a, float) and math.isinf(a):
-        return math.nan
-    r = math.fmod(a, b)
-    return int(r) if both_int else r
 
 
 # ---------------------------------------------------------------------------

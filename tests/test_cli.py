@@ -427,6 +427,15 @@ class TestEvalCommand:
         assert main(["eval", path, str(qp)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot read query file")
 
+    def test_huge_integer_beside_a_float_is_null(self, tmp_path, capsys):
+        db = {"items": [{"a": 10**400, "b": 1.5}]}
+        path = write_json(tmp_path / "t.json", {"collection": "items", "examples": [
+            {"input": db, "output": [{"a": 10**400, "b": 1.5, "c": None}]}]})
+        qp = tmp_path / "q.txt"
+        qp.write_text("AddFields(items, [c], [a + b])")
+        assert main(["eval", path, str(qp)]) == 0
+        assert "example 0: ok" in capsys.readouterr().out
+
     def test_eval_error_is_reported_per_example(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", simple_task())
         qp = tmp_path / "q.txt"

@@ -122,6 +122,29 @@ class TestExpressions:
         assert eval_expr({"x": 2.5, "y": math.inf}, Arith(("x",), "%", ("y",))) == 2.5
         assert math.isnan(eval_expr({"x": math.nan, "y": 2}, Arith(("x",), "%", ("y",))))
 
+    def test_a_result_beyond_the_float_range_is_null(self):
+        # as division by zero: an integer above the float range met by a
+        # float or by %, or an inexact integer quotient above it
+        doc = {"x": 10**400, "f": 1.5, "n": 3}
+        for op in ("+", "-", "*", "/", "%"):
+            assert eval_expr(doc, Arith(("x",), op, ("f",))) is None
+            assert eval_expr(doc, Arith(("f",), op, ("x",))) is None
+        assert eval_expr(doc, Arith(("x",), "/", ("n",))) is None
+        assert eval_expr(doc, Arith(("x",), "%", ("n",))) is None
+        # exact integer results stay exact
+        assert eval_expr(doc, Arith(("x",), "+", ("n",))) == 10**400 + 3
+        assert eval_expr(doc, Arith(("x",), "*", ("x",))) == 10**800
+        assert eval_expr({"x": 10**400, "y": 10**399}, Arith(("x",), "/", ("y",))) == 10
+
+    def test_huge_integers_agree_with_the_oracle(self):
+        nums = (10**400, -(10**400), 10**400 + 1, 10**399, 1.5, 3, 0, math.inf)
+        for a in nums:
+            for b in nums:
+                for op in ("+", "-", "*", "/", "%"):
+                    got = eval_expr({"a": a, "b": b}, Arith(("a",), op, ("b",)))
+                    # repr tells 1 from 1.0 and reads every NaN alike
+                    assert repr(got) == repr(oracles._arith(a, op, b)), f"{a!r} {op} {b!r}"
+
 
 class TestAggregators:
     def test_spec_examples(self):
@@ -140,6 +163,19 @@ class TestAggregators:
         assert eval_agg([{"x": 1}, {"x": 2}], Avg(("x",))) == 1.5
         assert eval_agg([{"x": 2}, {"x": 4}], Avg(("x",))) == 3
         assert eval_agg([{"x": 1}, {"x": None}, {"x": 2}], Avg(("x",))) == 1.5
+
+    @pytest.mark.parametrize("values", [
+        [10**400, 1.5], [1.5, 10**400], [10**400 + 1, 0], [10**400, 3], [10**400, -(10**400), 1.5],
+    ])
+    def test_sum_and_avg_beyond_the_float_range(self, values):
+        # null where the float range is overrun, exact otherwise, as the oracle
+        docs = [{"x": v} for v in values]
+        for agg, oracle in ((Sum(("x",)), oracles.agg_sum("x")), (Avg(("x",)), oracles.agg_avg("x"))):
+            got, want = eval_agg(docs, agg), oracle(docs)
+            assert (type(got), got) == (type(want), want)
+        assert eval_agg([{"x": 10**400}, {"x": 1.5}], Sum(("x",))) is None
+        assert eval_agg([{"x": 10**400 + 1}, {"x": 0}], Avg(("x",))) is None
+        assert eval_agg([{"x": 10**400}, {"x": 2}], Avg(("x",))) == 10**400 // 2 + 1
 
     @pytest.mark.parametrize("values", [
         [2**53, 2**53 + 1], [2**53 + 1, 2**53], [float(2**53), 2**53 + 1],

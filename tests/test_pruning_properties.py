@@ -294,3 +294,82 @@ class TestCandidateTables:
         assert query is not None
         assert query == complete_sketch(plain, ops)
         assert (tabled.completions, tabled.prefixes_pruned) == (plain.completions, plain.prefixes_pruned)
+
+
+class _TableLog(dict):
+    """A table store that keeps every table put into it, with its key, in
+    `log`, which the search does not clear when it returns."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def __setitem__(self, key, table):
+        super().__setitem__(key, table)
+        self.log.append((key, table))
+
+
+class TestEntrySizes:
+    # a Project, AddFields, Unwind or Lookup entry holds sizes read without
+    # running the node, which is run only once they fit: they must be the
+    # lengths of what apply_stage makes of every example, and it must run.
+    # Some searches make no such table, so each test checks every kind
+    # somewhere among its searches.
+    BUILT = {"project", "add_fields", "unwind", "lookup"}
+
+    def _check_entries(self, label, task, cfg=SynthesisConfig()) -> set:
+        """Search `task`, check every built-kind entry of every table the
+        search made, and return the kinds checked."""
+        made = []
+
+        def logged(*args):
+            made.append(Search(*args))
+            made[-1].tables = _TableLog()
+            return made[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synth_module, "Search", logged)
+            synthesize(task, cfg)
+        (search,) = made
+        checked = set()
+        for (sid, kind), table in search.tables.log:
+            if kind not in self.BUILT:
+                continue
+            colls = search.states[sid].colls
+            for node, sizes in table:
+                out = [apply_stage(db, c, node) for db, c in zip(search.inputs, colls)]
+                assert tuple(map(len, out)) == sizes, f"{label}: {node} on state {sid}"
+                checked.add(kind)
+        return checked
+
+    def test_shipped_tasks(self):
+        checked = set()
+        for path in sorted(TASKS_DIR.glob("*.json")):
+            checked |= self._check_entries(path.stem, load_task(str(path)))
+        assert checked == self.BUILT
+
+    def test_depth_two_pairs(self):
+        cfg = SynthesisConfig(timeout_seconds=60, max_pipeline_depth=2)
+        checked = set()
+        for seed in range(10):
+            task, _, _ = task_of(seed, max_depth=2, for_synthesis=True)
+            checked |= self._check_entries(f"seed {seed}", task, cfg)
+        assert checked == self.BUILT
+
+    def test_deep_seeds(self):
+        checked = set()
+        for seed in sorted(TestDeepCompleteness.PINNED):
+            task, _, _ = task_of(seed, max_depth=6, for_synthesis=True)
+            checked |= self._check_entries(f"seed {seed}", task)
+        assert checked == self.BUILT
+
+    def test_null_and_absent_arrays(self):
+        # no search above reaches an Unwind over a null or absent array,
+        # which makes no document: at the top level and below a document
+        # that is itself null or absent
+        docs = [{"k": 1, "xs": [1, 2], "d": {"ys": [3]}}, {"k": 2, "xs": None, "d": None},
+                {"k": 3, "d": {"ys": None}}, {"k": 4, "xs": [], "d": {}}]
+        db = {"items": docs}
+        out = [{"k": 1, "xs": 1, "d": {"ys": [3]}}, {"k": 1, "xs": 2, "d": {"ys": [3]}}]
+        task = SynthesisTask(compute_schema(db), "items", (Example(db, out),))
+        assert "unwind" in self._check_entries("null arrays", task)

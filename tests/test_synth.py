@@ -243,8 +243,8 @@ class TestCompleteSketch:
     def test_stage_work_on_hard_unwind_group(self, monkeypatch):
         # wrap apply_stage through synth's global, as the benchmark tracer
         # does: a Group is built from its key partition and a Match from its
-        # truth vector, and each candidate is run once per search, when its
-        # state's table is first read
+        # truth vector, and any other candidate is run only once its sizes
+        # fit, and not again once its child is interned
         calls, docs_in, kinds = [0], [0], set()
         real = synth_module.apply_stage
 
@@ -257,7 +257,7 @@ class TestCompleteSketch:
         monkeypatch.setattr(synth_module, "apply_stage", counted)
         result = synthesize(load_task(str(TASKS_DIR / "hard_unwind_group.json")))
         assert result.status == "success"
-        assert (calls[0], docs_in[0]) == (41, 164)
+        assert (calls[0], docs_in[0]) == (36, 144)
         assert not kinds & {"Group", "Match"}
 
     def test_each_state_is_typed_once(self, monkeypatch):
@@ -360,6 +360,19 @@ class TestSynthesize:
         out = [{"a": math.nan, "f": 3}, {"a": 2.5, "f": 3}]
         r = synthesize(SynthesisTask(None, "items", (Example(db, out),)), SynthesisConfig(max_pipeline_depth=1))
         assert r.status == "exhausted"
+
+    def test_huge_integers_reach_expressions_and_aggregates(self):
+        # 10**400 + 1.5 needs a float beyond the float range, so it is null
+        db = {"items": [{"a": 10**400, "b": 1.5}, {"a": 3, "b": 2.5}]}
+        out = [{"a": 10**400, "b": 1.5, "c": None}, {"a": 3, "b": 2.5, "c": 5.5}]
+        r = synthesize(SynthesisTask(None, "items", (Example(db, out),)))
+        assert render_query(r.query) == "AddFields(items, [c], [a + b])"
+        # a Group search sums and averages each group to test its aggregators,
+        # here up to the second group, since 7 is no output value
+        db = {"items": [{"k": 1, "x": 10**400}, {"k": 1, "x": 1.5}, {"k": 2, "x": 7}]}
+        out = [{"_id": {"k": 2}, "n": 1}, {"_id": {"k": 1}, "n": 2}]
+        r = synthesize(SynthesisTask(None, "items", (Example(db, out),)))
+        assert render_query(r.query) == "Group(items, [k], [n], [Count()])"
 
     def test_simple_match_within_seven_sketches(self):
         db = {"items": [{"a": 3}, {"a": 7}, {"a": 9}]}

@@ -28,7 +28,7 @@ from docsynth.taskio import load_task, task_from_json, task_to_json
 TASKS_DIR = Path(__file__).parent.parent / "tasks"
 VALUES = (
     None, True, 1.5, "x", [], {}, [1], {"a": 1}, {"$date": 1}, {"kind": ["num"]},
-    math.nan, math.inf,
+    math.nan, math.inf, 10**400,
 )
 DEPTH_1 = SynthesisConfig(max_pipeline_depth=1)
 
