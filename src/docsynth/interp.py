@@ -8,9 +8,10 @@ Null discipline, in one place:
     or the kinds differ
   * arithmetic propagates Null; division or modulo by zero yields Null
   * arithmetic, Sum and Avg also yield Null where they would need a float
-    beyond the float range: an integer above it met by a float or by `%`,
-    which works in floats, or an inexact integer quotient above it
-    (10**400 + 1.5, 10**400 % 3, 10**400 / 3)
+    beyond the float range: an integer above it met by a float, or an
+    inexact integer quotient above it (10**400 + 1.5, 10**400 / 3)
+  * `%` truncates toward zero, so the remainder takes the dividend's sign;
+    the remainder of two integers is exact at any size (10**400 % 3 is 1)
   * non-finite numbers (NaN, ±Infinity, which JSON input can carry) follow
     IEEE arithmetic, as in MongoDB: floor and ceil return them unchanged,
     and modulo of an infinite dividend is NaN
@@ -131,13 +132,16 @@ def eval_expr(doc, e):
                 if isinstance(a, int) and isinstance(b, int) and a % b == 0:
                     return a // b
                 return a / b
-            # '%' truncates toward zero, int result when both operands are ints
+            # '%' truncates toward zero, so the remainder takes the
+            # dividend's sign; two ints give an exact int
             if b == 0:
                 return None
+            if isinstance(a, int) and isinstance(b, int):
+                r = abs(a) % abs(b)
+                return -r if a < 0 else r
             if isinstance(a, float) and math.isinf(a):
                 return math.nan
-            r = math.fmod(a, b)
-            return int(r) if isinstance(a, int) and isinstance(b, int) else r
+            return math.fmod(a, b)
         except OverflowError:
             return None
     if isinstance(e, FnCall):

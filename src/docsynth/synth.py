@@ -64,6 +64,21 @@ sizes fit, and a candidate that fits keeps the id of its interned child,
 so a replay neither builds nor interns it again. The last stage's children
 are compared with the outputs and never interned.
 
+A state also keeps its Match origin, the parent state and truth vector of
+the Match that made it (None if another kind made it first), and, once it
+has a Match table, its atom classes: a table of (vector, predicate), the
+first atom of each vector, filled lazily as its readers go, as a candidate
+table is. A Match child whose lenient type is its parent's shared type
+inherits them (`_atom_table`): its documents are the parent's at the
+vector's set bits, every atom is a function of one document, and the typed
+paths and the constant pool are the parent's, so its classes are the
+parent's with each vector compressed to those bits, the first of each
+compressed vector kept, and it shares the parent's predicates. Any other
+state reads its documents' columns. The Match table's
+`enumerate_predicates` reads the atom table, so that work runs inside its
+steps, and builds the negations and connectives from the child's
+representatives as before.
+
 Completion also remembers where it failed, by the state rather than by the
 program that reached it. What `_fill` finds from stage k depends only on
 the stage kinds still to choose, on the state before stage k, and on the
@@ -92,7 +107,10 @@ returned. The orders are fixed as follows.
                pairs. Classes are truth vectors over all stage documents.
                Vectors come first: each path is read once into a column,
                one value_cmp per document serves all six operators, and a
-               node is built only when its vector is a new class.
+               node is built only when its vector is a new class. A state
+               keeps its atom classes; a Match child typed as its parent
+               compresses the parent's instead of reading any column, which
+               gives the same classes in the same order.
   constants    user-supplied, then numeric values in output-encounter
                order, then null, 0, 1; first occurrence kept.
   add fields   target sets ascending by size; per target equal-typed paths,
@@ -133,7 +151,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from operator import itemgetter
 
 from .absint import OPERATOR_TAGS, AbsEvalContext, abs_eval
 from .abstraction import concretizes
@@ -330,22 +349,23 @@ def _primitive_leaves(v):
         yield v
 
 
-def enumerate_predicates(docs, paths, constants):
+def enumerate_predicates(docs, paths, constants, atoms=None):
     """Lazily yield one (representative, truth vector) per truth-equivalence class.
 
     `paths` pairs each path with its type. Bit i of a vector is the
-    predicate's truth on docs[i]. Every atom's vector is computed before its
-    node, which is built only for a new class. Connectives combine two
-    representatives, so no predicate has more than two atoms.
+    predicate's truth on docs[i]. `atoms`, when given, is the stream of
+    atom classes of these documents, paths and constants (a state's atom
+    table, see `_atom_table`); else they are made here (`_atom_classes`).
+    Connectives combine two representatives, so no predicate has more than
+    two atoms.
     """
-    seen = set()
+    if atoms is None:
+        atoms = _atom_classes(docs, paths, constants)
     reps = []
-    for bits, node, args in _atom_vectors(docs, paths, constants):
-        if bits not in seen:
-            seen.add(bits)
-            p = node(*args)
-            reps.append((p, bits))
-            yield p, bits
+    for bits, p in atoms:
+        reps.append((p, bits))
+        yield p, bits
+    seen = {v for _, v in reps}
     # negations of the representatives discovered so far
     full = (1 << len(docs)) - 1
     for p, v in list(reps):
@@ -362,6 +382,17 @@ def enumerate_predicates(docs, paths, constants):
                 if bv not in seen:
                     seen.add(bv)
                     yield build(lp, rp), bv
+
+
+def _atom_classes(docs, paths, constants):
+    """The first atom of each truth vector in tier order, as (vector,
+    predicate). Every atom's vector is computed before its node, which is
+    built only for a new class."""
+    seen = set()
+    for bits, node, args in _atom_vectors(docs, paths, constants):
+        if bits not in seen:
+            seen.add(bits)
+            yield bits, node(*args)
 
 
 def _atom_vectors(docs, paths, constants):
@@ -423,15 +454,20 @@ _HOLE = CollectionRef("_")
 
 class _State:
     """An interned state: every example's collection before some stage, its
-    sizes, and its lenient type, None until a table on it is made."""
+    sizes, its lenient type, None until a table on it is made, its atom
+    classes, None until its Match table is made (`_atom_table`), and its
+    Match origin: the (parent state, truth vector) of the Match that made
+    it, or None if another kind did."""
 
-    __slots__ = ("id", "colls", "sizes", "in_type")
+    __slots__ = ("id", "colls", "sizes", "in_type", "atoms", "origin")
 
-    def __init__(self, sid: int, colls: list):
+    def __init__(self, sid: int, colls: list, origin=None):
         self.id = sid
         self.colls = colls
         self.sizes = tuple(map(len, colls))
         self.in_type = None
+        self.atoms = None
+        self.origin = origin
 
     @property
     def docs(self) -> list:
@@ -480,8 +516,59 @@ def _gen_project(search, state):
 
 
 def _gen_match(search, state):
-    for entry in enumerate_predicates(state.docs, typed_paths(state.in_type), search.pool):
+    docs, paths = state.docs, typed_paths(state.in_type)
+    atoms = map(itemgetter(1), _entries(_atom_table(state, docs, paths, search.pool)))
+    for entry in enumerate_predicates(docs, paths, search.pool, atoms):
         yield entry, None
+
+
+def _atom_table(state: _State, docs: list, paths: list, pool: list) -> _Table:
+    """The state's atom classes in tier order: (truth vector, predicate),
+    the first atom of each vector. The table is made on first use and
+    filled as it is read, as a candidate table is.
+
+    Every atom is a function of one document, and a Match child's
+    documents are its parent's at the set bits of the Match vector, in
+    order. So a Match child typed as its parent, which has the same typed
+    paths and the same constant pool, has the parent's atoms with each
+    vector compressed to those bits; two atoms equal on the parent stay
+    equal, and its classes are the parent's classes compressed, the first
+    of each vector kept, with the parent's predicates. Any other state
+    computes its atoms' vectors."""
+    if state.atoms is None:
+        origin = state.origin
+        if origin is not None and origin[0].in_type is state.in_type:
+            parent, mask = origin  # the parent's Match table made its atom table
+            atoms = _compressed(map(itemgetter(1), _entries(parent.atoms)), mask)
+        else:
+            atoms = _atom_classes(docs, paths, pool)
+        # `_entries` reads (entry, made) pairs; an atom class comes with nothing made
+        state.atoms = _Table(zip(atoms, repeat(None)))
+    return state.atoms
+
+
+def _compressed(classes, mask: int):
+    """The classes with each vector's bits at the set bits of `mask` packed
+    together, in order, and the first class of each packed vector kept."""
+    runs = []  # (first bit, ones as wide as the run, where it lands) per run of set bits
+    at = packed = 0
+    while mask:
+        skip = (mask & -mask).bit_length() - 1
+        mask >>= skip
+        at += skip
+        width = (mask ^ (mask + 1)).bit_length() - 1
+        runs.append((at, (1 << width) - 1, packed))
+        mask >>= width
+        at += width
+        packed += width
+    seen = set()
+    for bits, p in classes:
+        out = 0
+        for low, ones, to in runs:
+            out |= (bits >> low & ones) << to
+        if out not in seen:
+            seen.add(out)
+            yield out, p
 
 
 def _gen_unwind(search, state):
@@ -642,10 +729,11 @@ def _entries(table: _Table):
 # built by `_child`, only when no child id is kept for the candidate yet.
 # ---------------------------------------------------------------------------
 
-def _child(search: Search, kids: list, i: int, build, rest: tuple):
+def _child(search: Search, kids: list, i: int, build, rest: tuple, origin=None):
     """The child of candidate i, whose state id `kids[i]` holds once it is
     interned: its state if stages remain, else its collections. `build()`
-    makes the collections when the child has not been interned yet."""
+    makes the collections when the child has not been interned yet; a
+    state it makes gets the Match `origin`, if any."""
     sid = kids[i]
     if sid is not None:
         state = search.states[sid]
@@ -653,7 +741,7 @@ def _child(search: Search, kids: list, i: int, build, rest: tuple):
     colls = build()
     if not rest:
         return colls
-    state = _intern(search, colls)
+    state = _intern(search, colls, origin)
     kids[i] = state.id
     return state
 
@@ -671,7 +759,7 @@ def _read_match(search, state, table, rest):
         slices = _split_bits(bits, colls)
         if search.fits(tuple(map(int.bit_count, slices)), rest):
             yield Match(_HOLE, pred), _child(search, table.kids, i, lambda: [
-                _select(c, b) for c, b in zip(colls, slices)], rest)
+                _select(c, b) for c, b in zip(colls, slices)], rest, (state, bits))
 
 
 def _read_group(search, state, table, rest):
@@ -749,7 +837,7 @@ def _reproduces(search: Search, colls: list) -> bool:
     return all(collection_eq(c, o) for c, o in zip(colls, search.outputs))
 
 
-def _intern(search: Search, colls: list) -> _State:
+def _intern(search: Search, colls: list, origin=None) -> _State:
     """The one state of every example's collection `colls`, made on first sight.
 
     A document is interned by its repr, which keeps apart every two values
@@ -760,12 +848,13 @@ def _intern(search: Search, colls: list) -> _State:
     state is keyed by the tuple of each example's document ints, so example
     boundaries count too. The input, state 0, is keyed on the first call,
     so a search that interns nothing else never reads the input's reprs.
+    A new state keeps `origin`; a state seen before keeps its own.
     """
     if not search.state_ids:
         search.state_ids[_state_key(search, search.states[0].colls)] = 0
     sid = search.state_ids.setdefault(_state_key(search, colls), len(search.states))
     if sid == len(search.states):
-        search.states.append(_State(sid, colls))
+        search.states.append(_State(sid, colls, origin))
     return search.states[sid]
 
 

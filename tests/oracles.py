@@ -498,8 +498,8 @@ def _num(v):
 
 def _arith(a, op, b):
     """Null in, null out; division and modulus by zero give null, the
-    modulus of an infinite dividend is NaN, and a result that needs a float
-    beyond the float range is null."""
+    modulus of two integers is exact, the modulus of an infinite dividend is
+    NaN, and a result that needs a float beyond the float range is null."""
     if a is None or b is None:
         return None
     try:
@@ -514,10 +514,13 @@ def _arith(a, op, b):
         both_int = isinstance(a, int) and isinstance(b, int)
         if op == "/":
             return a // b if both_int and a % b == 0 else a / b
+        if both_int:
+            # exact: Python's floored remainder, moved to the dividend's sign
+            r = a % b
+            return r - b if r and (r < 0) != (a < 0) else r
         if isinstance(a, float) and math.isinf(a):
             return math.nan
-        r = math.fmod(a, b)
-        return int(r) if both_int else r
+        return math.fmod(a, b)
     except OverflowError:
         return None
 

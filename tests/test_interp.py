@@ -124,17 +124,28 @@ class TestExpressions:
 
     def test_a_result_beyond_the_float_range_is_null(self):
         # as division by zero: an integer above the float range met by a
-        # float or by %, or an inexact integer quotient above it
+        # float, or an inexact integer quotient above it
         doc = {"x": 10**400, "f": 1.5, "n": 3}
         for op in ("+", "-", "*", "/", "%"):
             assert eval_expr(doc, Arith(("x",), op, ("f",))) is None
             assert eval_expr(doc, Arith(("f",), op, ("x",))) is None
         assert eval_expr(doc, Arith(("x",), "/", ("n",))) is None
-        assert eval_expr(doc, Arith(("x",), "%", ("n",))) is None
-        # exact integer results stay exact
+        # exact integer results stay exact, the remainder of two integers too
+        assert eval_expr(doc, Arith(("x",), "%", ("n",))) == 1
         assert eval_expr(doc, Arith(("x",), "+", ("n",))) == 10**400 + 3
         assert eval_expr(doc, Arith(("x",), "*", ("x",))) == 10**800
         assert eval_expr({"x": 10**400, "y": 10**399}, Arith(("x",), "/", ("y",))) == 10
+
+    def test_integer_modulo_is_exact(self):
+        # a float remainder would lose the digits beyond 2**53; the result
+        # takes the dividend's sign, as fmod's does
+        cases = {(2**53 + 1, 2): 1, (10**20 + 7, 10): 7, (-(10**20 + 7), 10): -7,
+                 (10**20 + 7, -10): 7, (-7, 3): -1, (7, -3): 1, (-7, -3): -1, (-6, 3): 0}
+        for (a, b), want in cases.items():
+            got = eval_expr({"a": a, "b": b}, Arith(("a",), "%", ("b",)))
+            assert (got, type(got)) == (want, int), f"{a!r} % {b!r}"
+            got = oracles._arith(a, "%", b)
+            assert (got, type(got)) == (want, int), f"oracle: {a!r} % {b!r}"
 
     def test_huge_integers_agree_with_the_oracle(self):
         nums = (10**400, -(10**400), 10**400 + 1, 10**399, 1.5, 3, 0, math.inf)

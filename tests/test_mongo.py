@@ -300,6 +300,14 @@ class TestReconstruction:
         (want,) = eval_query(db, q)
         assert all(math.isnan(d[k]) for d in (got, want) for k in ("f", "g", "m"))
 
+    def test_replay_of_an_exact_integer_modulus(self):
+        # $mod of two integers keeps every digit, beyond 2**53 too
+        db = {"c": [{"x": 2**53 + 1, "y": 2}, {"x": -(10**20 + 7), "y": 10}]}
+        q = parse_query("AddFields(c, [m], [x % y])")
+        coll, pipe = translate(q)
+        got = oracles.replay_pipeline(database_to_json(db), coll, value_to_json(optimize(pipe)))
+        assert [d["m"] for d in got] == [d["m"] for d in eval_query(db, q)] == [1, -7]
+
     def test_rejects_bare_group_id(self):
         # the reader takes only the key document that translate emits
         with pytest.raises(ValueError):

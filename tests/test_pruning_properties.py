@@ -20,10 +20,12 @@ from docsynth.absint import OPERATOR_TAGS
 from docsynth.interp import apply_stage, eval_query
 from docsynth.lang import stages
 from docsynth.sizes import reachable
-from docsynth.synth import Search, SynthesisConfig, complete_sketch, deduce, synthesize
+from docsynth.synth import (
+    Search, SynthesisConfig, _atom_vectors, _entries, complete_sketch, deduce, synthesize,
+)
 from docsynth.taskio import Example, SynthesisTask, load_task
 from docsynth.text import render_query
-from docsynth.types import compute_schema
+from docsynth.types import compute_schema, typed_paths
 from docsynth.values import collection_eq
 from perfbench.checker import accepts
 
@@ -309,6 +311,23 @@ class _TableLog(dict):
         self.log.append((key, table))
 
 
+def _searched(task, cfg=SynthesisConfig()) -> Search:
+    """The one `Search` that `synthesize(task, cfg)` made, run to its end,
+    with every table it made kept in `tables.log`; its states outlive it."""
+    made = []
+
+    def logged(*args):
+        made.append(Search(*args))
+        made[-1].tables = _TableLog()
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth_module, "Search", logged)
+        synthesize(task, cfg)
+    (search,) = made
+    return search
+
+
 class TestEntrySizes:
     # a Project, AddFields, Unwind or Lookup entry holds sizes read without
     # running the node, which is run only once they fit: they must be the
@@ -320,17 +339,7 @@ class TestEntrySizes:
     def _check_entries(self, label, task, cfg=SynthesisConfig()) -> set:
         """Search `task`, check every built-kind entry of every table the
         search made, and return the kinds checked."""
-        made = []
-
-        def logged(*args):
-            made.append(Search(*args))
-            made[-1].tables = _TableLog()
-            return made[-1]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(synth_module, "Search", logged)
-            synthesize(task, cfg)
-        (search,) = made
+        search = _searched(task, cfg)
         checked = set()
         for (sid, kind), table in search.tables.log:
             if kind not in self.BUILT:
@@ -373,3 +382,58 @@ class TestEntrySizes:
         out = [{"k": 1, "xs": 1, "d": {"ys": [3]}}, {"k": 1, "xs": 2, "d": {"ys": [3]}}]
         task = SynthesisTask(compute_schema(db), "items", (Example(db, out),))
         assert "unwind" in self._check_entries("null arrays", task)
+
+
+class TestInheritedAtoms:
+    # A Match child typed as its parent takes the parent's atom classes,
+    # each vector compressed to the Match vector's bits. Drained, its table
+    # must be the classes that its own atoms make: the first atom of each
+    # vector, in tier order. Every Match child's table is checked, so one
+    # inherited where the types differ would show too.
+
+    def _check_atoms(self, label, search) -> tuple:
+        """Check the atom table of every Match child that `search` made one
+        on, and return how many were inherited and how many were Match
+        children of another type."""
+        inherited = other = 0
+        for state in search.states:
+            if state.origin is None or state.atoms is None:
+                continue
+            got = [atom for _, atom, _ in _entries(state.atoms)]
+            firsts = {}
+            for bits, node, args in _atom_vectors(state.docs, typed_paths(state.in_type),
+                                                  search.pool):
+                firsts.setdefault(bits, (bits, node(*args)))
+            assert got == list(firsts.values()), f"{label}: state {state.id}"
+            if state.origin[0].in_type is state.in_type:
+                inherited += 1
+            else:
+                other += 1
+        return inherited, other
+
+    def test_shipped_tasks_and_seeds(self):
+        # only reddit_posts makes Match tables on Match children today
+        depth_two = SynthesisConfig(timeout_seconds=60, max_pipeline_depth=2)
+        runs = [(path.stem, load_task(str(path)), SynthesisConfig())
+                for path in sorted(TASKS_DIR.glob("*.json"))]
+        runs += [(f"depth-2 seed {seed}", task_of(seed, max_depth=2, for_synthesis=True)[0],
+                  depth_two) for seed in range(10)]
+        runs += [(f"deep seed {seed}", task_of(seed, max_depth=6, for_synthesis=True)[0],
+                  SynthesisConfig()) for seed in sorted(TestDeepCompleteness.PINNED)]
+        inherited = 0
+        for label, task, cfg in runs:
+            inherited += self._check_atoms(label, _searched(task, cfg))[0]
+        assert inherited > 0
+
+    def test_child_typed_apart_from_its_parent(self):
+        # `k = 1` keeps the documents whose `xs` is null or absent, so the
+        # child's lenient type drops `xs`, which its parent types: the
+        # parent's `Exists(xs)` tells those two documents apart, and the
+        # child has no such atom. No query gives the output, so every
+        # Match child is searched from.
+        docs = [{"k": 1, "xs": None}, {"k": 1}, {"k": 2, "xs": [5]}]
+        db = {"items": docs}
+        task = SynthesisTask(compute_schema(db), "items", (Example(db, [{"k": 9}]),))
+        search = Search(task, SynthesisConfig())
+        assert complete_sketch(search, ("match", "match")) is None
+        assert self._check_atoms("typed apart", search)[1] > 0

@@ -17,6 +17,8 @@ from docsynth.interp import eval_pred, eval_query
 from docsynth.synth import (
     Search,
     SynthesisConfig,
+    _State,
+    _atom_table,
     _entries,
     _intern,
     _table,
@@ -203,6 +205,41 @@ class TestEnumeratePredicatesOracle:
         for p, bits in enumerate_predicates(docs, typed_paths(in_type), constants):
             want = sum(1 << i for i, d in enumerate(docs) if eval_pred(d, p))
             assert bits == want, render_pred(p)
+
+
+@st.composite
+def _match_children(draw):
+    """An enumeration case, a Match vector over its documents, and how many
+    of the parent's atom classes are read before the child's."""
+    docs, in_type, constants = draw(_enumeration_cases())
+    mask = draw(st.integers(0, 2 ** len(docs) - 1))
+    return docs, in_type, constants, mask, draw(st.integers(0, 8))
+
+
+class TestInheritedAtomClasses:
+    # a Match child typed as its parent reads the parent's atom table with
+    # each vector compressed to the Match vector's bits, and must enumerate
+    # what its own documents give
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(_match_children())
+    def test_child_enumerates_as_its_own_documents(self, case):
+        docs, in_type, constants, mask, read_first = case
+        paths = typed_paths(in_type)
+        parent = _State(0, [docs])
+        parent.in_type = in_type
+        parent_atoms = _entries(_atom_table(parent, docs, paths, constants))
+        for _ in zip(range(read_first), parent_atoms):
+            pass  # the parent's table is partly filled when the child's is made
+        kept = [d for i, d in enumerate(docs) if mask >> i & 1]
+        child = _State(1, [kept], origin=(parent, mask))
+        child.in_type = in_type
+        atoms = (atom for _, atom, _ in _entries(_atom_table(child, kept, paths, constants)))
+        got = [(render_pred(p), bits) for p, bits in
+               enumerate_predicates(kept, paths, constants, atoms)]
+        assert got == [(render_pred(p), bits)
+                       for p, bits in enumerate_predicates(kept, paths, constants)]
+        assert [p for p, _ in got] == [render_pred(p) for p in
+                                       predicates_by_enumeration(kept, in_type, constants)]
 
 
 class TestCompleteSketch:
